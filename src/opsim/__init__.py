@@ -11,8 +11,8 @@ economic metrics.
 """
 
 from .agents import (AllocationVector, Deviation, EquilibriumResult, OperatorState,
-                     OutcomeRecord, ScenarioWeights, TaskSpec, check_equilibrium,
-                     compute_utility, evaluate_scores)
+                     ScenarioWeights, TaskSpec, check_equilibrium, compute_utility,
+                     evaluate_scores)
 from .allocation import (ConvergenceReport, SolverConfig, SolverState,
                          StabilityReport, StabilityVerdict, check_convergence,
                          hessian_stability, lagrangian_gradient, solve_allocation,
@@ -20,7 +20,7 @@ from .allocation import (ConvergenceReport, SolverConfig, SolverState,
 from .consensus import (AggregatedSignature, Behavior, ConsensusMessage, EventTrace,
                         GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
                         RoundOutcome, ValidatorDescriptor, aggregate_signature,
-                        batch_digest, gossip_step, quorum_met, run_height)
+                        batch_digest, quorum_met, run_height)
 from .errors import (ConfigError, ConstraintViolationError, DomainError, OpsimError,
                      SolverError)
 from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,

@@ -28,15 +28,6 @@ CAP_SLACK = 1e-6
 EQUILIBRIUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One historical outcome for an operator."""
-
-    success: bool
-    score: float
-    tick: int
-
-
 @dataclass
 class OperatorState:
     """An agent: identity, stake, trust, and working budgets."""
@@ -46,7 +37,6 @@ class OperatorState:
     trust: float = 0.5
     capacity: float = 0.0
     resources: float = 0.0
-    reputation_history: list[OutcomeRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.stake) or self.stake < 0:
@@ -138,10 +128,10 @@ class AllocationVector:
         return self._entries.get((operator_id, task_id), 0.0)
 
     def task_total(self, task_id: str) -> float:
-        return math.fsum(x for (_, t), x in sorted(self._entries.items()) if t == task_id)
+        return math.fsum(x for (_, t), x in self._entries.items() if t == task_id)
 
     def operator_total(self, operator_id: str) -> float:
-        return math.fsum(x for (o, _), x in sorted(self._entries.items()) if o == operator_id)
+        return math.fsum(x for (o, _), x in self._entries.items() if o == operator_id)
 
     def items(self) -> list[tuple[tuple[str, str], float]]:
         """Entries in deterministic (operator id, task id) order."""

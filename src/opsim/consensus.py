@@ -248,11 +248,6 @@ class GossipNetwork:
         return len(self._queue)
 
 
-def gossip_step(network: GossipNetwork, tick: int) -> list[Delivery]:
-    """Drain the network's deliveries due at ``tick``."""
-    return network.step(tick)
-
-
 def aggregate_signature(precommits: Iterable[ConsensusMessage],
                         validators: Sequence[ValidatorDescriptor], digest: str,
                         trace: EventTrace | None = None) -> AggregatedSignature:
@@ -263,7 +258,7 @@ def aggregate_signature(precommits: Iterable[ConsensusMessage],
     senders count once.
     """
     stakes = {v.id: v.stake for v in validators}
-    total = math.fsum(stakes[v] for v in sorted(stakes))
+    total = math.fsum(stakes.values())
     if total <= 0:
         raise DomainError("aggregate_signature requires positive total stake")
 
@@ -284,7 +279,7 @@ def aggregate_signature(precommits: Iterable[ConsensusMessage],
         if msg.batch_digest == digest:
             signers.add(msg.sender)
 
-    signed = math.fsum(stakes[s] for s in sorted(signers))
+    signed = math.fsum(stakes[s] for s in signers)
     return AggregatedSignature(digest, frozenset(signers), signed, total)
 
 
@@ -300,7 +295,7 @@ class _HeightContext:
                  trace: EventTrace):
         self.roster = sorted(validators, key=lambda v: (-v.stake, v.id))
         self.stakes = {v.id: v.stake for v in validators}
-        self.total_stake = math.fsum(self.stakes[v] for v in sorted(self.stakes))
+        self.total_stake = math.fsum(self.stakes.values())
         self.digest = digest
         self.network = network
         self.max_rounds = max_rounds
@@ -312,7 +307,7 @@ class _HeightContext:
         return self.roster[round_ % len(self.roster)]
 
     def vote_stake(self, votes: dict[str, str | None], digest: str | None) -> float:
-        return math.fsum(self.stakes[s] for s in sorted(votes) if votes[s] == digest)
+        return math.fsum(self.stakes[s] for s, vote in votes.items() if vote == digest)
 
     def has_quorum(self, votes: dict[str, str | None], digest: str | None) -> bool:
         return quorum_met(self.vote_stake(votes, digest), self.total_stake)

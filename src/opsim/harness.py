@@ -18,10 +18,11 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .agents import (AllocationVector, OperatorState, OutcomeRecord, ScenarioWeights,
-                     TaskSpec, evaluate_scores)
+from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
+                     evaluate_scores)
 from .allocation import (ConvergenceReport, SolverConfig, hessian_stability,
                          solve_allocation)
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
@@ -47,7 +48,7 @@ class OperatorConfig:
     id: str
     stake: float
     behavior: str = "honest"
-    trust: float | None = None
+    trust: float = 0.5
     capacity: float = 100.0
     resources: float = 10.0
     region_latency: int = 1
@@ -83,173 +84,217 @@ class RunConfig:
     seed: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        """Normalized config document with every default made explicit."""
-        doc: dict[str, Any] = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "max_rounds": self.max_rounds,
-            "failure_rate_constant": self.failure_rate_constant,
-            "weights": {"consensus": self.weights.w1, "performance": self.weights.w2},
-            "solver": {
-                "learning_rate": self.solver.learning_rate,
-                "tolerance": self.solver.tolerance,
-                "max_iterations": self.solver.max_iterations,
-                "dual_step": self.solver.dual_step,
-            },
-            "network": {
-                "drop_probability": self.network.drop_probability,
-                "latency_jitter": self.network.latency_jitter,
-                "partitions": [
-                    {"start": p.start_tick, "end": p.end_tick,
-                     "members": sorted(p.members)}
-                    for p in self.network.partition_schedule
-                ],
-            },
-            "schedule": {
-                "window_length": self.schedule.window_length,
-                "windows_per_epoch": self.schedule.windows_per_epoch,
-                "grace_length": self.schedule.grace_length,
-            },
-            "incentives": {
-                "smoothing": self.incentives.reputation.smoothing,
-                "initial_trust": self.incentives.reputation.initial_trust,
-                "slash_fraction": self.incentives.reputation.slash_fraction,
-                "submit_fee": self.incentives.submit_fee,
-            },
-            "operators": [],
-            "tasks": [],
-        }
-        for op in self.operators:
-            entry: dict[str, Any] = {
-                "id": op.id, "stake": op.stake, "behavior": op.behavior,
-                "trust": op.trust if op.trust is not None
-                else self.incentives.reputation.initial_trust,
-                "capacity": op.capacity, "resources": op.resources,
-                "region_latency": op.region_latency,
-            }
-            if op.payment is not None:
-                entry["payment"] = {
-                    "fee": op.payment.fee,
-                    "validation_cost_coeff": op.payment.validation_cost_coeff,
-                    "capacity": op.payment.capacity,
-                    "penalty_coeff": op.payment.penalty_coeff,
-                    "error_cost_coeff": op.payment.error_cost_coeff,
-                    "error_rate": op.payment.error_rate,
-                    "deadline": (op.payment.deadline
-                                 if math.isfinite(op.payment.deadline) else None),
-                    "validation_time": op.payment.validation_time,
-                }
-            doc["operators"].append(entry)
-        for task in self.tasks:
-            doc["tasks"].append({
-                "id": task.id, "cost_rate": task.cost_rate,
-                "corruption_rate": task.corruption_rate,
-                "resource_cap": task.resource_cap, "value": task.value,
-                "consensus_gain": dict(sorted(task.consensus_gain.items())),
-                "performance_gain": dict(sorted(task.performance_gain.items())),
-            })
-        return doc
+        """Config document with every default explicit; it reloads to an equal config."""
+        return _echo(self, _TOP)
 
 
-def _require_mapping(obj: Any, context: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object", field=context)
-    return obj
+REQUIRED = object()  # default of a field that must be given
+DERIVED = object()  # computed by load_config; unlike a None default, null is rejected
 
 
-class _Section:
-    """Field extractor that rejects unknown keys on close."""
+class _Row(NamedTuple):
+    """One config field: JSON name, attribute it sets, kind and default.
 
-    def __init__(self, raw: dict, context: str):
-        self._raw = dict(raw)
-        self._context = context
+    ``attr`` may be "outer.inner"; None marks a field folded into others at
+    load time and not echoed. ``rows`` describe an object or list items. A
+    None default makes a field optional: null counts as omitted, and None
+    takes the domain class's default.
+    """
 
-    def take(self, name: str, default: Any = None, required: bool = False) -> Any:
-        if name in self._raw:
-            return self._raw.pop(name)
-        if required:
-            raise ConfigError(f"missing required field '{name}' in {self._context}",
-                              field=name)
-        return default
-
-    def close(self) -> None:
-        if self._raw:
-            unknown = sorted(self._raw)[0]
-            raise ConfigError(f"unknown field '{unknown}' in {self._context}",
-                              field=unknown)
+    key: str
+    attr: str | None
+    kind: str
+    default: Any = REQUIRED
+    rows: tuple["_Row", ...] | None = None
 
 
-def _number(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{name}' must be a number", field=name)
-    return float(value)
+_WEIGHTS = (
+    _Row("consensus", "w1", "number", 1.0),
+    _Row("performance", "w2", "number", 1.0),
+)
+_SOLVER = (
+    _Row("learning_rate", "learning_rate", "number", 0.01),
+    _Row("tolerance", "tolerance", "number", 1e-6),
+    _Row("max_iterations", "max_iterations", "integer", 100_000),
+    _Row("dual_step", "dual_step", "number", 0.05),
+)
+_PARTITION = (
+    _Row("start", "start_tick", "integer"),
+    _Row("end", "end_tick", "integer"),
+    _Row("members", "members", "list"),
+)
+_NETWORK = (
+    _Row("drop_probability", "drop_probability", "number", 0.0),
+    _Row("latency_jitter", "latency_jitter", "integer", 0),
+    _Row("partitions", "partition_schedule", "list", [], _PARTITION),
+)
+_SCHEDULE = (
+    _Row("window_length", "window_length", "integer", 8),
+    _Row("windows_per_epoch", "windows_per_epoch", "integer", DERIVED),  # max(4, n)
+    _Row("grace_length", "grace_length", "integer", None),  # window_length // 2
+)
+_INCENTIVES = (
+    _Row("smoothing", "reputation.smoothing", "number", 0.9),
+    _Row("initial_trust", "reputation.initial_trust", "number", 0.5),
+    _Row("slash_fraction", "reputation.slash_fraction", "number", 0.05),
+    _Row("submit_fee", "submit_fee", "number", 1.0),
+)
+_STAGE = (
+    _Row("latency", "latency", "number", 0.0),
+    _Row("error_rate", "error_rate", "number", 0.0),
+)
+_PAYMENT = (
+    _Row("fee", "fee", "number"),
+    _Row("validation_cost_coeff", "validation_cost_coeff", "number"),
+    _Row("capacity", "capacity", "number"),
+    _Row("penalty_coeff", "penalty_coeff", "number", 0.0),
+    _Row("error_cost_coeff", "error_cost_coeff", "number", 0.0),
+    _Row("error_rate", "error_rate", "number", None),  # from stages, else 0
+    _Row("deadline", "deadline", "number", None),  # null: no deadline
+    _Row("validation_time", "validation_time", "number", None),  # from stages, else 0
+    _Row("validation_cost_cap", "validation_cost_cap", "number", None),  # null: no cap
+    _Row("stages", None, "list", None, _STAGE),
+)
+_OPERATOR = (
+    _Row("id", "id", "string"),
+    _Row("stake", "stake", "number"),
+    _Row("behavior", "behavior", "string", "honest"),
+    _Row("trust", "trust", "number", None),  # incentives.initial_trust
+    _Row("capacity", "capacity", "number", 100.0),
+    _Row("resources", "resources", "number", 10.0),
+    _Row("region_latency", "region_latency", "integer", 1),
+    _Row("payment", "payment", "object", None, _PAYMENT),
+)
+_TASK = (
+    _Row("id", "id", "string"),
+    _Row("cost_rate", "cost_rate", "number", 0.0),
+    _Row("corruption_rate", "corruption_rate", "number", 0.0),
+    _Row("resource_cap", "resource_cap", "number"),
+    # A number gives every operator that gain; a table must cover the roster.
+    _Row("consensus_gain", "consensus_gain", "raw", 1.0),
+    _Row("performance_gain", "performance_gain", "raw", 1.0),
+    _Row("value", "value", "number", 0.0),
+)
+_TOP = (
+    _Row("scenario", "scenario", "string"),
+    _Row("seed", "seed", "integer", 0),
+    _Row("epochs", "epochs", "integer", 1),
+    _Row("max_rounds", "max_rounds", "integer", 10),
+    _Row("failure_rate_constant", "failure_rate_constant", "number",
+         FAILURE_RATE_CONSTANT),
+    _Row("weights", "weights", "object", {}, _WEIGHTS),
+    _Row("solver", "solver", "object", {}, _SOLVER),
+    _Row("network", "network", "object", {}, _NETWORK),
+    _Row("schedule", "schedule", "object", {}, _SCHEDULE),
+    _Row("incentives", "incentives", "object", {}, _INCENTIVES),
+    _Row("operators", "operators", "list", REQUIRED, _OPERATOR),
+    _Row("tasks", "tasks", "list", REQUIRED, _TASK),
+)
+
+_BEHAVIORS = [b.value for b in Behavior]
+_KINDS = {"number": ((int, float), "a number"), "integer": (int, "an integer"),
+          "string": (str, "a non-empty string"), "list": (list, "a list")}
 
 
-def _integer(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{name}' must be an integer", field=name)
+def _parse(raw: Any, rows: tuple[_Row, ...], context: str) -> dict[str, Any]:
+    """Check one JSON object against its rows; return values keyed by attr."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context or 'config'} must be an object", field=context or None)
+    prefix = f"{context}." if context else ""
+    unknown = sorted(set(raw) - {row.key for row in rows})
+    if unknown:
+        name = prefix + unknown[0]
+        raise ConfigError(f"unknown field '{name}'", field=name)
+    values: dict[str, Any] = {}
+    for row in rows:
+        name = prefix + row.key
+        if row.key in raw and (raw[row.key] is not None or row.default is not None):
+            value = _coerce(raw[row.key], row.kind, name, row.rows)
+        elif row.default is REQUIRED:
+            raise ConfigError(f"missing required field '{name}'", field=name)
+        elif row.kind == "object" and row.default is not None:
+            value = _parse(row.default, row.rows, name)
+        else:
+            value = row.default
+        outer, _, attr = (row.attr or row.key).rpartition(".")
+        target = values.setdefault(outer, {}) if outer else values
+        target[attr] = value
+    return values
+
+
+def _coerce(value: Any, kind: str, name: str, rows: tuple[_Row, ...] | None = None) -> Any:
+    if kind == "object":
+        return _parse(value, rows, name)
+    if kind == "raw":
+        return value
+    types, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or value == "":
+        raise ConfigError(f"field '{name}' must be {noun}", field=name)
+    if kind == "number":
+        return float(value)
+    if rows is not None:
+        return [_parse(item, rows, f"{name}[{i}]") for i, item in enumerate(value)]
     return value
+
+
+def _echo(obj: Any, rows: tuple[_Row, ...]) -> dict[str, Any]:
+    """The JSON document that ``rows`` parse into ``obj``."""
+    doc: dict[str, Any] = {}
+    for row in rows:
+        value = attrgetter(row.attr)(obj) if row.attr else None
+        if value is None and (row.attr is None or row.rows):
+            continue  # folded into other fields, or an absent optional block
+        if row.rows is not None:
+            value = ([_echo(item, row.rows) for item in value] if row.kind == "list"
+                     else _echo(value, row.rows))
+        elif isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        elif row.default is None and value == math.inf:
+            value = None
+        doc[row.key] = value
+    return doc
+
+
+def _build(cls: type, context: str, values: dict[str, Any]) -> Any:
+    """Construct a domain object; None values take the class default."""
+    try:
+        return cls(**{k: v for k, v in values.items() if v is not None})
+    except DomainError as exc:
+        raise ConfigError(f"{context}: {exc}", field=context) from exc
+
+
+def _reject_if(condition: bool, name: str, rule: str) -> None:
+    if condition:
+        raise ConfigError(f"{name} {rule}", field=name)
 
 
 def _gain_table(raw: Any, name: str, operator_ids: list[str]) -> dict[str, float]:
     """Scalar gains broadcast to every operator; tables must cover all."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return {op: float(raw) for op in operator_ids}
-    table = _require_mapping(raw, name)
-    for op in table:
-        if op not in operator_ids:
-            raise ConfigError(f"{name} references unknown operator '{op}'", field=name)
-    missing = [op for op in operator_ids if op not in table]
-    if missing:
-        raise ConfigError(f"{name} missing operators {missing}", field=name)
-    return {op: _number(v, f"{name}[{op}]") for op, v in table.items()}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a number or an object", field=name)
+    for op in raw:
+        _reject_if(op not in operator_ids, name, f"references unknown operator '{op}'")
+    missing = [op for op in operator_ids if op not in raw]
+    _reject_if(bool(missing), name, f"missing operators {missing}")
+    return {op: _coerce(v, "number", f"{name}[{op}]") for op, v in raw.items()}
 
 
-def _parse_payment(raw: Any, context: str) -> PaymentNodeParams:
-    section = _Section(_require_mapping(raw, context), context)
-    stages = section.take("stages")
-    validation_time = section.take("validation_time")
-    error_rate = section.take("error_rate")
-    if stages is not None:
-        if not isinstance(stages, list) or not stages:
-            raise ConfigError(f"{context}.stages must be a non-empty list",
-                              field="stages")
-        latency_total = 0.0
-        pass_rate = 1.0
-        for i, raw_stage in enumerate(stages):
-            stage = _Section(_require_mapping(raw_stage, f"{context}.stages[{i}]"),
-                             f"{context}.stages[{i}]")
-            latency_total += _number(stage.take("latency", 0.0), "latency")
-            pass_rate *= 1.0 - _number(stage.take("error_rate", 0.0), "error_rate")
-            stage.close()
-        if validation_time is None:
-            validation_time = latency_total
-        if error_rate is None:
-            error_rate = min(1.0, max(0.0, 1.0 - pass_rate))
-    deadline = section.take("deadline")
-    params = dict(
-        fee=_number(section.take("fee", required=True), "fee"),
-        validation_cost_coeff=_number(
-            section.take("validation_cost_coeff", required=True),
-            "validation_cost_coeff"),
-        capacity=_number(section.take("capacity", required=True), "capacity"),
-        penalty_coeff=_number(section.take("penalty_coeff", 0.0), "penalty_coeff"),
-        error_cost_coeff=_number(section.take("error_cost_coeff", 0.0),
-                                 "error_cost_coeff"),
-        error_rate=_number(error_rate if error_rate is not None else 0.0, "error_rate"),
-        deadline=_number(deadline, "deadline") if deadline is not None else math.inf,
-        validation_time=_number(validation_time if validation_time is not None else 0.0,
-                                "validation_time"),
-    )
-    cap = section.take("validation_cost_cap")
-    if cap is not None:
-        params["validation_cost_cap"] = _number(cap, "validation_cost_cap")
-    section.close()
-    try:
-        return PaymentNodeParams(**params)
-    except DomainError as exc:
-        raise ConfigError(f"{context}: {exc}", field=context) from exc
+def _payment(params: dict[str, Any], context: str) -> PaymentNodeParams:
+    """Fold the optional stage list into validation time and error rate."""
+    stages = params.pop("stages")
+    _reject_if(stages == [], f"{context}.stages", "must be a non-empty list")
+    latency, pass_rate = 0.0, 1.0
+    for stage in stages or ():
+        latency += stage["latency"]
+        pass_rate *= 1.0 - stage["error_rate"]
+    derived = {"validation_time": latency,
+               "error_rate": min(1.0, max(0.0, 1.0 - pass_rate))}
+    params.update({k: v for k, v in derived.items() if params[k] is None})
+    return _build(PaymentNodeParams, context, params)
 
 
 def load_config(source: str | Path) -> RunConfig:
@@ -274,205 +319,70 @@ def load_config(source: str | Path) -> RunConfig:
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno, column=exc.colno) from exc
 
-    top = _Section(_require_mapping(raw, "config"), "config")
-    scenario = top.take("scenario", required=True)
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got '{scenario}'",
-                          field="scenario")
-    seed = _integer(top.take("seed", 0), "seed")
-    epochs = _integer(top.take("epochs", 1), "epochs")
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0", field="epochs")
-    max_rounds = _integer(top.take("max_rounds", 10), "max_rounds")
-    if max_rounds < 1:
-        raise ConfigError("max_rounds must be >= 1", field="max_rounds")
-    kappa = _number(top.take("failure_rate_constant", FAILURE_RATE_CONSTANT),
-                    "failure_rate_constant")
-    if kappa < 0:
-        raise ConfigError("failure_rate_constant must be >= 0",
-                          field="failure_rate_constant")
+    doc = _parse(raw, _TOP, "")
+    _reject_if(doc["scenario"] not in SCENARIOS, "scenario", f"must be one of {SCENARIOS}")
+    _reject_if(doc["epochs"] < 0, "epochs", "must be >= 0")
+    _reject_if(doc["max_rounds"] < 1, "max_rounds", "must be >= 1")
+    _reject_if(doc["failure_rate_constant"] < 0, "failure_rate_constant", "must be >= 0")
 
-    weights_sec = _Section(
-        _require_mapping(top.take("weights", {}), "weights"), "weights")
-    try:
-        weights = ScenarioWeights(
-            w1=_number(weights_sec.take("consensus", 1.0), "weights.consensus"),
-            w2=_number(weights_sec.take("performance", 1.0), "weights.performance"))
-    except DomainError as exc:
-        raise ConfigError(f"weights: {exc}", field="weights") from exc
-    weights_sec.close()
+    _reject_if(doc["incentives"]["submit_fee"] < 0, "incentives.submit_fee", "must be >= 0")
+    incentives = IncentiveParams(**dict(doc["incentives"], reputation=_build(
+        ReputationParams, "incentives", doc["incentives"]["reputation"])))
 
-    solver_sec = _Section(_require_mapping(top.take("solver", {}), "solver"), "solver")
-    try:
-        solver = SolverConfig(
-            learning_rate=_number(solver_sec.take("learning_rate", 0.01),
-                                  "solver.learning_rate"),
-            tolerance=_number(solver_sec.take("tolerance", 1e-6), "solver.tolerance"),
-            max_iterations=_integer(solver_sec.take("max_iterations", 100_000),
-                                    "solver.max_iterations"),
-            dual_step=_number(solver_sec.take("dual_step", 0.05), "solver.dual_step"))
-    except DomainError as exc:
-        raise ConfigError(f"solver: {exc}", field="solver") from exc
-    solver_sec.close()
-
-    raw_ops = top.take("operators", required=True)
-    if not isinstance(raw_ops, list) or not raw_ops:
-        raise ConfigError("operators must be a non-empty list", field="operators")
+    _reject_if(not doc["operators"], "operators", "must be a non-empty list")
     operators: list[OperatorConfig] = []
-    for i, raw_op in enumerate(raw_ops):
-        sec = _Section(_require_mapping(raw_op, f"operators[{i}]"), f"operators[{i}]")
-        op_id = sec.take("id", required=True)
-        if not isinstance(op_id, str) or not op_id:
-            raise ConfigError(f"operators[{i}].id must be a non-empty string",
-                              field="id")
-        behavior = sec.take("behavior", "honest")
-        try:
-            Behavior(behavior)
-        except ValueError:
-            raise ConfigError(
-                f"operators[{i}].behavior must be one of "
-                f"{[b.value for b in Behavior]}", field="behavior") from None
-        trust = sec.take("trust")
-        if trust is not None:
-            trust = _number(trust, f"operators[{i}].trust")
-            if not 0.0 <= trust <= 1.0:
-                raise ConfigError(f"operators[{i}].trust must lie in [0, 1]",
-                                  field="trust")
-        payment_raw = sec.take("payment")
-        operators.append(OperatorConfig(
-            id=op_id,
-            stake=_number(sec.take("stake", required=True), f"operators[{i}].stake"),
-            behavior=behavior,
-            trust=trust,
-            capacity=_number(sec.take("capacity", 100.0), f"operators[{i}].capacity"),
-            resources=_number(sec.take("resources", 10.0), f"operators[{i}].resources"),
-            region_latency=_integer(sec.take("region_latency", 1),
-                                    f"operators[{i}].region_latency"),
-            payment=(_parse_payment(payment_raw, f"operators[{i}].payment")
-                     if payment_raw is not None else None),
-        ))
-        sec.close()
+    for i, op in enumerate(doc["operators"]):
+        _reject_if(op["behavior"] not in _BEHAVIORS, f"operators[{i}].behavior",
+                   f"must be one of {_BEHAVIORS}")
+        if op["trust"] is None:
+            op["trust"] = incentives.reputation.initial_trust
+        _reject_if(not 0.0 <= op["trust"] <= 1.0, f"operators[{i}].trust",
+                   "must lie in [0, 1]")
+        if op["payment"] is not None:
+            op["payment"] = _payment(op["payment"], f"operators[{i}].payment")
+        operators.append(OperatorConfig(**op))
     op_ids = [op.id for op in operators]
-    duplicates = sorted({i for i in op_ids if op_ids.count(i) > 1})
-    if duplicates:
-        raise ConfigError(f"duplicate operator ids: {duplicates}", field="operators")
-    if scenario == "payment":
+    if doc["scenario"] == "payment":
         missing = [op.id for op in operators if op.payment is None]
-        if missing:
-            raise ConfigError(
-                f"payment scenario requires payment params for operators {missing}",
-                field="operators")
+        _reject_if(bool(missing), "operators",
+                   f"need payment params in the payment scenario: {missing}")
 
-    raw_tasks = top.take("tasks", required=True)
-    if not isinstance(raw_tasks, list) or not raw_tasks:
-        raise ConfigError("tasks must be a non-empty list", field="tasks")
+    _reject_if(not doc["tasks"], "tasks", "must be a non-empty list")
     tasks: list[TaskSpec] = []
-    for i, raw_task in enumerate(raw_tasks):
-        sec = _Section(_require_mapping(raw_task, f"tasks[{i}]"), f"tasks[{i}]")
-        task_id = sec.take("id", required=True)
-        if not isinstance(task_id, str) or not task_id:
-            raise ConfigError(f"tasks[{i}].id must be a non-empty string", field="id")
-        try:
-            tasks.append(TaskSpec(
-                id=task_id,
-                cost_rate=_number(sec.take("cost_rate", 0.0), f"tasks[{i}].cost_rate"),
-                corruption_rate=_number(sec.take("corruption_rate", 0.0),
-                                        f"tasks[{i}].corruption_rate"),
-                resource_cap=_number(sec.take("resource_cap", required=True),
-                                     f"tasks[{i}].resource_cap"),
-                consensus_gain=_gain_table(sec.take("consensus_gain", 1.0),
-                                           f"tasks[{i}].consensus_gain", op_ids),
-                performance_gain=_gain_table(sec.take("performance_gain", 1.0),
-                                             f"tasks[{i}].performance_gain", op_ids),
-                value=_number(sec.take("value", 0.0), f"tasks[{i}].value"),
-            ))
-        except DomainError as exc:
-            raise ConfigError(f"tasks[{i}]: {exc}", field=f"tasks[{i}]") from exc
-        sec.close()
-    task_ids = [t.id for t in tasks]
-    duplicates = sorted({t for t in task_ids if task_ids.count(t) > 1})
-    if duplicates:
-        raise ConfigError(f"duplicate task ids: {duplicates}", field="tasks")
+    for i, task in enumerate(doc["tasks"]):
+        for table in ("consensus_gain", "performance_gain"):
+            task[table] = _gain_table(task[table], f"tasks[{i}].{table}", op_ids)
+        tasks.append(_build(TaskSpec, f"tasks[{i}]", task))
+    for name, ids in (("operators", op_ids), ("tasks", [t.id for t in tasks])):
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        _reject_if(bool(duplicates), name, f"have duplicate ids: {duplicates}")
 
-    net_sec = _Section(_require_mapping(top.take("network", {}), "network"), "network")
-    partitions = []
-    raw_parts = net_sec.take("partitions", [])
-    if not isinstance(raw_parts, list):
-        raise ConfigError("network.partitions must be a list", field="partitions")
-    for i, raw_part in enumerate(raw_parts):
-        part_sec = _Section(_require_mapping(raw_part, f"network.partitions[{i}]"),
-                            f"network.partitions[{i}]")
-        members = part_sec.take("members", required=True)
-        if not isinstance(members, list):
-            raise ConfigError(f"network.partitions[{i}].members must be a list",
-                              field="members")
-        for member in members:
-            if member not in op_ids:
-                raise ConfigError(
-                    f"network.partitions[{i}] references unknown operator '{member}'",
-                    field="members")
-        partitions.append(PartitionSpec(
-            start_tick=_integer(part_sec.take("start", required=True), "start"),
-            end_tick=_integer(part_sec.take("end", required=True), "end"),
-            members=frozenset(members)))
-        part_sec.close()
-    try:
-        network = NetworkModel(
-            drop_probability=_number(net_sec.take("drop_probability", 0.0),
-                                     "network.drop_probability"),
-            latency_jitter=_integer(net_sec.take("latency_jitter", 0),
-                                    "network.latency_jitter"),
-            rng_seed=0,
-            partition_schedule=tuple(partitions))
-    except DomainError as exc:
-        raise ConfigError(f"network: {exc}", field="network") from exc
-    net_sec.close()
+    partitions = doc["network"]["partition_schedule"]
+    for i, part in enumerate(partitions):
+        unknown = [member for member in part["members"] if member not in op_ids]
+        _reject_if(bool(unknown), f"network.partitions[{i}].members",
+                   f"references unknown operators {unknown}")
+        partitions[i] = PartitionSpec(**dict(part, members=frozenset(part["members"])))
+    doc["network"]["partition_schedule"] = tuple(partitions)
 
-    sched_sec = _Section(
-        _require_mapping(top.take("schedule", {}), "schedule"), "schedule")
-    window_length = _integer(sched_sec.take("window_length", 8),
-                             "schedule.window_length")
-    if window_length <= 0:
-        raise ConfigError("schedule.window_length must be > 0", field="window_length")
-    windows_per_epoch = _integer(
-        sched_sec.take("windows_per_epoch", max(4, len(operators))),
-        "schedule.windows_per_epoch")
-    if windows_per_epoch < 1:
-        raise ConfigError("schedule.windows_per_epoch must be >= 1",
-                          field="windows_per_epoch")
-    grace_raw = sched_sec.take("grace_length")
-    grace_length = (window_length // 2 if grace_raw is None
-                    else _integer(grace_raw, "schedule.grace_length"))
-    if grace_length < 0 or grace_length > window_length // 2:
-        raise ConfigError("schedule.grace_length must lie in [0, window_length // 2]",
-                          field="grace_length")
-    sched_sec.close()
-    schedule = ScheduleParams(window_length=window_length,
-                              windows_per_epoch=windows_per_epoch,
-                              grace_length=grace_length)
+    schedule = doc["schedule"]
+    window_length = schedule["window_length"]
+    _reject_if(window_length <= 0, "schedule.window_length", "must be > 0")
+    if schedule["windows_per_epoch"] is DERIVED:
+        schedule["windows_per_epoch"] = max(4, len(operators))
+    _reject_if(schedule["windows_per_epoch"] < 1, "schedule.windows_per_epoch",
+               "must be >= 1")
+    if schedule["grace_length"] is None:
+        schedule["grace_length"] = window_length // 2
+    _reject_if(not 0 <= schedule["grace_length"] <= window_length // 2,
+               "schedule.grace_length", "must lie in [0, window_length // 2]")
 
-    inc_sec = _Section(
-        _require_mapping(top.take("incentives", {}), "incentives"), "incentives")
-    try:
-        reputation = ReputationParams(
-            smoothing=_number(inc_sec.take("smoothing", 0.9), "incentives.smoothing"),
-            initial_trust=_number(inc_sec.take("initial_trust", 0.5),
-                                  "incentives.initial_trust"),
-            slash_fraction=_number(inc_sec.take("slash_fraction", 0.05),
-                                   "incentives.slash_fraction"))
-    except DomainError as exc:
-        raise ConfigError(f"incentives: {exc}", field="incentives") from exc
-    submit_fee = _number(inc_sec.take("submit_fee", 1.0), "incentives.submit_fee")
-    if submit_fee < 0:
-        raise ConfigError("incentives.submit_fee must be >= 0", field="submit_fee")
-    inc_sec.close()
-    incentives = IncentiveParams(reputation=reputation, submit_fee=submit_fee)
-
-    top.close()
-    return RunConfig(scenario=scenario, operators=tuple(operators), tasks=tuple(tasks),
-                     weights=weights, solver=solver, network=network,
-                     schedule=schedule, incentives=incentives, max_rounds=max_rounds,
-                     failure_rate_constant=kappa, epochs=epochs, seed=seed)
+    return RunConfig(**dict(
+        doc, operators=tuple(operators), tasks=tuple(tasks),
+        weights=_build(ScenarioWeights, "weights", doc["weights"]),
+        solver=_build(SolverConfig, "solver", doc["solver"]),
+        network=_build(NetworkModel, "network", doc["network"]),
+        schedule=ScheduleParams(**schedule), incentives=incentives))
 
 
 # --- Simulation --------------------------------------------------------------
@@ -591,12 +501,8 @@ def run_simulation(config: RunConfig) -> RunReport:
     failure_rng = random.Random(fork_seed(config.seed, "failures"))
     reputation = config.incentives.reputation
 
-    trusts = {
-        op.id: op.trust if op.trust is not None else reputation.initial_trust
-        for op in config.operators
-    }
+    trusts = {op.id: op.trust for op in config.operators}
     stakes = {op.id: op.stake for op in config.operators}
-    histories: dict[str, list[OutcomeRecord]] = {op.id: [] for op in config.operators}
     aggregation_weights = dict(trusts)
     gain_scale = dict(trusts)
     warm_start: AllocationVector | None = None
@@ -612,8 +518,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     for epoch in range(config.epochs):
         agents = [
             OperatorState(id=op.id, stake=stakes[op.id], trust=trusts[op.id],
-                          capacity=op.capacity, resources=op.resources,
-                          reputation_history=list(histories[op.id]))
+                          capacity=op.capacity, resources=op.resources)
             for op in sorted(config.operators, key=lambda o: o.id)
         ]
         tasks = _scaled_tasks(config.tasks, gain_scale)
@@ -630,11 +535,6 @@ def run_simulation(config: RunConfig) -> RunReport:
         missed_operators: set[str] = set()
         window_records: list[dict] = []
         height_records: list[dict] = []
-
-        def note_outcome(operator_id: str, score: float, tick: int) -> None:
-            outcomes[operator_id].append(score)
-            histories[operator_id].append(
-                OutcomeRecord(success=score >= 0.5, score=score, tick=tick))
 
         for window_slot in range(len(schedule.windows)):
             window = schedule.windows[window_slot]
@@ -673,7 +573,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                     continue
                 events.append(SettlementEvent(EventKind.CONSENSUS_FAULT,
                                               fault.validator, window_tick))
-                note_outcome(fault.validator, 0.0, window_tick)
+                outcomes[fault.validator].append(0.0)
 
             record = {"window_index": window.window_index,
                       "operator": window.operator_id,
@@ -688,7 +588,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                                                    config.failure_rate_constant):
                     events.append(SettlementEvent(EventKind.MISS, submitter,
                                                   window_tick))
-                    note_outcome(submitter, 0.0, window_tick)
+                    outcomes[submitter].append(0.0)
                     missed_operators.add(submitter)
                     trace_lines.append(
                         f"{window_tick},window-miss,{height_index - 1},"
@@ -703,7 +603,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                                 config.failure_rate_constant):
                             events.append(SettlementEvent(
                                 EventKind.MISS, fallback.operator_id, fb_tick))
-                            note_outcome(fallback.operator_id, 0.0, fb_tick)
+                            outcomes[fallback.operator_id].append(0.0)
                             missed_operators.add(fallback.operator_id)
                             trace_lines.append(
                                 f"{fb_tick},unrecoverable-miss,{height_index - 1},"
@@ -714,7 +614,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                             events.append(SettlementEvent(
                                 EventKind.SUBMIT_SUCCESS, fallback.operator_id,
                                 fb_tick))
-                            note_outcome(fallback.operator_id, 1.0, fb_tick)
+                            outcomes[fallback.operator_id].append(1.0)
                             trace_lines.append(
                                 f"{fb_tick},fallback-submit,{height_index - 1},"
                                 f"{window.window_index},{fallback.operator_id},-")
@@ -727,7 +627,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                 else:
                     events.append(SettlementEvent(EventKind.SUBMIT_SUCCESS,
                                                   submitter, window_tick))
-                    note_outcome(submitter, 1.0, window_tick)
+                    outcomes[submitter].append(1.0)
                     record["submitted"] = True
                     trace_lines.append(
                         f"{window_tick},submit,{height_index - 1},"

@@ -234,10 +234,10 @@ def payment_metrics(logs: Sequence[PaymentWindowLog]) -> PaymentMetrics:
     """
     if not logs:
         raise DomainError("payment_metrics requires at least one window log")
-    tx_total = math.fsum(math.fsum(sorted(log.transactions.values())) for log in logs)
-    cost_total = math.fsum(math.fsum(sorted(log.validation_costs.values())) for log in logs)
-    error_total = math.fsum(math.fsum(sorted(log.errors.values())) for log in logs)
-    penalty_total = math.fsum(math.fsum(sorted(log.penalties.values())) for log in logs)
+    tx_total = math.fsum(math.fsum(log.transactions.values()) for log in logs)
+    cost_total = math.fsum(math.fsum(log.validation_costs.values()) for log in logs)
+    error_total = math.fsum(math.fsum(log.errors.values()) for log in logs)
+    penalty_total = math.fsum(math.fsum(log.penalties.values()) for log in logs)
 
     efficiency = tx_total / cost_total if cost_total > 0 else None
     error_rate = error_total / tx_total if tx_total > 0 else None

@@ -6,7 +6,7 @@ import pytest
 from opsim import (Behavior, ConsensusMessage, DomainError,
                    EventTrace, GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
                    ValidatorDescriptor, aggregate_signature, batch_digest,
-                   gossip_step, quorum_met, run_height)
+                   quorum_met, run_height)
 from oracles import stake_quorum
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
@@ -45,11 +45,11 @@ class TestGossip:
         net = GossipNetwork(LOSSLESS, validators)
         msg = ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v0", "d", send_tick=5)
         net.broadcast(msg)
-        assert gossip_step(net, 5) == []
-        delivered = gossip_step(net, 6)
+        assert net.step(5) == []
+        delivered = net.step(6)
         assert sorted(d.recipient for d in delivered) == ["v1", "v2"]
         assert all(d.deliver_tick == 6 for d in delivered)
-        assert gossip_step(net, 7) == []
+        assert net.step(7) == []
 
     def test_near_certain_drop_blocks_commit(self):
         model = NetworkModel(drop_probability=1 - 1e-15, rng_seed=3)

@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opsim import ConfigError, fork_seed, load_config, read_report, run_simulation, write_report
 from opsim.cli import main as cli_main
+from opsim.harness import _TOP
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 {
@@ -46,6 +51,131 @@ PAYMENT = """
   "tasks": [{"id": "validate", "cost_rate": 0.05, "resource_cap": 5.0, "value": 10.0}]
 }
 """
+
+
+# Every section and optional field present, so each row has a value to break.
+FULL = {
+    "scenario": "payment", "seed": 3, "epochs": 2, "max_rounds": 4,
+    "failure_rate_constant": 0.1,
+    "weights": {"consensus": 1.0, "performance": 2.0},
+    "solver": {"learning_rate": 0.02, "tolerance": 1e-5, "max_iterations": 500,
+               "dual_step": 0.1},
+    "network": {"drop_probability": 0.1, "latency_jitter": 1,
+                "partitions": [{"start": 0, "end": 5, "members": ["a"]}]},
+    "schedule": {"window_length": 6, "windows_per_epoch": 3, "grace_length": 2},
+    "incentives": {"smoothing": 0.8, "initial_trust": 0.4, "slash_fraction": 0.1,
+                   "submit_fee": 0.5},
+    "operators": [
+        {"id": "a", "stake": 10.0, "behavior": "silent", "trust": 0.3, "capacity": 50.0,
+         "resources": 5.0, "region_latency": 2,
+         "payment": {"fee": 1.0, "validation_cost_coeff": 0.01, "capacity": 100.0,
+                     "penalty_coeff": 0.1, "error_cost_coeff": 0.2, "error_rate": 0.01,
+                     "deadline": 1.0, "validation_time": 0.5, "validation_cost_cap": 3.0,
+                     "stages": [{"latency": 0.2, "error_rate": 0.01}]}},
+    ],
+    "tasks": [{"id": "t", "cost_rate": 0.1, "corruption_rate": 0.05, "resource_cap": 4.0,
+               "value": 3.0, "consensus_gain": {"a": 1.0}, "performance_gain": 0.5}],
+}
+
+WRONG_KIND = {"number": "1.0", "integer": 1.5, "string": 7, "list": "x",
+              "object": ["x"], "raw": "x"}
+
+
+def _row_paths(rows, prefix=()):
+    """(path into FULL, kind) for every config row, descending into items."""
+    for row in rows:
+        path = prefix + (row.key,)
+        yield path, row.kind
+        if row.rows is not None:
+            yield from _row_paths(row.rows, path + ((0,) if row.kind == "list" else ()))
+
+
+def _full_with(path, *value):
+    """FULL as JSON text with the field at ``path`` set to ``value``, or removed."""
+    doc = json.loads(json.dumps(FULL))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    if value:
+        target[path[-1]] = value[0]
+    else:
+        del target[path[-1]]
+    return json.dumps(doc)
+
+
+def _display(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+@st.composite
+def config_docs(draw):
+    """Valid config documents; optional fields are drawn present or omitted."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    amount = st.floats(0.0, 50.0)
+    positive = st.floats(0.01, 5.0)
+
+    def maybe(target, key, strategy):
+        if draw(st.booleans()):
+            target[key] = draw(strategy)
+
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4,
+                        unique=True))
+    scenario = draw(st.sampled_from(["sequencer", "payment"]))
+    doc = {"scenario": scenario, "operators": [], "tasks": []}
+    maybe(doc, "seed", st.integers(0, 2**40))
+    maybe(doc, "epochs", st.integers(0, 5))
+    maybe(doc, "max_rounds", st.integers(1, 12))
+    maybe(doc, "failure_rate_constant", amount)
+    maybe(doc, "weights", st.fixed_dictionaries(
+        {}, optional={"consensus": positive, "performance": positive}))
+    maybe(doc, "solver", st.fixed_dictionaries({}, optional={
+        "learning_rate": positive, "tolerance": positive,
+        "max_iterations": st.integers(1, 10**6), "dual_step": positive}))
+    network = {}
+    maybe(network, "drop_probability", unit)
+    maybe(network, "latency_jitter", st.integers(0, 3))
+    maybe(network, "partitions", st.lists(st.fixed_dictionaries({
+        "start": st.integers(0, 50), "end": st.integers(0, 100),
+        "members": st.lists(st.sampled_from(ids), unique=True)}), max_size=2))
+    maybe(doc, "network", st.just(network))
+    schedule = {}
+    maybe(schedule, "window_length", st.integers(1, 12))
+    maybe(schedule, "windows_per_epoch", st.integers(1, 6))
+    if draw(st.booleans()):
+        schedule["grace_length"] = draw(
+            st.integers(0, schedule.get("window_length", 8) // 2))
+    maybe(doc, "schedule", st.just(schedule))
+    maybe(doc, "incentives", st.fixed_dictionaries({}, optional={
+        "smoothing": st.floats(0.01, 0.99), "initial_trust": st.floats(0.0, 1.0),
+        "slash_fraction": st.floats(0.01, 0.99), "submit_fee": amount}))
+    for op_id in ids:
+        op = {"id": op_id, "stake": draw(amount)}
+        maybe(op, "behavior", st.sampled_from(["honest", "silent", "equivocating",
+                                                "invalid-proposer"]))
+        maybe(op, "trust", st.floats(0.0, 1.0))
+        maybe(op, "capacity", amount)
+        maybe(op, "resources", amount)
+        maybe(op, "region_latency", st.integers(0, 3))
+        if scenario == "payment" or draw(st.booleans()):
+            payment = {"fee": draw(amount), "validation_cost_coeff": draw(amount),
+                       "capacity": draw(amount)}
+            for key in ("penalty_coeff", "error_cost_coeff", "deadline",
+                        "validation_time", "validation_cost_cap"):
+                maybe(payment, key, amount)
+            maybe(payment, "error_rate", st.floats(0.0, 1.0))
+            maybe(payment, "stages", st.lists(st.fixed_dictionaries({}, optional={
+                "latency": amount, "error_rate": unit}), min_size=1, max_size=3))
+            op["payment"] = payment
+        doc["operators"].append(op)
+    gain = st.one_of(amount, st.fixed_dictionaries({op_id: amount for op_id in ids}))
+    for t in range(draw(st.integers(1, 3))):
+        task = {"id": f"t{t}", "resource_cap": draw(amount)}
+        for key in ("cost_rate", "corruption_rate", "value"):
+            maybe(task, key, amount)
+        maybe(task, "consensus_gain", gain)
+        maybe(task, "performance_gain", gain)
+        doc["tasks"].append(task)
+    return doc
 
 
 class TestLoadConfig:
@@ -133,11 +263,44 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(json.dumps(bad))
 
-    def test_config_roundtrip_is_stable(self, tmp_path):
-        config = load_config(BASIC)
-        echoed = json.dumps(config.to_dict())
-        config2 = load_config(echoed)
-        assert config2.to_dict() == config.to_dict()
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.one_of(st.sampled_from([BASIC, PAYMENT]).map(json.loads), config_docs()))
+    @example(doc=json.loads(BASIC))
+    def test_config_roundtrip_is_stable(self, doc):
+        config = load_config(json.dumps(doc))
+        assert load_config(json.dumps(config.to_dict())) == config
+
+    def test_echoed_config_reproduces_capped_payment_run(self):
+        doc = json.loads((ROOT / "configs" / "payment.json").read_text())
+        doc["operators"][2]["payment"]["validation_cost_cap"] = 5.0
+        report = run_simulation(load_config(json.dumps(doc)))
+        rerun = run_simulation(load_config(json.dumps(report.config)))
+        assert rerun.to_dict() == report.to_dict()
+        for epoch in rerun.epochs:
+            assert epoch.metrics.payment.total_transactions == pytest.approx(165.92, abs=5e-3)
+
+    @pytest.mark.parametrize("path, kind", [
+        pytest.param(path, kind, id=_display(path)) for path, kind in _row_paths(_TOP)])
+    def test_wrong_kind_names_the_field(self, path, kind):
+        name = _display(path)
+        with pytest.raises(ConfigError) as exc:
+            load_config(_full_with(path, WRONG_KIND[kind]))
+        assert name in str(exc.value)
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("path", [
+        ("schedule", "grace_length"), ("operators", 0, "trust"),
+        ("operators", 0, "payment", "stages"), ("operators", 0, "payment", "deadline"),
+        ("operators", 0, "payment", "validation_cost_cap")])
+    def test_null_counts_as_omitted_for_optional_fields(self, path):
+        assert load_config(_full_with(path, None)) == load_config(_full_with(path))
+
+    @pytest.mark.parametrize("path", [
+        ("seed",), ("weights",), ("schedule", "windows_per_epoch"),
+        ("operators", 0, "behavior"), ("tasks", 0, "consensus_gain")])
+    def test_null_is_rejected_for_fields_with_a_default(self, path):
+        with pytest.raises(ConfigError):
+            load_config(_full_with(path, None))
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "config.json"
@@ -332,3 +495,10 @@ class TestCli:
         code = cli_main(["run", "--config", str(config_path),
                          "--out", str(tmp_path / "missing-dir" / "out.json")])
         assert code == 2
+
+
+def test_readme_names_every_config_field():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = {path[-1] for path, _ in _row_paths(_TOP)}
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
