@@ -1,7 +1,7 @@
 """Deterministic simulator of decentralized node-operator networks.
 
 The package models an operator economy end to end: agents with stake and
-trust allocate effort across tasks through a projected-gradient welfare
+trust allocate effort across tasks through an exact water-filling welfare
 solver, submit results in reputation-ranked time windows, agree on batches
 through a stake-weighted round-based commit protocol over a lossy gossip
 network, and settle rewards, slashes, and reputation updates that feed the
@@ -13,21 +13,19 @@ economic metrics.
 from .agents import (AllocationVector, Deviation, EquilibriumResult, OperatorState,
                      ScenarioWeights, TaskSpec, check_equilibrium, compute_utility,
                      evaluate_scores)
-from .allocation import (ConvergenceReport, SolverConfig, SolverState,
-                         StabilityReport, StabilityVerdict, check_convergence,
-                         hessian_stability, lagrangian_gradient, solve_allocation,
-                         stability_report, welfare)
+from .allocation import (ConvergenceReport, StabilityReport, StabilityVerdict,
+                         check_convergence, hessian_stability, lagrangian_gradient,
+                         solve_allocation, stability_report, welfare)
 from .consensus import (AggregatedSignature, Behavior, ConsensusMessage, EventTrace,
                         GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
                         RoundOutcome, ValidatorDescriptor, aggregate_signature,
                         batch_digest, quorum_met, run_height)
-from .errors import (ConfigError, ConstraintViolationError, DomainError, OpsimError,
-                     SolverError)
+from .errors import ConfigError, ConstraintViolationError, DomainError, OpsimError
 from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,
                       ScheduleParams, fork_seed, load_config, read_report,
                       run_simulation, write_report)
 from .incentives import (AggregationReport, EntryKind, EventKind, LedgerEntry,
-                         ReputationParams, ResolveRequest, SettlementEvent,
+                         ReputationParams, SettlementEvent,
                          aggregate_results, feedback_iterate, make_aggregation_report,
                          settle, update_reputation, update_trust)
 from .scenarios import (MetricsReport, PaymentMetrics, PaymentNodeParams,

@@ -23,8 +23,7 @@ from .errors import DomainError
 # Slack allowed when checking per-task resource caps.
 CAP_SLACK = 1e-6
 
-# Default comparison tolerance for the equilibrium check; strictly below
-# the solver tolerance so converged allocations pass.
+# Default comparison tolerance for the equilibrium check.
 EQUILIBRIUM_TOL = 1e-9
 
 

@@ -1,13 +1,13 @@
 """Constrained welfare maximization over (operator, task) allocations.
 
 Maximizes the summed operator utilities subject to a per-task resource cap
-and non-negativity. The solver runs projected gradient ascent: each
-iteration steps along the welfare gradient, then projects the iterate of
-every task onto {x >= 0, sum(x) <= cap}. The projection shift divided by
-the learning rate is an exact per-step multiplier and converges to the KKT
-multiplier of the cap, so iterates never oscillate and the displacement
-stop rule is trustworthy. Iteration stops when the Euclidean displacement
-between consecutive allocation iterates falls below the tolerance.
+and non-negativity. Utilities are separable and each task has one cap, so
+the optimum is solved exactly, task by task, from its KKT conditions:
+x_i = max(0, g_i / (k + q + lam) - 1), where g_i = w1*c_i + w2*s_i and
+lam >= 0 is the cap's multiplier. This is water-filling (Boyd &
+Vandenberghe, Convex Optimization, 5.5.3); the level k + q + lam comes from
+one pass over the gains in descending order. It is the point the paper's
+projected gradient ascent converges to.
 """
 
 from __future__ import annotations
@@ -15,51 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .agents import AllocationVector, OperatorState, ScenarioWeights, TaskSpec
-from .errors import DomainError, SolverError
+from .errors import DomainError
 
 # Spectrum classification band around zero.
 SPECTRUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Step sizes and stopping limits for the allocation solver."""
-
-    learning_rate: float = 0.01
-    tolerance: float = 1e-6
-    max_iterations: int = 100_000
-    dual_step: float = 0.05
-
-    def __post_init__(self) -> None:
-        for name, v in (("learning_rate", self.learning_rate),
-                        ("tolerance", self.tolerance),
-                        ("dual_step", self.dual_step)):
-            if not math.isfinite(v) or v <= 0:
-                raise DomainError(f"solver config: {name} must be finite and > 0")
-        if self.max_iterations < 1:
-            raise DomainError("solver config: max_iterations must be >= 1")
-
-
-@dataclass
-class SolverState:
-    """A point of the iteration: allocation, multipliers, bookkeeping."""
-
-    x: AllocationVector
-    multipliers: dict[str, float] = field(default_factory=dict)
-    iteration: int = 0
-    last_step_norm: float = 0.0
-
-    def __post_init__(self) -> None:
-        for task_id, lam in self.multipliers.items():
-            if not math.isfinite(lam) or lam < 0:
-                raise DomainError(f"multiplier for task {task_id} must be finite and >= 0")
-        if self.last_step_norm < 0:
-            raise DomainError("last_step_norm must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,128 +67,83 @@ def welfare(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
 
 
 def lagrangian_gradient(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
-                        weights: ScenarioWeights,
-                        state: SolverState) -> dict[tuple[str, str], float]:
-    """Gradient of the cap-relaxed objective at ``state``.
+                        weights: ScenarioWeights, allocation: AllocationVector,
+                        multipliers: Mapping[str, float] | None = None,
+                        ) -> dict[tuple[str, str], float]:
+    """Gradient of the cap-relaxed objective at ``allocation``.
 
     Entry (i, t) is (w1*c + w2*s) / (1 + x) - cost_rate - corruption_rate
-    - multiplier[t], the marginal utility of one more allocation unit net
-    of the task's shadow price.
+    - multipliers[t], the marginal utility of one more allocation unit net
+    of the task's shadow price. Missing multipliers read as zero.
     """
-    state.x.validate(tasks)
+    multipliers = multipliers or {}
+    for task_id, lam in multipliers.items():
+        if not math.isfinite(lam) or lam < 0:
+            raise DomainError(f"multiplier for task {task_id} must be finite and >= 0")
+    allocation.validate(tasks)
     by_task = {t.id: t for t in tasks}
     grad: dict[tuple[str, str], float] = {}
     for a_id, t_id in entry_order(agents, tasks):
         task = by_task[t_id]
         c, s = task.gains_for(a_id)
-        x = state.x.get(a_id, t_id)
-        if not math.isfinite(x) or x < 0:
-            raise DomainError(f"allocation for ({a_id}, {t_id}) must be finite and >= 0")
-        lam = state.multipliers.get(t_id, 0.0)
-        grad[(a_id, t_id)] = ((weights.w1 * c + weights.w2 * s) / (1.0 + x)
+        lam = multipliers.get(t_id, 0.0)
+        grad[(a_id, t_id)] = ((weights.w1 * c + weights.w2 * s)
+                              / (1.0 + allocation.get(a_id, t_id))
                               - task.cost_rate - task.corruption_rate - lam)
     return grad
 
 
-def _project_capped(values: list[float], cap: float) -> tuple[list[float], float]:
-    """Euclidean projection of ``values`` onto {z >= 0, sum(z) <= cap}.
+def _water_fill(gains: list[float], cost: float, cap: float) -> tuple[list[float], float]:
+    """Maximize sum g_i ln(1 + x_i) - cost x_i s.t. x >= 0, sum x <= cap.
 
-    Returns the projected point and the uniform shift applied to reach the
-    cap (zero when the clipped point is already feasible).
+    Returns the maximizer x_i = max(0, g_i / level - 1) and its water level
+    cost + lam. Were the cap to bind, the level with the j largest gains in
+    would be (g_1 + ... + g_j) / (cap + j); gains join in descending order
+    while they exceed the level of those already in. The cap binds iff that
+    level exceeds the cost. Subnormal gains (below 2.2e-308) lose relative
+    precision in the level.
     """
-    clipped = [max(0.0, v) for v in values]
-    if math.fsum(clipped) <= cap:
-        return clipped, 0.0
-    ordered = sorted(values, reverse=True)
-    running = 0.0
-    shift = (math.fsum(ordered) - cap) / len(ordered)
-    for j, v in enumerate(ordered, start=1):
-        running += v
-        candidate = (running - cap) / j
-        nxt = ordered[j] if j < len(ordered) else -math.inf
-        if candidate > nxt:
-            shift = candidate
+    level = running = 0.0
+    for j, g in enumerate(sorted(gains, reverse=True), start=1):
+        if g <= level:
             break
-    return [max(0.0, v - shift) for v in values], shift
+        running += g
+        level = running / (cap + j)
+    level = max(level, cost)
+    if level <= 0:
+        return [0.0] * len(gains), 0.0
+    return [max(0.0, g / level - 1.0) for g in gains], level
 
 
 def solve_allocation(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
-                     weights: ScenarioWeights, config: SolverConfig | None = None,
-                     initial: AllocationVector | None = None,
+                     weights: ScenarioWeights,
                      ) -> tuple[AllocationVector, ConvergenceReport]:
-    """Maximize total welfare subject to per-task caps and x >= 0.
+    """Maximize total welfare subject to per-task caps and x >= 0, exactly.
 
-    Starts from ``initial`` (zeros when omitted) and iterates projected
-    gradient ascent until the displacement between consecutive iterates
-    drops below ``config.tolerance`` or ``config.max_iterations`` is hit.
-    The returned allocation is feasible; the report carries the final
-    per-task multiplier estimates.
+    Each task is water-filled on its own. The report carries each task's
+    KKT multiplier max(0, level - cost_rate - corruption_rate); the solve
+    is direct, so it always reports one iteration and a zero step.
     """
     if not agents:
         raise DomainError("solver requires at least one operator")
     if not tasks:
         raise DomainError("solver requires at least one task")
-    config = config or SolverConfig()
 
-    order = entry_order(agents, tasks)
-    by_task = {t.id: t for t in tasks}
-    task_ids = sorted(by_task)
-    # Per-task views into the flat entry vector.
-    task_slots = {t: [i for i, (_, tid) in enumerate(order) if tid == t] for t in task_ids}
+    ids = sorted(a.id for a in agents)
+    result = AllocationVector()
+    multipliers: dict[str, float] = {}
+    for task in tasks:
+        gains = [weights.w1 * c + weights.w2 * s for c, s in map(task.gains_for, ids)]
+        cost = task.cost_rate + task.corruption_rate
+        units, level = _water_fill(gains, cost, task.resource_cap)
+        for agent_id, x in zip(ids, units):
+            result.set(agent_id, task.id, x)
+        multipliers[task.id] = max(0.0, level - cost)
 
-    x = [0.0] * len(order)
-    if initial is not None:
-        initial.validate(tasks)
-        known = set(order)
-        for entry, _ in initial.items():
-            if entry not in known:
-                raise DomainError(f"initial allocation has unknown entry {entry}")
-        x = [initial.get(a, t) for a, t in order]
-
-    # Marginal value and linear cost per entry never change across iterations.
-    gains = []
-    costs = []
-    for a_id, t_id in order:
-        task = by_task[t_id]
-        c, s = task.gains_for(a_id)
-        gains.append(weights.w1 * c + weights.w2 * s)
-        costs.append(task.cost_rate + task.corruption_rate)
-
-    alpha = config.learning_rate
-    multipliers = {t: 0.0 for t in task_ids}
-    iteration = 0
-    step_norm = math.inf
-    converged = False
-
-    while iteration < config.max_iterations:
-        iteration += 1
-        new_x = list(x)
-        for t_id in task_ids:
-            slots = task_slots[t_id]
-            stepped = [x[i] + alpha * (gains[i] / (1.0 + x[i]) - costs[i]) for i in slots]
-            projected, shift = _project_capped(stepped, by_task[t_id].resource_cap)
-            multipliers[t_id] = shift / alpha
-            for i, v in zip(slots, projected):
-                new_x[i] = v
-        if not all(math.isfinite(v) for v in new_x):
-            raise SolverError(f"non-finite iterate at iteration {iteration}", iteration)
-        step_norm = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(new_x, x)))
-        x = new_x
-        if step_norm < config.tolerance:
-            converged = True
-            break
-
-    result = AllocationVector({entry: v for entry, v in zip(order, x)})
-    violation = max(
-        (max(0.0, result.task_total(t) - by_task[t].resource_cap) for t in task_ids),
-        default=0.0)
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=iteration,
-        step_norm=step_norm,
-        constraint_violation=violation,
-        multipliers=dict(multipliers),
-    )
+    violation = max(max(0.0, result.task_total(t.id) - t.resource_cap) for t in tasks)
+    report = ConvergenceReport(converged=True, iterations=1, step_norm=0.0,
+                               constraint_violation=violation,
+                               multipliers=multipliers)
     return result, report
 
 

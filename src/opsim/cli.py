@@ -73,9 +73,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             for name, value in sorted(values.items()):
                 shown = "absent" if value is None else f"{value:.6g}"
                 print(f"  {family}.{name} = {shown}")
-        conv = epoch.get("convergence", {})
-        print(f"  solver: converged={conv.get('converged')} "
-              f"iterations={conv.get('iterations')}")
+        conv = epoch["convergence"]
+        prices = " ".join(f"{task}={lam:.6g}" for task, lam in conv["multipliers"].items())
+        print(f"  allocation: constraint_violation={conv['constraint_violation']:.3g} "
+              f"multipliers: {prices}")
     return EXIT_OK
 
 

@@ -13,14 +13,6 @@ class ConstraintViolationError(DomainError):
     """A decision variable breaks an explicit feasibility bound."""
 
 
-class SolverError(OpsimError, RuntimeError):
-    """The iterative solver hit a non-recoverable numeric condition."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class ConfigError(OpsimError, ValueError):
     """A run configuration failed to parse or validate.
 

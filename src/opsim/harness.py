@@ -23,8 +23,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
-from .allocation import (ConvergenceReport, SolverConfig, hessian_stability,
-                         solve_allocation)
+from .allocation import ConvergenceReport, hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
                         ValidatorDescriptor, run_height)
 from .errors import ConfigError, DomainError
@@ -74,7 +73,6 @@ class RunConfig:
     operators: tuple[OperatorConfig, ...]
     tasks: tuple[TaskSpec, ...]
     weights: ScenarioWeights
-    solver: SolverConfig
     network: NetworkModel
     schedule: ScheduleParams
     incentives: IncentiveParams
@@ -111,12 +109,6 @@ class _Row(NamedTuple):
 _WEIGHTS = (
     _Row("consensus", "w1", "number", 1.0),
     _Row("performance", "w2", "number", 1.0),
-)
-_SOLVER = (
-    _Row("learning_rate", "learning_rate", "number", 0.01),
-    _Row("tolerance", "tolerance", "number", 1e-6),
-    _Row("max_iterations", "max_iterations", "integer", 100_000),
-    _Row("dual_step", "dual_step", "number", 0.05),
 )
 _PARTITION = (
     _Row("start", "start_tick", "integer"),
@@ -183,7 +175,6 @@ _TOP = (
     _Row("failure_rate_constant", "failure_rate_constant", "number",
          FAILURE_RATE_CONSTANT),
     _Row("weights", "weights", "object", {}, _WEIGHTS),
-    _Row("solver", "solver", "object", {}, _SOLVER),
     _Row("network", "network", "object", {}, _NETWORK),
     _Row("schedule", "schedule", "object", {}, _SCHEDULE),
     _Row("incentives", "incentives", "object", {}, _INCENTIVES),
@@ -380,7 +371,6 @@ def load_config(source: str | Path) -> RunConfig:
     return RunConfig(**dict(
         doc, operators=tuple(operators), tasks=tuple(tasks),
         weights=_build(ScenarioWeights, "weights", doc["weights"]),
-        solver=_build(SolverConfig, "solver", doc["solver"]),
         network=_build(NetworkModel, "network", doc["network"]),
         schedule=ScheduleParams(**schedule), incentives=incentives))
 
@@ -503,9 +493,8 @@ def run_simulation(config: RunConfig) -> RunReport:
 
     trusts = {op.id: op.trust for op in config.operators}
     stakes = {op.id: op.stake for op in config.operators}
+    # Aggregation weights, and also the per-operator scale of the task gains.
     aggregation_weights = dict(trusts)
-    gain_scale = dict(trusts)
-    warm_start: AllocationVector | None = None
     task_values = {t.id: t.value for t in config.tasks}
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
 
@@ -521,9 +510,8 @@ def run_simulation(config: RunConfig) -> RunReport:
                           capacity=op.capacity, resources=op.resources)
             for op in sorted(config.operators, key=lambda o: o.id)
         ]
-        tasks = _scaled_tasks(config.tasks, gain_scale)
-        allocation, convergence = solve_allocation(
-            agents, tasks, config.weights, config.solver, warm_start)
+        tasks = _scaled_tasks(config.tasks, aggregation_weights)
+        allocation, convergence = solve_allocation(agents, tasks, config.weights)
         stability = hessian_stability(agents, tasks, config.weights, allocation)
 
         schedule = assign_windows(trusts, horizon, config.schedule.window_length,
@@ -666,11 +654,7 @@ def run_simulation(config: RunConfig) -> RunReport:
         operator_outputs = {a.id: allocation.operator_total(a.id) for a in agents}
         aggregation = make_aggregation_report(epoch_end_tick, operator_outputs,
                                               aggregation_weights)
-        new_weights, resolve_request = feedback_iterate(trusts, aggregation_weights,
-                                                        allocation)
-        aggregation_weights = new_weights
-        gain_scale = resolve_request.gain_scale
-        warm_start = resolve_request.warm_start
+        aggregation_weights = feedback_iterate(trusts, aggregation_weights)
 
         metrics = _epoch_metrics(config, agents, tasks, allocation, missed_operators,
                                  payment_logs)

@@ -6,7 +6,7 @@ submissions earn a fixed fee, and misses or consensus faults slash a
 fraction of the operator's current stake (so repeated slashes compound and
 stakes never go negative). Trust is an exponential moving average of
 outcome scores in [0, 1]. The feedback step re-weights aggregation by
-trust and asks the allocator to re-solve with trust-scaled gains.
+trust; the same weights scale the gains of the next allocation solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .agents import AllocationVector, OperatorState
+from .agents import OperatorState
 from .errors import DomainError
 
 
@@ -181,23 +181,12 @@ def make_aggregation_report(tick: int, values: Mapping[str, float],
                              weights=dict(sorted(weights.items())), aggregate=aggregate)
 
 
-@dataclass(frozen=True)
-class ResolveRequest:
-    """Ask the allocator to re-solve with per-operator gain scales."""
-
-    gain_scale: dict[str, float]
-    warm_start: AllocationVector
-
-
 def feedback_iterate(trust_snapshot: Mapping[str, float],
-                     weights: Mapping[str, float],
-                     allocation: AllocationVector,
-                     ) -> tuple[dict[str, float], ResolveRequest]:
-    """One monitor/adjust/iterate step.
+                     weights: Mapping[str, float]) -> dict[str, float]:
+    """One monitor/adjust/iterate step: the new weights are the current trust.
 
-    Aggregation weights become the current trust scores, and the returned
-    request carries trust as the per-operator gain scale plus the current
-    allocation as the re-solve warm start. Inputs are not mutated.
+    The snapshot must cover every operator ``weights`` has and hold trust
+    in [0, 1]. Returns a new dict; inputs are not mutated.
     """
     missing = set(weights) - set(trust_snapshot)
     if missing:
@@ -205,6 +194,4 @@ def feedback_iterate(trust_snapshot: Mapping[str, float],
     for op, trust in trust_snapshot.items():
         if not 0.0 <= trust <= 1.0:
             raise DomainError(f"trust for {op} must lie in [0, 1]")
-    new_weights = {op: trust_snapshot[op] for op in sorted(trust_snapshot)}
-    request = ResolveRequest(gain_scale=dict(new_weights), warm_start=allocation.copy())
-    return new_weights, request
+    return {op: trust_snapshot[op] for op in sorted(trust_snapshot)}

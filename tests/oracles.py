@@ -3,8 +3,8 @@
 These deliberately avoid the library's solution paths: welfare maximization
 is done on a discrete grid (greedy marginal allocation, exact for separable
 concave objectives, cross-checked against exhaustive enumeration), gradients
-come from central finite differences, and throughput optima from an integer
-scan.
+come from central finite differences, throughput optima from an integer
+scan, and the paper's allocation method is projected gradient ascent.
 """
 
 from __future__ import annotations
@@ -69,6 +69,33 @@ def exhaustive_grid_welfare(values: list[float], costs: list[float], cap: float,
 
     recurse(0, int(math.floor(cap / step + 1e-12)), 0.0)
     return best
+
+
+def projected_gradient_ascent(values: list[float], cost: float, cap: float) -> list[float]:
+    """The paper's solver for sum(v_i*ln(1+x_i)) - cost*sum(x), sum x <= cap.
+
+    Steps along the gradient from zero at rate 0.01, projects onto
+    {x >= 0, sum x <= cap} by the sorted-threshold rule (Duchi et al., ICML
+    2008) and stops when a step moves less than 1e-6, or after 100k steps.
+    """
+    x = [0.0] * len(values)
+    for _ in range(100_000):
+        stepped = [xi + 0.01 * (v / (1.0 + xi) - cost) for xi, v in zip(x, values)]
+        shift = 0.0
+        if math.fsum(max(0.0, z) for z in stepped) > cap:
+            ordered = sorted(stepped, reverse=True)
+            running = 0.0
+            for j, z in enumerate(ordered, start=1):
+                running += z
+                shift = (running - cap) / j
+                if j == len(ordered) or shift > ordered[j]:
+                    break
+        moved = [max(0.0, z - shift) for z in stepped]
+        step = math.dist(moved, x)
+        x = moved
+        if step < 1e-6:
+            break
+    return x
 
 
 def finite_difference_gradient(func, point: dict, h: float = 1e-6) -> dict:

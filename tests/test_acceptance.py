@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from opsim import (AllocationVector, EventTrace, NetworkModel, OperatorState,
-                   PaymentNodeParams, ScenarioWeights, SequencerRunLog, SolverConfig,
-                   SolverState, StabilityVerdict, TaskSpec, ValidatorDescriptor,
+                   PaymentNodeParams, ScenarioWeights, SequencerRunLog,
+                   StabilityVerdict, TaskSpec, ValidatorDescriptor,
                    aggregate_results, aggregate_signature, assign_windows,
                    failure_probability, hessian_stability, lagrangian_gradient,
                    load_config, on_window_miss, optimize_throughput, payment_metrics,
@@ -37,7 +37,6 @@ def one_task_instance(gains, k, q, cap, weights=(1.0, 1.0)):
 
 def test_c01_optimizer_oracle_equivalence():
     rng = random.Random(20_240_101)
-    config = SolverConfig(learning_rate=0.01, tolerance=1e-6, max_iterations=100_000)
     started = time.monotonic()
     worst_gap = 0.0
     for _ in range(100):
@@ -47,7 +46,7 @@ def test_c01_optimizer_oracle_equivalence():
         q = rng.uniform(0.0, 0.5)
         cap = rng.uniform(1.0, 5.0)
         agents, tasks, weights = one_task_instance(gains, k, q, cap)
-        allocation, report = solve_allocation(agents, tasks, weights, config)
+        allocation, report = solve_allocation(agents, tasks, weights)
         assert report.converged, "instance failed to converge within 100000 iterations"
         assert report.iterations <= 100_000
         values = [g[0] + g[1] for g in gains]
@@ -90,10 +89,8 @@ def test_c03_gradient_matches_finite_differences():
             return (welfare(agents, tasks, weights, alloc)
                     - lam * (math.fsum(vals.values()) - cap))
 
-        state = SolverState(x=AllocationVector({(op, "t"): x
-                                                for op, x in point.items()}),
-                            multipliers={"t": lam})
-        analytic = lagrangian_gradient(agents, tasks, weights, state)
+        allocation = AllocationVector({(op, "t"): x for op, x in point.items()})
+        analytic = lagrangian_gradient(agents, tasks, weights, allocation, {"t": lam})
         numeric = finite_difference_gradient(relaxed, point, h=1e-6)
         for i in range(n):
             a, b = analytic[(f"op-{i}", "t")], numeric[f"op-{i}"]

@@ -58,8 +58,6 @@ FULL = {
     "scenario": "payment", "seed": 3, "epochs": 2, "max_rounds": 4,
     "failure_rate_constant": 0.1,
     "weights": {"consensus": 1.0, "performance": 2.0},
-    "solver": {"learning_rate": 0.02, "tolerance": 1e-5, "max_iterations": 500,
-               "dual_step": 0.1},
     "network": {"drop_probability": 0.1, "latency_jitter": 1,
                 "partitions": [{"start": 0, "end": 5, "members": ["a"]}]},
     "schedule": {"window_length": 6, "windows_per_epoch": 3, "grace_length": 2},
@@ -128,9 +126,6 @@ def config_docs(draw):
     maybe(doc, "failure_rate_constant", amount)
     maybe(doc, "weights", st.fixed_dictionaries(
         {}, optional={"consensus": positive, "performance": positive}))
-    maybe(doc, "solver", st.fixed_dictionaries({}, optional={
-        "learning_rate": positive, "tolerance": positive,
-        "max_iterations": st.integers(1, 10**6), "dual_step": positive}))
     network = {}
     maybe(network, "drop_probability", unit)
     maybe(network, "latency_jitter", st.integers(0, 3))
@@ -183,10 +178,6 @@ class TestLoadConfig:
         config = load_config(MINIMAL)
         assert config.epochs == 1
         assert config.seed == 0
-        assert config.solver.learning_rate == 0.01
-        assert config.solver.tolerance == 1e-6
-        assert config.solver.max_iterations == 100_000
-        assert config.solver.dual_step == 0.05
         assert config.weights.w1 == 1.0
         assert config.incentives.reputation.initial_trust == 0.5
         assert config.network.drop_probability == 0.0
@@ -301,6 +292,13 @@ class TestLoadConfig:
     def test_null_is_rejected_for_fields_with_a_default(self, path):
         with pytest.raises(ConfigError):
             load_config(_full_with(path, None))
+
+    def test_solver_section_is_rejected(self):
+        doc = json.loads(MINIMAL)
+        doc["solver"] = {"learning_rate": 0.01}
+        with pytest.raises(ConfigError) as exc:
+            load_config(json.dumps(doc))
+        assert exc.value.field == "solver"
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "config.json"
@@ -457,12 +455,17 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "sequencer.throughput" in captured.out
+        for epoch in read_report(out_path)["epochs"]:
+            lam = epoch["convergence"]["multipliers"]["batching"]
+            assert lam > 0
+            assert (f"  allocation: constraint_violation=0 multipliers: batching={lam:.6g}"
+                    in captured.out.splitlines())
 
     def test_validate_ok(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(MINIMAL)
         assert cli_main(["validate", "--config", str(config_path)]) == 0
-        assert '"learning_rate": 0.01' in capsys.readouterr().out
+        assert '"drop_probability": 0.0' in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opsim import (AllocationVector, DomainError, EntryKind, EventKind,
+from opsim import (DomainError, EntryKind, EventKind,
                    OperatorState, ReputationParams, SettlementEvent,
                    aggregate_results, feedback_iterate, make_aggregation_report,
                    settle, update_reputation, update_trust)
@@ -185,32 +185,28 @@ class TestAggregation:
 class TestFeedback:
     def test_weights_follow_trust(self):
         trusts = {"a": 0.9, "b": 0.3}
-        weights, request = feedback_iterate(trusts, {"a": 1.0, "b": 1.0},
-                                            AllocationVector())
+        weights = feedback_iterate(trusts, {"a": 1.0, "b": 1.0})
         assert weights == {"a": 0.9, "b": 0.3}
-        assert request.gain_scale == {"a": 0.9, "b": 0.3}
 
     def test_equal_trust_uniform_weights(self):
         trusts = {"a": 0.7, "b": 0.7, "c": 0.7}
-        weights, request = feedback_iterate(trusts, dict(trusts), AllocationVector())
+        weights = feedback_iterate(trusts, dict(trusts))
         assert len(set(weights.values())) == 1
-        assert len(set(request.gain_scale.values())) == 1
 
     def test_halved_trust_halves_weight(self):
-        base, _ = feedback_iterate({"a": 0.8, "b": 0.8}, {}, AllocationVector())
-        bent, _ = feedback_iterate({"a": 0.8, "b": 0.4}, {}, AllocationVector())
+        base = feedback_iterate({"a": 0.8, "b": 0.8}, {})
+        bent = feedback_iterate({"a": 0.8, "b": 0.4}, {})
         assert bent["b"] / bent["a"] == pytest.approx(0.5)
         assert base["b"] / base["a"] == pytest.approx(1.0)
 
     def test_pure_no_mutation(self):
         trusts = {"a": 0.9}
         weights = {"a": 0.2}
-        allocation = AllocationVector({("a", "t"): 1.0})
-        _, request = feedback_iterate(trusts, weights, allocation)
-        request.warm_start.set("a", "t", 9.0)
-        assert allocation.get("a", "t") == 1.0
+        new_weights = feedback_iterate(trusts, weights)
+        new_weights["a"] = 0.0
+        assert trusts == {"a": 0.9}
         assert weights == {"a": 0.2}
 
     def test_snapshot_must_cover_operators(self):
         with pytest.raises(DomainError):
-            feedback_iterate({"a": 0.5}, {"a": 1.0, "b": 1.0}, AllocationVector())
+            feedback_iterate({"a": 0.5}, {"a": 1.0, "b": 1.0})
