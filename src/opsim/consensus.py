@@ -10,8 +10,11 @@ anchored to the one true batch digest, no behavior mix can make two
 honest-logic validators decide different digests.
 
 Message delivery uses a seeded network model with per-sender latency,
-uniform jitter, independent drops, and optional partitions; the whole
-simulation is tick driven and deterministic given the seed.
+uniform jitter, independent drops, and optional partitions, and is
+deterministic given the seed. Time is integer ticks advanced by next-event
+time advance: the engine jumps straight to the earliest tick at which a
+delivery is due or a validator's timer fires, and skips the idle ticks in
+between, at which nothing could happen.
 """
 
 from __future__ import annotations
@@ -234,7 +237,12 @@ class GossipNetwork:
         return False
 
     def step(self, tick: int) -> list[Delivery]:
-        """Deliveries due at or before ``tick``; ticks must not decrease."""
+        """Deliveries due at or before ``tick``; ticks must not decrease.
+
+        ``run_height`` steps only at event ticks, so one step may cover
+        several ticks; a delivery due at a tick already stepped comes out
+        at the next step.
+        """
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
@@ -246,6 +254,11 @@ class GossipNetwork:
     @property
     def pending(self) -> int:
         return len(self._queue)
+
+    @property
+    def next_tick(self) -> int | None:
+        """Deliver tick at the head of the queue, or None when it is empty."""
+        return self._queue[0][0] if self._queue else None
 
 
 def aggregate_signature(precommits: Iterable[ConsensusMessage],
@@ -288,7 +301,7 @@ def phase_timeout(round_: int) -> int:
 
 
 class _HeightContext:
-    """Shared state of one height: roster, digest, network, tallies."""
+    """Shared state of one height: roster, stakes, digest, network, decisions."""
 
     def __init__(self, validators: Sequence[ValidatorDescriptor], digest: str,
                  network: GossipNetwork, max_rounds: int, height: int,
@@ -306,12 +319,6 @@ class _HeightContext:
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster[round_ % len(self.roster)]
 
-    def vote_stake(self, votes: dict[str, str | None], digest: str | None) -> float:
-        return math.fsum(self.stakes[s] for s, vote in votes.items() if vote == digest)
-
-    def has_quorum(self, votes: dict[str, str | None], digest: str | None) -> bool:
-        return quorum_met(self.vote_stake(votes, digest), self.total_stake)
-
 
 class _HonestNode:
     """Protocol-following validator (also used by invalid proposers)."""
@@ -325,6 +332,7 @@ class _HonestNode:
         self.proposals: dict[int, str] = {}
         self.prevotes: dict[int, dict[str, str | None]] = {}
         self.precommits: dict[int, dict[str, str | None]] = {}
+        self.quorums: set[tuple[MsgKind, int, str | None]] = set()
         self.precommit_msgs: dict[int, dict[str, ConsensusMessage]] = {}
         self.decided = False
         self.decided_round: int | None = None
@@ -332,6 +340,11 @@ class _HonestNode:
     @property
     def done(self) -> bool:
         return self.phase == "done"
+
+    @property
+    def next_due(self) -> int:
+        """Tick at which the phase timer fires; meaningless once done."""
+        return self.deadline
 
     def start(self, tick: int) -> None:
         self._maybe_propose(tick)
@@ -343,17 +356,35 @@ class _HonestNode:
         if msg.kind is MsgKind.PROPOSAL:
             if msg.sender == self.ctx.proposer(msg.round).id:
                 self.proposals.setdefault(msg.round, msg.batch_digest)
-        elif msg.kind is MsgKind.PREVOTE:
-            self.prevotes.setdefault(msg.round, {}).setdefault(msg.sender, msg.batch_digest)
-        elif msg.kind is MsgKind.PRECOMMIT:
-            self.precommits.setdefault(msg.round, {}).setdefault(msg.sender, msg.batch_digest)
-            self.precommit_msgs.setdefault(msg.round, {}).setdefault(msg.sender, msg)
+        else:
+            self._vote(msg.kind, msg.round, msg.sender, msg.batch_digest)
+            if msg.kind is MsgKind.PRECOMMIT:
+                self.precommit_msgs.setdefault(msg.round, {}).setdefault(msg.sender, msg)
         if not self.done:
             self._evaluate(tick)
 
     def on_tick(self, tick: int) -> None:
         if not self.done:
             self._evaluate(tick)
+
+    def _vote(self, kind: MsgKind, round_: int, sender: str, digest: str | None) -> None:
+        """Keep a sender's first vote of a kind per round.
+
+        A (kind, round, digest) key joins ``quorums`` when a new vote for it
+        brings its voters' stake fsum over quorum. Votes only accumulate, so
+        a key never leaves ``quorums``; fsum is exactly rounded, so
+        membership does not depend on the order votes arrived in.
+        """
+        votes = (self.prevotes if kind is MsgKind.PREVOTE else self.precommits
+                 ).setdefault(round_, {})
+        if sender in votes:
+            return
+        votes[sender] = digest
+        key = (kind, round_, digest)
+        if key not in self.quorums and quorum_met(
+                math.fsum([self.ctx.stakes[s] for s, d in votes.items() if d == digest]),
+                self.ctx.total_stake):
+            self.quorums.add(key)
 
     def _maybe_propose(self, tick: int) -> None:
         if self.ctx.proposer(self.round).id != self.d.id:
@@ -390,28 +421,25 @@ class _HonestNode:
             self._cast(MsgKind.PREVOTE, None, tick)
 
     def _evaluate_prevote(self, tick: int) -> None:
-        votes = self.prevotes.get(self.round, {})
         validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and self.ctx.has_quorum(votes, self.ctx.digest):
+        if validated and (MsgKind.PREVOTE, self.round, self.ctx.digest) in self.quorums:
             self._cast(MsgKind.PRECOMMIT, self.ctx.digest, tick)
-        elif self.ctx.has_quorum(votes, None) or tick >= self.deadline:
+        elif (MsgKind.PREVOTE, self.round, None) in self.quorums or tick >= self.deadline:
             self._cast(MsgKind.PRECOMMIT, None, tick)
 
     def _evaluate_precommit(self, tick: int) -> None:
-        votes = self.precommits.get(self.round, {})
         validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and self.ctx.has_quorum(votes, self.ctx.digest):
+        if validated and (MsgKind.PRECOMMIT, self.round, self.ctx.digest) in self.quorums:
             self._decide(tick)
-        elif self.ctx.has_quorum(votes, None) or tick >= self.deadline:
+        elif (MsgKind.PRECOMMIT, self.round, None) in self.quorums or tick >= self.deadline:
             self._advance(tick)
 
     def _cast(self, kind: MsgKind, digest: str | None, tick: int) -> None:
         msg = ConsensusMessage(kind, self.ctx.height, self.round, self.d.id, digest, tick)
+        self._vote(kind, self.round, self.d.id, digest)
         if kind is MsgKind.PREVOTE:
-            self.prevotes.setdefault(self.round, {})[self.d.id] = digest
             self.phase = "prevote"
         else:
-            self.precommits.setdefault(self.round, {})[self.d.id] = digest
             self.precommit_msgs.setdefault(self.round, {})[self.d.id] = msg
             self.phase = "precommit"
         self.deadline = tick + phase_timeout(self.round)
@@ -463,13 +491,21 @@ class _EquivocatingNode:
     def done(self) -> bool:
         return self.round >= self.ctx.max_rounds
 
+    @property
+    def next_due(self) -> int:
+        """Tick at which the current stage acts; meaningless once done."""
+        if self.stage == "enter":
+            return self.entered
+        timeout = phase_timeout(self.round)
+        return self.entered + (timeout if self.stage == "precommit" else 3 * timeout)
+
     def on_message(self, msg: ConsensusMessage, tick: int) -> None:
         pass
 
     def on_tick(self, tick: int) -> None:
-        if self.done:
+        if self.done or tick < self.next_due:
             return
-        if self.stage == "enter" and tick >= self.entered:
+        if self.stage == "enter":
             if not self.faulted:
                 self.ctx.trace.record_fault(tick, self.d.id, "equivocation",
                                             self.ctx.height, self.round)
@@ -478,10 +514,10 @@ class _EquivocatingNode:
                 self._split_send(MsgKind.PROPOSAL, tick)
             self._split_send(MsgKind.PREVOTE, tick)
             self.stage = "precommit"
-        elif self.stage == "precommit" and tick >= self.entered + phase_timeout(self.round):
+        elif self.stage == "precommit":
             self._split_send(MsgKind.PRECOMMIT, tick)
             self.stage = "advance"
-        elif self.stage == "advance" and tick >= self.entered + 3 * phase_timeout(self.round):
+        else:
             self.round += 1
             self.entered = tick
             self.stage = "enter"
@@ -533,39 +569,43 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             nodes[v.id] = _EquivocatingNode(v, ctx)
         # Silent validators receive but never act.
 
-    protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
+    order = list(nodes.values())
+    protocol_nodes = [n for n in order if isinstance(n, _HonestNode)]
     max_latency = max(v.region_latency for v in validators)
     horizon = (3 * sum(phase_timeout(r) for r in range(max_rounds))
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
-    for node in (nodes[i] for i in sorted(nodes)):
-        if isinstance(node, _HonestNode):
-            node.start(0)
-
-    tick = 0
-    last_tick = 0
-    while tick <= horizon:
+    def deliver(tick: int) -> None:
         for delivery in net.step(tick):
             target = nodes.get(delivery.recipient)
             if target is not None:
                 target.on_message(delivery.message, tick)
-        for node_id in sorted(nodes):
-            nodes[node_id].on_tick(tick)
+
+    for node in protocol_nodes:
+        node.start(0)
+
+    # Next-event time advance: at a tick where no delivery is due and no
+    # timer fires, every node would do nothing, so jump to the earliest tick
+    # where one does. Deliveries come before timers within a tick, and a
+    # message sent while tick t is processed arrives at t + 1 at the earliest.
+    tick = last_tick = 0
+    while tick <= horizon:
+        deliver(tick)
+        for node in order:
+            node.on_tick(tick)
         last_tick = tick
-        if protocol_nodes and all(n.done for n in protocol_nodes):
+        if all(n.done for n in protocol_nodes):
             break
-        if not protocol_nodes:
-            break
-        tick += 1
+        due = min((n.next_due for n in order if not n.done), default=horizon)
+        if net.next_tick is not None:
+            due = min(due, net.next_tick)
+        tick = max(tick + 1, min(horizon, due))
 
     # Drain in-flight messages so the decider's view covers every precommit
     # that was still traveling when quorum crossed.
     while net.pending > 0 and tick <= horizon:
-        tick += 1
-        for delivery in net.step(tick):
-            target = nodes.get(delivery.recipient)
-            if target is not None:
-                target.on_message(delivery.message, tick)
+        tick = min(max(tick + 1, net.next_tick), horizon + 1)
+        deliver(tick)
 
     for v in sorted(validators, key=lambda v: v.id):
         if v.behavior is Behavior.SILENT:

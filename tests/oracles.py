@@ -4,13 +4,18 @@ These deliberately avoid the library's solution paths: welfare maximization
 is done on a discrete grid (greedy marginal allocation, exact for separable
 concave objectives, cross-checked against exhaustive enumeration), gradients
 come from central finite differences, throughput optima from an integer
-scan, and the paper's allocation method is projected gradient ascent.
+scan, the paper's allocation method is projected gradient ascent, and a
+consensus height advances one tick at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+
+from opsim.consensus import (Behavior, EventTrace, GossipNetwork, RoundOutcome,
+                             _EquivocatingNode, _HeightContext, _HonestNode,
+                             aggregate_signature, batch_digest, phase_timeout)
 
 
 def log_utility(value: float, cost: float, x: float) -> float:
@@ -123,3 +128,74 @@ def scan_throughput(utility, capacity: float) -> int:
 def stake_quorum(signed: float, total: float) -> bool:
     """Reference strict two-thirds stake rule."""
     return 3.0 * signed > 2.0 * total
+
+
+def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace=None):
+    """``run_height`` by fixed-increment time advance over the same node classes.
+
+    Every tick up to the horizon delivers what is due and then calls every
+    node, and in-flight messages drain one tick at a time. Input checks are
+    left to ``run_height``.
+    """
+    trace = trace if trace is not None else EventTrace()
+    digest = batch_digest(batch)
+    net = GossipNetwork(network, validators)
+    ctx = _HeightContext(validators, digest, net, max_rounds, height, trace)
+
+    nodes = {}
+    for v in sorted(validators, key=lambda v: v.id):
+        if v.behavior in (Behavior.HONEST, Behavior.INVALID_PROPOSER):
+            nodes[v.id] = _HonestNode(v, ctx)
+        elif v.behavior is Behavior.EQUIVOCATING:
+            nodes[v.id] = _EquivocatingNode(v, ctx)
+
+    protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
+    max_latency = max(v.region_latency for v in validators)
+    horizon = (3 * sum(phase_timeout(r) for r in range(max_rounds))
+               + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
+
+    for node in (nodes[i] for i in sorted(nodes)):
+        if isinstance(node, _HonestNode):
+            node.start(0)
+
+    tick = 0
+    last_tick = 0
+    while tick <= horizon:
+        for delivery in net.step(tick):
+            target = nodes.get(delivery.recipient)
+            if target is not None:
+                target.on_message(delivery.message, tick)
+        for node_id in sorted(nodes):
+            nodes[node_id].on_tick(tick)
+        last_tick = tick
+        if protocol_nodes and all(n.done for n in protocol_nodes):
+            break
+        if not protocol_nodes:
+            break
+        tick += 1
+
+    while net.pending > 0 and tick <= horizon:
+        tick += 1
+        for delivery in net.step(tick):
+            target = nodes.get(delivery.recipient)
+            if target is not None:
+                target.on_message(delivery.message, tick)
+
+    for v in sorted(validators, key=lambda v: v.id):
+        if v.behavior is Behavior.SILENT:
+            trace.record_fault(last_tick, v.id, "non-participation", height, 0)
+
+    if ctx.decisions:
+        decide_tick, decider_id, decided_digest, decided_round, signature = ctx.decisions[0]
+        decider = nodes[decider_id]
+        if isinstance(decider, _HonestNode) and decider.decided_round is not None:
+            matching = [m for _, m in
+                        sorted(decider.precommit_msgs.get(decided_round, {}).items())
+                        if m.batch_digest == decided_digest]
+            signature = aggregate_signature(matching, ctx.roster, decided_digest)
+        return RoundOutcome(committed=True, batch_digest=decided_digest,
+                            signature=signature, rounds_used=decided_round + 1,
+                            ticks_elapsed=decide_tick)
+    trace.record(last_tick, "no-commit", height, max_rounds - 1, "-", None)
+    return RoundOutcome(committed=False, batch_digest=None, signature=None,
+                        rounds_used=max_rounds, ticks_elapsed=last_tick)

@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opsim import (Behavior, ConsensusMessage, DomainError,
                    EventTrace, GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
                    ValidatorDescriptor, aggregate_signature, batch_digest,
                    quorum_met, run_height)
-from oracles import stake_quorum
+from opsim import consensus
+from oracles import run_height_ticked, stake_quorum
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 
@@ -44,11 +48,14 @@ class TestGossip:
         validators = make_validators(["honest"] * 3, latency=1)
         net = GossipNetwork(LOSSLESS, validators)
         msg = ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v0", "d", send_tick=5)
+        assert net.next_tick is None
         net.broadcast(msg)
+        assert net.next_tick == 6
         assert net.step(5) == []
         delivered = net.step(6)
         assert sorted(d.recipient for d in delivered) == ["v1", "v2"]
         assert all(d.deliver_tick == 6 for d in delivered)
+        assert net.next_tick is None
         assert net.step(7) == []
 
     def test_near_certain_drop_blocks_commit(self):
@@ -319,3 +326,112 @@ class TestLiveness:
                                  ["tx"], model, max_rounds=10)
             assert outcome.committed
             assert outcome.rounds_used <= 10
+
+
+@contextmanager
+def recorded(cls, method):
+    """Patch ``cls.method`` to also record (self, args); yield the records."""
+    calls = []
+    original = getattr(cls, method)
+
+    def wrapper(self, *args):
+        calls.append((self, args))
+        return original(self, *args)
+
+    setattr(cls, method, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(cls, method, original)
+
+
+def recomputed_quorums(node):
+    """(kind, round, digest) keys with quorum, re-summed from a node's vote dicts."""
+    keys = set()
+    for kind, tally in ((MsgKind.PREVOTE, node.prevotes), (MsgKind.PRECOMMIT, node.precommits)):
+        for round_, votes in tally.items():
+            for digest in set(votes.values()):
+                signed = math.fsum(node.ctx.stakes[s] for s, vote in votes.items()
+                                   if vote == digest)
+                if stake_quorum(signed, node.ctx.total_stake):
+                    keys.add((kind, round_, digest))
+    return keys
+
+
+@st.composite
+def heights(draw):
+    n = draw(st.integers(1, 9))
+    behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=n, max_size=n))
+    validators = [ValidatorDescriptor(id=f"v{i}", stake=draw(st.floats(0.01, 50.0)),
+                                      behavior=b, region_latency=draw(st.integers(0, 3)))
+                  for i, b in enumerate(behaviors)]
+    partitions = ()
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 40))
+        members = draw(st.sets(st.sampled_from([v.id for v in validators]), min_size=1))
+        partitions = (PartitionSpec(start, start + draw(st.integers(1, 80)),
+                                    frozenset(members)),)
+    model = NetworkModel(drop_probability=draw(st.floats(0.0, 0.3)),
+                         latency_jitter=draw(st.integers(0, 2)),
+                         rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
+                         partition_schedule=partitions)
+    return validators, model, draw(st.integers(1, 5))
+
+
+class TestEventAdvance:
+    @settings(max_examples=150, deadline=None)
+    @given(height=heights())
+    @example(height=(make_validators(["silent", "equivocating", "equivocating"]),
+                     LOSSLESS, 3))
+    @example(height=(make_validators(["honest"] * 3 + ["silent"], latency=0),
+                     LOSSLESS, 2))
+    def test_matches_tick_by_tick_oracle(self, height):
+        validators, model, max_rounds = height
+        trace, expected_trace = EventTrace(), EventTrace()
+        with recorded(consensus._HonestNode, "start") as started:
+            outcome = run_height(validators, ["a", "b"], model, max_rounds,
+                                 height=7, trace=trace)
+        expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
+                                     height=7, trace=expected_trace)
+        assert outcome == expected
+        assert trace.to_lines() == expected_trace.to_lines()
+        assert trace.faults == expected_trace.faults
+        assert trace.decisions == expected_trace.decisions
+        for node, _ in started:
+            assert node.quorums == recomputed_quorums(node)
+
+    def test_zero_latency_message_arrives_next_tick(self):
+        # v0's proposal, broadcast before tick 0 is stepped, arrives at 0;
+        # the prevotes sent while tick 0 is processed arrive at tick 1.
+        trace = EventTrace()
+        outcome = run_height(make_validators(["honest"] * 3, latency=0), ["tx"],
+                             LOSSLESS, max_rounds=3, trace=trace)
+        ticks = {(e.kind, e.sender): e.tick for e in trace.events}
+        assert {ticks["prevote", v] for v in ("v0", "v1", "v2")} == {0}
+        assert {ticks["precommit", v] for v in ("v0", "v1", "v2")} == {1}
+        assert outcome.ticks_elapsed == 2
+
+    def test_no_commit_at_last_timeout(self):
+        # Honest validators give up at their last precommit timeout; the
+        # height ends exactly there, well inside the horizon.
+        max_rounds = 3
+        trace = EventTrace()
+        outcome = run_height(make_validators(["honest", "honest", "silent", "silent"]),
+                             ["tx"], LOSSLESS, max_rounds, trace=trace)
+        last_precommit = max(e.tick for e in trace.events if e.kind == "precommit")
+        end = last_precommit + consensus.phase_timeout(max_rounds - 1)
+        assert not outcome.committed
+        assert outcome.ticks_elapsed == end
+        assert trace.to_lines()[-1] == f"{end},no-commit,0,{max_rounds - 1},-,-"
+
+    def test_in_flight_precommit_drained_at_its_tick(self):
+        # v3 decides at tick 3, but its prevote and precommit reach the
+        # others only at ticks 21 and 22: the drain jumps to exactly those
+        # ticks, and the signature covers v3.
+        validators = make_validators(["honest"] * 4)
+        validators[3].region_latency = 20
+        with recorded(GossipNetwork, "step") as steps:
+            outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
+        assert outcome.ticks_elapsed == 3
+        assert [tick for _, (tick,) in steps] == [0, 1, 2, 3, 21, 22]
+        assert "v3" in outcome.signature.signer_set
