@@ -128,7 +128,7 @@ class NetworkModel:
             raise DomainError("latency_jitter must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     message: ConsensusMessage
     recipient: str
@@ -209,24 +209,27 @@ class GossipNetwork:
         self._latency = {v.id: v.region_latency for v in validators}
         self._ids = sorted(self._latency)
         self._rng = random.Random(model.rng_seed)
-        self._queue: list[tuple[int, int, Delivery]] = []
+        # (deliver tick, seq, message, recipient); a Delivery is built only
+        # when it comes due, so messages in flight stay small.
+        self._queue: list[tuple[int, int, ConsensusMessage, str]] = []
         self._seq = 0
         self._last_tick = -1
 
     def broadcast(self, message: ConsensusMessage,
                   recipients: Iterable[str] | None = None) -> None:
-        if message.sender not in self._latency:
-            raise DomainError(f"unknown sender {message.sender}")
-        targets = sorted(set(recipients) if recipients is not None else set(self._ids))
-        targets = [t for t in targets if t != message.sender]
-        for recipient in targets:
+        sender = message.sender
+        if sender not in self._latency:
+            raise DomainError(f"unknown sender {sender}")
+        send_tick = message.send_tick + self._latency[sender]
+        for recipient in self._ids if recipients is None else sorted(set(recipients)):
+            if recipient == sender:
+                continue
             jitter = self._rng.randint(0, self._model.latency_jitter)
             dropped = self._rng.random() < self._model.drop_probability
-            deliver_tick = message.send_tick + self._latency[message.sender] + jitter
-            if dropped or self._partitioned(message.sender, recipient, deliver_tick):
+            deliver_tick = send_tick + jitter
+            if dropped or self._partitioned(sender, recipient, deliver_tick):
                 continue
-            heapq.heappush(self._queue, (deliver_tick, self._seq,
-                                         Delivery(message, recipient, deliver_tick)))
+            heapq.heappush(self._queue, (deliver_tick, self._seq, message, recipient))
             self._seq += 1
 
     def _partitioned(self, sender: str, recipient: str, tick: int) -> bool:
@@ -248,7 +251,8 @@ class GossipNetwork:
         self._last_tick = tick
         delivered = []
         while self._queue and self._queue[0][0] <= tick:
-            delivered.append(heapq.heappop(self._queue)[2])
+            deliver_tick, _, message, recipient = heapq.heappop(self._queue)
+            delivered.append(Delivery(message, recipient, deliver_tick))
         return delivered
 
     @property
@@ -301,7 +305,7 @@ def phase_timeout(round_: int) -> int:
 
 
 class _HeightContext:
-    """Shared state of one height: roster, stakes, digest, network, decisions."""
+    """Shared state of one height: roster, stakes, digest, network, first decision."""
 
     def __init__(self, validators: Sequence[ValidatorDescriptor], digest: str,
                  network: GossipNetwork, max_rounds: int, height: int,
@@ -314,7 +318,11 @@ class _HeightContext:
         self.max_rounds = max_rounds
         self.height = height
         self.trace = trace
-        self.decisions: list[tuple[int, str, str, int, AggregatedSignature]] = []
+        # (tick, round, precommit tally) of the first commit decision. The
+        # tally is the decider's live dict, so precommits drained after the
+        # decision still count. Holding the node instead would make a
+        # node-context reference cycle that outlives the height.
+        self.first_decision: tuple[int, int, dict[str, str | None]] | None = None
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster[round_ % len(self.roster)]
@@ -330,12 +338,9 @@ class _HonestNode:
         self.phase = "propose"
         self.deadline = phase_timeout(0)
         self.proposals: dict[int, str] = {}
-        self.prevotes: dict[int, dict[str, str | None]] = {}
-        self.precommits: dict[int, dict[str, str | None]] = {}
+        # First vote per sender: votes[(kind, round)][sender] = digest.
+        self.votes: dict[tuple[MsgKind, int], dict[str, str | None]] = {}
         self.quorums: set[tuple[MsgKind, int, str | None]] = set()
-        self.precommit_msgs: dict[int, dict[str, ConsensusMessage]] = {}
-        self.decided = False
-        self.decided_round: int | None = None
 
     @property
     def done(self) -> bool:
@@ -351,15 +356,13 @@ class _HonestNode:
         self._evaluate(tick)
 
     def on_message(self, msg: ConsensusMessage, tick: int) -> None:
-        # Bookkeeping continues after deciding so the final signature can
+        # Bookkeeping continues after deciding so the commit certificate can
         # cover precommits that were still in flight at decision time.
         if msg.kind is MsgKind.PROPOSAL:
             if msg.sender == self.ctx.proposer(msg.round).id:
                 self.proposals.setdefault(msg.round, msg.batch_digest)
         else:
             self._vote(msg.kind, msg.round, msg.sender, msg.batch_digest)
-            if msg.kind is MsgKind.PRECOMMIT:
-                self.precommit_msgs.setdefault(msg.round, {}).setdefault(msg.sender, msg)
         if not self.done:
             self._evaluate(tick)
 
@@ -375,8 +378,7 @@ class _HonestNode:
         a key never leaves ``quorums``; fsum is exactly rounded, so
         membership does not depend on the order votes arrived in.
         """
-        votes = (self.prevotes if kind is MsgKind.PREVOTE else self.precommits
-                 ).setdefault(round_, {})
+        votes = self.votes.setdefault((kind, round_), {})
         if sender in votes:
             return
         votes[sender] = digest
@@ -437,25 +439,17 @@ class _HonestNode:
     def _cast(self, kind: MsgKind, digest: str | None, tick: int) -> None:
         msg = ConsensusMessage(kind, self.ctx.height, self.round, self.d.id, digest, tick)
         self._vote(kind, self.round, self.d.id, digest)
-        if kind is MsgKind.PREVOTE:
-            self.phase = "prevote"
-        else:
-            self.precommit_msgs.setdefault(self.round, {})[self.d.id] = msg
-            self.phase = "precommit"
+        self.phase = "prevote" if kind is MsgKind.PREVOTE else "precommit"
         self.deadline = tick + phase_timeout(self.round)
         self.ctx.trace.record(tick, kind.value, self.ctx.height, self.round,
                               self.d.id, digest)
         self.ctx.network.broadcast(msg)
 
     def _decide(self, tick: int) -> None:
-        matching = [m for _, m in sorted(self.precommit_msgs.get(self.round, {}).items())
-                    if m.batch_digest == self.ctx.digest]
-        signature = aggregate_signature(matching, self.ctx.roster, self.ctx.digest,
-                                        self.ctx.trace)
-        self.decided = True
-        self.decided_round = self.round
         self.phase = "done"
-        self.ctx.decisions.append((tick, self.d.id, self.ctx.digest, self.round, signature))
+        if self.ctx.first_decision is None:
+            self.ctx.first_decision = (tick, self.round,
+                                       self.votes[(MsgKind.PRECOMMIT, self.round)])
         self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
                               self.d.id, self.ctx.digest)
         self.ctx.trace.record_decision(self.d.id, self.ctx.digest)
@@ -607,21 +601,28 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         tick = min(max(tick + 1, net.next_tick), horizon + 1)
         deliver(tick)
 
-    for v in sorted(validators, key=lambda v: v.id):
-        if v.behavior is Behavior.SILENT:
-            trace.record_fault(last_tick, v.id, "non-participation", height, 0)
+    return _finish_height(ctx, last_tick)
 
-    if ctx.decisions:
-        decide_tick, decider_id, decided_digest, decided_round, signature = ctx.decisions[0]
-        decider = nodes[decider_id]
-        if isinstance(decider, _HonestNode) and decider.decided_round is not None:
-            matching = [m for _, m in
-                        sorted(decider.precommit_msgs.get(decided_round, {}).items())
-                        if m.batch_digest == decided_digest]
-            signature = aggregate_signature(matching, ctx.roster, decided_digest)
-        return RoundOutcome(committed=True, batch_digest=decided_digest,
-                            signature=signature, rounds_used=decided_round + 1,
-                            ticks_elapsed=decide_tick)
-    trace.record(last_tick, "no-commit", height, max_rounds - 1, "-", None)
+
+def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
+    """Record silent validators and the height's end; return its outcome.
+
+    The commit certificate is the first decider's precommit tally for its
+    round, read after the drain so it covers precommits that were still in
+    flight when quorum crossed.
+    """
+    for v in sorted(ctx.roster, key=lambda v: v.id):
+        if v.behavior is Behavior.SILENT:
+            ctx.trace.record_fault(last_tick, v.id, "non-participation", ctx.height, 0)
+
+    if ctx.first_decision is not None:
+        decide_tick, decided_round, votes = ctx.first_decision
+        signers = frozenset(s for s, d in votes.items() if d == ctx.digest)
+        signature = AggregatedSignature(ctx.digest, signers,
+                                        math.fsum(ctx.stakes[s] for s in signers),
+                                        ctx.total_stake)
+        return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
+                            rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
+    ctx.trace.record(last_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)
     return RoundOutcome(committed=False, batch_digest=None, signature=None,
-                        rounds_used=max_rounds, ticks_elapsed=last_tick)
+                        rounds_used=ctx.max_rounds, ticks_elapsed=last_tick)

@@ -473,23 +473,25 @@ def _epoch_to_dict(report: EpochReport) -> dict[str, Any]:
 
 def _scaled_tasks(tasks: Sequence[TaskSpec], scale: Mapping[str, float]) -> list[TaskSpec]:
     return [
-        TaskSpec(
-            id=t.id, cost_rate=t.cost_rate, corruption_rate=t.corruption_rate,
-            resource_cap=t.resource_cap,
-            consensus_gain={op: g * scale.get(op, 1.0)
-                            for op, g in t.consensus_gain.items()},
-            performance_gain={op: g * scale.get(op, 1.0)
-                              for op, g in t.performance_gain.items()},
-            value=t.value,
-        )
+        replace(t, consensus_gain={op: g * scale.get(op, 1.0)
+                                   for op, g in t.consensus_gain.items()},
+                performance_gain={op: g * scale.get(op, 1.0)
+                                  for op, g in t.performance_gain.items()})
         for t in tasks
     ]
+
+
+def _window_line(tick: int, kind: str, height: int, window_index: int,
+                 operator_id: str) -> str:
+    """Trace line of one submission-window event."""
+    return f"{tick},{kind},{height},{window_index},{operator_id},-"
 
 
 def run_simulation(config: RunConfig) -> RunReport:
     """Run every epoch of the configured scenario deterministically."""
     failure_rng = random.Random(fork_seed(config.seed, "failures"))
     reputation = config.incentives.reputation
+    operators = sorted(config.operators, key=lambda o: o.id)
 
     trusts = {op.id: op.trust for op in config.operators}
     stakes = {op.id: op.stake for op in config.operators}
@@ -508,7 +510,14 @@ def run_simulation(config: RunConfig) -> RunReport:
         agents = [
             OperatorState(id=op.id, stake=stakes[op.id], trust=trusts[op.id],
                           capacity=op.capacity, resources=op.resources)
-            for op in sorted(config.operators, key=lambda o: o.id)
+            for op in operators
+        ]
+        # Stakes change only at settlement, so one roster serves the epoch.
+        validators = [
+            ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
+                                behavior=Behavior(op.behavior),
+                                region_latency=op.region_latency)
+            for op in operators
         ]
         tasks = _scaled_tasks(config.tasks, aggregation_weights)
         allocation, convergence = solve_allocation(agents, tasks, config.weights)
@@ -524,23 +533,28 @@ def run_simulation(config: RunConfig) -> RunReport:
         window_records: list[dict] = []
         height_records: list[dict] = []
 
+        def attempt(operator_id: str, tick: int, kinds: tuple[str, str],
+                    height: int, window_index: int) -> bool:
+            """Draw one submission and record it; ``kinds`` label (submitted, missed)."""
+            missed = failure_rng.random() < failure_probability(
+                trusts[operator_id], config.failure_rate_constant)
+            kind = EventKind.MISS if missed else EventKind.SUBMIT_SUCCESS
+            events.append(SettlementEvent(kind, operator_id, tick))
+            outcomes[operator_id].append(0.0 if missed else 1.0)
+            if missed:
+                missed_operators.add(operator_id)
+            trace_lines.append(_window_line(tick, kinds[missed], height, window_index,
+                                            operator_id))
+            return not missed
+
         for window_slot in range(len(schedule.windows)):
             window = schedule.windows[window_slot]
             window_tick = epoch_base_tick + window.start_tick
             batch = [f"tx:{epoch}:{window.window_index}:{j}"
                      for j in range(max(1, len(config.operators)))]
-            validators = [
-                ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
-                                    behavior=Behavior(op.behavior),
-                                    region_latency=op.region_latency)
-                for op in sorted(config.operators, key=lambda o: o.id)
-            ]
             height_trace = EventTrace()
-            net = NetworkModel(
-                drop_probability=config.network.drop_probability,
-                latency_jitter=config.network.latency_jitter,
-                rng_seed=fork_seed(config.seed, f"net:{epoch}:{window.window_index}"),
-                partition_schedule=config.network.partition_schedule)
+            net = replace(config.network,
+                          rng_seed=fork_seed(config.seed, f"net:{epoch}:{window.window_index}"))
             outcome = run_height(validators, batch, net, config.max_rounds,
                                  height=height_index, trace=height_trace)
             trace_lines.extend(height_trace.to_lines())
@@ -554,73 +568,35 @@ def run_simulation(config: RunConfig) -> RunReport:
                 "signers": sorted(outcome.signature.signer_set)
                 if outcome.signature else [],
             })
-            height_index += 1
 
             for fault in height_trace.faults:
-                if fault.kind == "unknown-validator":
-                    continue
                 events.append(SettlementEvent(EventKind.CONSENSUS_FAULT,
                                               fault.validator, window_tick))
                 outcomes[fault.validator].append(0.0)
 
             record = {"window_index": window.window_index,
                       "operator": window.operator_id,
-                      "start": epoch_base_tick + window.start_tick,
+                      "start": window_tick,
                       "end": epoch_base_tick + window.end_tick,
                       "committed": outcome.committed,
                       "submitted": False, "fallback": None}
             if outcome.committed:
-                submitter = window.operator_id
-                miss_draw = failure_rng.random()
-                if miss_draw < failure_probability(trusts[submitter],
-                                                   config.failure_rate_constant):
-                    events.append(SettlementEvent(EventKind.MISS, submitter,
-                                                  window_tick))
-                    outcomes[submitter].append(0.0)
-                    missed_operators.add(submitter)
-                    trace_lines.append(
-                        f"{window_tick},window-miss,{height_index - 1},"
-                        f"{window.window_index},{submitter},-")
-                    fallback = on_window_miss(schedule, window, trusts)
-                    if fallback is not None:
-                        schedule = apply_fallback(schedule, fallback)
-                        fb_tick = epoch_base_tick + fallback.start_tick
-                        fb_draw = failure_rng.random()
-                        if fb_draw < failure_probability(
-                                trusts[fallback.operator_id],
-                                config.failure_rate_constant):
-                            events.append(SettlementEvent(
-                                EventKind.MISS, fallback.operator_id, fb_tick))
-                            outcomes[fallback.operator_id].append(0.0)
-                            missed_operators.add(fallback.operator_id)
-                            trace_lines.append(
-                                f"{fb_tick},unrecoverable-miss,{height_index - 1},"
-                                f"{window.window_index},{fallback.operator_id},-")
-                            record["fallback"] = {
-                                "operator": fallback.operator_id, "submitted": False}
-                        else:
-                            events.append(SettlementEvent(
-                                EventKind.SUBMIT_SUCCESS, fallback.operator_id,
-                                fb_tick))
-                            outcomes[fallback.operator_id].append(1.0)
-                            trace_lines.append(
-                                f"{fb_tick},fallback-submit,{height_index - 1},"
-                                f"{window.window_index},{fallback.operator_id},-")
-                            record["fallback"] = {
-                                "operator": fallback.operator_id, "submitted": True}
-                    else:
-                        trace_lines.append(
-                            f"{window_tick},unrecoverable-miss,{height_index - 1},"
-                            f"{window.window_index},{submitter},-")
-                else:
-                    events.append(SettlementEvent(EventKind.SUBMIT_SUCCESS,
-                                                  submitter, window_tick))
-                    outcomes[submitter].append(1.0)
-                    record["submitted"] = True
-                    trace_lines.append(
-                        f"{window_tick},submit,{height_index - 1},"
-                        f"{window.window_index},{submitter},-")
+                height, index = height_index, window.window_index
+                submitted = attempt(window.operator_id, window_tick,
+                                    ("submit", "window-miss"), height, index)
+                record["submitted"] = submitted
+                fallback = None if submitted else on_window_miss(schedule, window, trusts)
+                if fallback is not None:
+                    schedule = apply_fallback(schedule, fallback)
+                    fb_tick = epoch_base_tick + fallback.start_tick
+                    rescued = attempt(fallback.operator_id, fb_tick,
+                                      ("fallback-submit", "unrecoverable-miss"), height, index)
+                    record["fallback"] = {"operator": fallback.operator_id, "submitted": rescued}
+                elif not submitted:
+                    trace_lines.append(_window_line(window_tick, "unrecoverable-miss", height,
+                                                    index, window.operator_id))
             window_records.append(record)
+            height_index += 1
 
         # Task completion events: every operator with positive allocation
         # shares the task pool by performance score.

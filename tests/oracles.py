@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 
-from opsim.consensus import (Behavior, EventTrace, GossipNetwork, RoundOutcome,
-                             _EquivocatingNode, _HeightContext, _HonestNode,
-                             aggregate_signature, batch_digest, phase_timeout)
+from opsim.consensus import (Behavior, EventTrace, GossipNetwork, _EquivocatingNode,
+                             _finish_height, _HeightContext, _HonestNode, batch_digest,
+                             phase_timeout)
 
 
 def log_utility(value: float, cost: float, x: float) -> float:
@@ -134,8 +134,9 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
     """``run_height`` by fixed-increment time advance over the same node classes.
 
     Every tick up to the horizon delivers what is due and then calls every
-    node, and in-flight messages drain one tick at a time. Input checks are
-    left to ``run_height``.
+    node, and in-flight messages drain one tick at a time. The height's end
+    (silent faults, certificate or no-commit record) is ``run_height``'s own
+    tail, and so are the input checks.
     """
     trace = trace if trace is not None else EventTrace()
     digest = batch_digest(batch)
@@ -181,21 +182,4 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
             if target is not None:
                 target.on_message(delivery.message, tick)
 
-    for v in sorted(validators, key=lambda v: v.id):
-        if v.behavior is Behavior.SILENT:
-            trace.record_fault(last_tick, v.id, "non-participation", height, 0)
-
-    if ctx.decisions:
-        decide_tick, decider_id, decided_digest, decided_round, signature = ctx.decisions[0]
-        decider = nodes[decider_id]
-        if isinstance(decider, _HonestNode) and decider.decided_round is not None:
-            matching = [m for _, m in
-                        sorted(decider.precommit_msgs.get(decided_round, {}).items())
-                        if m.batch_digest == decided_digest]
-            signature = aggregate_signature(matching, ctx.roster, decided_digest)
-        return RoundOutcome(committed=True, batch_digest=decided_digest,
-                            signature=signature, rounds_used=decided_round + 1,
-                            ticks_elapsed=decide_tick)
-    trace.record(last_tick, "no-commit", height, max_rounds - 1, "-", None)
-    return RoundOutcome(committed=False, batch_digest=None, signature=None,
-                        rounds_used=max_rounds, ticks_elapsed=last_tick)
+    return _finish_height(ctx, last_tick)

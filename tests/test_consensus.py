@@ -346,15 +346,14 @@ def recorded(cls, method):
 
 
 def recomputed_quorums(node):
-    """(kind, round, digest) keys with quorum, re-summed from a node's vote dicts."""
+    """(kind, round, digest) keys with quorum, re-summed from a node's vote tally."""
     keys = set()
-    for kind, tally in ((MsgKind.PREVOTE, node.prevotes), (MsgKind.PRECOMMIT, node.precommits)):
-        for round_, votes in tally.items():
-            for digest in set(votes.values()):
-                signed = math.fsum(node.ctx.stakes[s] for s, vote in votes.items()
-                                   if vote == digest)
-                if stake_quorum(signed, node.ctx.total_stake):
-                    keys.add((kind, round_, digest))
+    for (kind, round_), votes in node.votes.items():
+        for digest in set(votes.values()):
+            signed = math.fsum(node.ctx.stakes[s] for s, vote in votes.items()
+                               if vote == digest)
+            if stake_quorum(signed, node.ctx.total_stake):
+                keys.add((kind, round_, digest))
     return keys
 
 
@@ -435,3 +434,32 @@ class TestEventAdvance:
         assert outcome.ticks_elapsed == 3
         assert [tick for _, (tick,) in steps] == [0, 1, 2, 3, 21, 22]
         assert "v3" in outcome.signature.signer_set
+
+
+class TestCommitCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(height=heights())
+    @example(height=(make_validators(["honest"] * 4), LOSSLESS, 1))
+    @example(height=(make_validators(["honest", "honest", "equivocating", "honest"]),
+                     LOSSLESS, 3))
+    def test_certificate_matches_trace(self, height):
+        # Checked against the trace alone, not against node internals.
+        validators, model, max_rounds = height
+        batch = ["a", "b"]
+        trace = EventTrace()
+        outcome = run_height(validators, batch, model, max_rounds, trace=trace)
+        if not outcome.committed:
+            return
+        digest = batch_digest(batch)
+        assert outcome.batch_digest == digest
+        assert set(trace.decisions.values()) == {digest}
+        signature = outcome.signature
+        assert signature.batch_digest == digest
+        assert signature.valid
+        stakes = {v.id: v.stake for v in validators}
+        assert signature.signed_stake == math.fsum(stakes[s] for s in signature.signer_set)
+        assert signature.total_stake == math.fsum(stakes.values())
+        decided_round = outcome.rounds_used - 1
+        precommitted = {e.sender for e in trace.events if e.kind == "precommit"
+                        and e.round == decided_round and e.digest == digest}
+        assert signature.signer_set <= precommitted
