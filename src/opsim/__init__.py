@@ -18,8 +18,8 @@ from .allocation import (ConvergenceReport, StabilityReport, StabilityVerdict,
                          solve_allocation, stability_report, welfare)
 from .consensus import (AggregatedSignature, Behavior, ConsensusMessage, EventTrace,
                         GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
-                        RoundOutcome, ValidatorDescriptor, aggregate_signature,
-                        batch_digest, quorum_met, run_height)
+                        RoundOutcome, ValidatorDescriptor, batch_digest, quorum_met,
+                        run_height)
 from .errors import ConfigError, ConstraintViolationError, DomainError, OpsimError
 from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,
                       ScheduleParams, fork_seed, load_config, read_report,

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .agents import AllocationVector, OperatorState, ScenarioWeights, TaskSpec
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Spectrum classification band around zero.
 SPECTRUM_TOL = 1e-9
@@ -43,7 +44,6 @@ class StabilityVerdict(Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    hessian: np.ndarray
     eigen_extremes: tuple[float, float]
     verdict: StabilityVerdict
 
@@ -147,13 +147,30 @@ def solve_allocation(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
     return result, report
 
 
-def stability_report(hessian: Sequence[Sequence[float]] | np.ndarray) -> StabilityReport:
-    """Classify a symmetric matrix by its eigenvalue extremes.
+def _classify(low: float, high: float) -> StabilityReport:
+    """Verdict from the spectrum's extremes ``low`` <= ``high``.
 
-    Verdicts: ``boundary`` when the whole spectrum sits within the zero
-    band, ``concave-stable`` when the largest eigenvalue does not exceed
-    it, ``indefinite`` otherwise.
+    ``boundary`` when the whole spectrum sits within the zero band,
+    ``concave-stable`` when the largest eigenvalue does not exceed it,
+    ``indefinite`` otherwise.
     """
+    if abs(low) <= SPECTRUM_TOL and abs(high) <= SPECTRUM_TOL:
+        verdict = StabilityVerdict.BOUNDARY
+    elif high <= SPECTRUM_TOL:
+        verdict = StabilityVerdict.CONCAVE_STABLE
+    else:
+        verdict = StabilityVerdict.INDEFINITE
+    return StabilityReport(eigen_extremes=(low, high), verdict=verdict)
+
+
+def stability_report(hessian: Sequence[Sequence[float]] | np.ndarray) -> StabilityReport:
+    """Classify a symmetric matrix by its eigenvalue extremes, as ``_classify``.
+
+    The only function in the package that imports numpy; it does so on
+    call, so a simulation run never loads it.
+    """
+    import numpy as np
+
     matrix = np.asarray(hessian, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"hessian must be square, got shape {matrix.shape}")
@@ -165,14 +182,7 @@ def stability_report(hessian: Sequence[Sequence[float]] | np.ndarray) -> Stabili
         raise DomainError("hessian must be symmetric")
 
     eigenvalues = np.linalg.eigvalsh(matrix)
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    if abs(low) <= SPECTRUM_TOL and abs(high) <= SPECTRUM_TOL:
-        verdict = StabilityVerdict.BOUNDARY
-    elif high <= SPECTRUM_TOL:
-        verdict = StabilityVerdict.CONCAVE_STABLE
-    else:
-        verdict = StabilityVerdict.INDEFINITE
-    return StabilityReport(hessian=matrix, eigen_extremes=(low, high), verdict=verdict)
+    return _classify(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
 def hessian_stability(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
@@ -181,18 +191,20 @@ def hessian_stability(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec]
     """Stability verdict of the welfare objective at ``allocation``.
 
     Utilities are separable per entry, so the Hessian is diagonal with
-    entries -(w1*c + w2*s) / (1 + x)^2.
+    entries -(w1*c + w2*s) / (1 + x)^2. A diagonal matrix's eigenvalues
+    are its entries, so the extremes are their min and max, exactly; no
+    matrix is built.
     """
     allocation.validate(tasks)
-    order = entry_order(agents, tasks)
     by_task = {t.id: t for t in tasks}
     diag = []
-    for a_id, t_id in order:
-        task = by_task[t_id]
-        c, s = task.gains_for(a_id)
+    for a_id, t_id in entry_order(agents, tasks):
+        c, s = by_task[t_id].gains_for(a_id)
         x = allocation.get(a_id, t_id)
         diag.append(-(weights.w1 * c + weights.w2 * s) / (1.0 + x) ** 2)
-    return stability_report(np.diag(diag))
+    if not diag:
+        raise DomainError("hessian must be non-empty")
+    return _classify(min(diag), max(diag))
 
 
 def check_convergence(prev: AllocationVector, nxt: AllocationVector,

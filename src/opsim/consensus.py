@@ -265,41 +265,6 @@ class GossipNetwork:
         return self._queue[0][0] if self._queue else None
 
 
-def aggregate_signature(precommits: Iterable[ConsensusMessage],
-                        validators: Sequence[ValidatorDescriptor], digest: str,
-                        trace: EventTrace | None = None) -> AggregatedSignature:
-    """Collect distinct precommit senders matching ``digest`` into a signature.
-
-    Precommits must share one (height, round). Messages from unknown
-    validators are ignored after recording a protocol fault; duplicate
-    senders count once.
-    """
-    stakes = {v.id: v.stake for v in validators}
-    total = math.fsum(stakes.values())
-    if total <= 0:
-        raise DomainError("aggregate_signature requires positive total stake")
-
-    level: tuple[int, int] | None = None
-    signers: set[str] = set()
-    for msg in precommits:
-        if msg.kind is not MsgKind.PRECOMMIT:
-            raise DomainError("aggregate_signature accepts precommit messages only")
-        if level is None:
-            level = (msg.height, msg.round)
-        elif (msg.height, msg.round) != level:
-            raise DomainError("precommits span different height/round")
-        if msg.sender not in stakes:
-            if trace is not None:
-                trace.record_fault(msg.send_tick, msg.sender, "unknown-validator",
-                                   msg.height, msg.round)
-            continue
-        if msg.batch_digest == digest:
-            signers.add(msg.sender)
-
-    signed = math.fsum(stakes[s] for s in signers)
-    return AggregatedSignature(digest, frozenset(signers), signed, total)
-
-
 def phase_timeout(round_: int) -> int:
     return BASE_PHASE_TIMEOUT << round_
 

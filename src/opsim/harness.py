@@ -325,6 +325,9 @@ def load_config(source: str | Path) -> RunConfig:
     for i, op in enumerate(doc["operators"]):
         _reject_if(op["behavior"] not in _BEHAVIORS, f"operators[{i}].behavior",
                    f"must be one of {_BEHAVIORS}")
+        for key in ("stake", "capacity", "resources", "region_latency"):
+            _reject_if(not 0 <= op[key] < math.inf, f"operators[{i}].{key}",
+                       "must be finite and >= 0")
         if op["trust"] is None:
             op["trust"] = incentives.reputation.initial_trust
         _reject_if(not 0.0 <= op["trust"] <= 1.0, f"operators[{i}].trust",
@@ -353,6 +356,8 @@ def load_config(source: str | Path) -> RunConfig:
         unknown = [member for member in part["members"] if member not in op_ids]
         _reject_if(bool(unknown), f"network.partitions[{i}].members",
                    f"references unknown operators {unknown}")
+        _reject_if(part["end_tick"] < part["start_tick"], f"network.partitions[{i}].end",
+                   "must be >= start")
         partitions[i] = PartitionSpec(**dict(part, members=frozenset(part["members"])))
     doc["network"]["partition_schedule"] = tuple(partitions)
 

@@ -12,15 +12,14 @@ import time
 
 import numpy as np
 
-from opsim import (AllocationVector, EventTrace, NetworkModel, OperatorState,
-                   PaymentNodeParams, ScenarioWeights, SequencerRunLog,
-                   StabilityVerdict, TaskSpec, ValidatorDescriptor,
-                   aggregate_results, aggregate_signature, assign_windows,
-                   failure_probability, hessian_stability, lagrangian_gradient,
+from opsim import (AggregatedSignature, AllocationVector, EventTrace, NetworkModel,
+                   OperatorState, PaymentNodeParams, ScenarioWeights, SequencerRunLog,
+                   StabilityVerdict, TaskSpec, ValidatorDescriptor, aggregate_results,
+                   assign_windows, failure_probability, hessian_stability, lagrangian_gradient,
                    load_config, on_window_miss, optimize_throughput, payment_metrics,
                    payment_utility, quorum_met, run_height, run_simulation,
                    sequencer_metrics, solve_allocation, stability_report, welfare)
-from opsim.consensus import Behavior, ConsensusMessage, MsgKind
+from opsim.consensus import Behavior
 from opsim.scenarios import PaymentWindowLog
 from oracles import finite_difference_gradient, grid_welfare, scan_throughput, stake_quorum
 
@@ -190,14 +189,12 @@ def test_c07_quorum_exactness():
     for trial in range(20):
         n = rng.randint(1, 6)
         stakes = [rng.choice([1.0, 2.0, 3.0, 5.0, 8.0, 13.0]) for _ in range(n)]
-        validators = [ValidatorDescriptor(f"v{i}", stakes[i]) for i in range(n)]
-        total = sum(stakes)
+        total = math.fsum(stakes)
         for mask in range(2 ** n):
-            signers = [f"v{i}" for i in range(n) if mask & (1 << i)]
-            msgs = [ConsensusMessage(MsgKind.PRECOMMIT, 0, 0, s, "d", 0)
-                    for s in signers]
-            sig = aggregate_signature(msgs, validators, "d")
-            signed = sum(stakes[i] for i in range(n) if mask & (1 << i))
+            members = [i for i in range(n) if mask & (1 << i)]
+            signed = math.fsum(stakes[i] for i in members)
+            sig = AggregatedSignature("d", frozenset(f"v{i}" for i in members),
+                                      signed, total)
             assert sig.valid == stake_quorum(signed, total)
             assert sig.valid == quorum_met(signed, total)
     print("\nPASS criterion 7: signature validity matches strict >2/3 stake rule "

@@ -6,10 +6,9 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opsim import (Behavior, ConsensusMessage, DomainError,
+from opsim import (AggregatedSignature, Behavior, ConsensusMessage, DomainError,
                    EventTrace, GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
-                   ValidatorDescriptor, aggregate_signature, batch_digest,
-                   quorum_met, run_height)
+                   ValidatorDescriptor, batch_digest, quorum_met, run_height)
 from opsim import consensus
 from oracles import run_height_ticked, stake_quorum
 
@@ -102,55 +101,25 @@ class TestGossip:
 
 
 class TestAggregateSignature:
-    def _precommits(self, senders, digest="d"):
-        return [ConsensusMessage(MsgKind.PRECOMMIT, 0, 0, s, digest, 0)
-                for s in senders]
+    def _signature(self, validators, senders):
+        stakes = {v.id: v.stake for v in validators}
+        return AggregatedSignature("d", frozenset(senders),
+                                   math.fsum(stakes[s] for s in senders),
+                                   math.fsum(stakes.values()))
 
     def test_three_quarters_valid(self):
-        validators = make_validators(["honest"] * 4)
-        sig = aggregate_signature(self._precommits(["v0", "v1", "v2"]),
-                                  validators, "d")
+        sig = self._signature(make_validators(["honest"] * 4), ["v0", "v1", "v2"])
         assert sig.signed_stake == pytest.approx(30.0)
         assert sig.total_stake == pytest.approx(40.0)
         assert sig.valid
 
     def test_empty_precommits_invalid(self):
-        validators = make_validators(["honest"] * 4)
-        sig = aggregate_signature([], validators, "d")
+        sig = self._signature(make_validators(["honest"] * 4), [])
         assert sig.signed_stake == 0.0
         assert not sig.valid
 
     def test_half_stake_invalid(self):
-        validators = make_validators(["honest"] * 4)
-        sig = aggregate_signature(self._precommits(["v0", "v1"]), validators, "d")
-        assert not sig.valid
-
-    def test_duplicate_senders_count_once(self):
-        validators = make_validators(["honest"] * 4)
-        sig = aggregate_signature(self._precommits(["v0", "v0", "v1", "v1"]),
-                                  validators, "d")
-        assert sig.signed_stake == pytest.approx(20.0)
-
-    def test_unknown_sender_recorded_and_ignored(self):
-        validators = make_validators(["honest"] * 3)
-        trace = EventTrace()
-        sig = aggregate_signature(self._precommits(["v0", "ghost"]),
-                                  validators, "d", trace)
-        assert sig.signed_stake == pytest.approx(10.0)
-        assert [f.kind for f in trace.faults] == ["unknown-validator"]
-
-    def test_mismatched_digest_not_counted(self):
-        validators = make_validators(["honest"] * 3)
-        msgs = self._precommits(["v0"]) + self._precommits(["v1"], digest="other")
-        sig = aggregate_signature(msgs, validators, "d")
-        assert sig.signer_set == frozenset({"v0"})
-
-    def test_mixed_rounds_rejected(self):
-        validators = make_validators(["honest"] * 2)
-        msgs = [ConsensusMessage(MsgKind.PRECOMMIT, 0, 0, "v0", "d", 0),
-                ConsensusMessage(MsgKind.PRECOMMIT, 0, 1, "v1", "d", 0)]
-        with pytest.raises(DomainError):
-            aggregate_signature(msgs, validators, "d")
+        assert not self._signature(make_validators(["honest"] * 4), ["v0", "v1"]).valid
 
     def test_subset_validity_matches_stake_rule_exhaustively(self):
         stakes = [17.0, 11.0, 7.0, 5.0, 3.0, 2.0]
@@ -158,10 +127,9 @@ class TestAggregateSignature:
         total = sum(stakes)
         for mask in range(2 ** 6):
             senders = [f"v{i}" for i in range(6) if mask & (1 << i)]
-            sig = aggregate_signature(self._precommits(senders), validators, "d")
             expected = stake_quorum(sum(stakes[i] for i in range(6)
                                         if mask & (1 << i)), total)
-            assert sig.valid == expected
+            assert self._signature(validators, senders).valid == expected
 
 
 class TestRunHeight:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,9 +131,10 @@ def config_docs(draw):
     network = {}
     maybe(network, "drop_probability", unit)
     maybe(network, "latency_jitter", st.integers(0, 3))
-    maybe(network, "partitions", st.lists(st.fixed_dictionaries({
-        "start": st.integers(0, 50), "end": st.integers(0, 100),
-        "members": st.lists(st.sampled_from(ids), unique=True)}), max_size=2))
+    maybe(network, "partitions", st.lists(st.integers(0, 50).flatmap(
+        lambda start: st.fixed_dictionaries({
+            "start": st.just(start), "end": st.integers(start, 100),
+            "members": st.lists(st.sampled_from(ids), unique=True)})), max_size=2))
     maybe(doc, "network", st.just(network))
     schedule = {}
     maybe(schedule, "window_length", st.integers(1, 12))
@@ -292,6 +295,19 @@ class TestLoadConfig:
     def test_null_is_rejected_for_fields_with_a_default(self, path):
         with pytest.raises(ConfigError):
             load_config(_full_with(path, None))
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{_display(path)}={value}") for path, value in [
+            (("operators", 0, "stake"), -1.0),
+            (("operators", 0, "stake"), float("nan")),
+            (("operators", 0, "capacity"), -5.0),
+            (("operators", 0, "resources"), float("inf")),
+            (("operators", 0, "region_latency"), -1),
+            (("network", "partitions", 0, "end"), -1)]])
+    def test_out_of_range_value_names_the_field(self, path, value):
+        with pytest.raises(ConfigError) as exc:
+            load_config(_full_with(path, value))
+        assert exc.value.field == _display(path)
 
     def test_solver_section_is_rejected(self):
         doc = json.loads(MINIMAL)
@@ -505,3 +521,16 @@ def test_readme_names_every_config_field():
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     keys = {path[-1] for path, _ in _row_paths(_TOP)}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
+
+
+def test_run_path_never_imports_numpy():
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import opsim\n"
+              "for path in sys.argv[2:]:\n"
+              "    opsim.run_simulation(opsim.load_config(path))\n"
+              "assert 'numpy' not in sys.modules, 'the run path imported numpy'\n")
+    configs = [str(ROOT / "configs" / name) for name in ("sequencer.json", "payment.json")]
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
