@@ -159,34 +159,28 @@ class TraceEvent:
     digest: str | None
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    tick: int
-    validator: str
-    kind: str
-    height: int
-    round: int
-
-
 class EventTrace:
-    """Accumulates protocol events, fault records, and commit decisions."""
+    """Accumulates protocol events; faults and commit decisions are events too.
+
+    A fault is recorded once, as a ``fault:<kind>`` event whose sender is the
+    faulty validator; a decision is a ``commit`` event.
+    """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self.faults: list[FaultEvent] = []
-        self.decisions: dict[str, str] = {}
 
     def record(self, tick: int, kind: str, height: int, round_: int,
                sender: str, digest: str | None) -> None:
         self.events.append(TraceEvent(tick, kind, height, round_, sender, digest))
 
-    def record_fault(self, tick: int, validator: str, kind: str,
-                     height: int, round_: int) -> None:
-        self.faults.append(FaultEvent(tick, validator, kind, height, round_))
-        self.record(tick, f"fault:{kind}", height, round_, validator, None)
+    @property
+    def faults(self) -> list[TraceEvent]:
+        return [e for e in self.events if e.kind.startswith("fault:")]
 
-    def record_decision(self, validator: str, digest: str) -> None:
-        self.decisions.setdefault(validator, digest)
+    @property
+    def decisions(self) -> dict[str, str]:
+        """Validator id -> decided digest; a validator decides at most once."""
+        return {e.sender: e.digest for e in self.events if e.kind == "commit"}
 
     def to_lines(self) -> list[str]:
         return [
@@ -359,8 +353,8 @@ class _HonestNode:
         digest = self.ctx.digest
         if self.d.behavior is Behavior.INVALID_PROPOSER:
             digest = f"{self.ctx.digest}!invalid"
-            self.ctx.trace.record_fault(tick, self.d.id, "invalid-proposal",
-                                        self.ctx.height, self.round)
+            self.ctx.trace.record(tick, "fault:invalid-proposal", self.ctx.height,
+                                  self.round, self.d.id, None)
         msg = ConsensusMessage(MsgKind.PROPOSAL, self.ctx.height, self.round,
                                self.d.id, digest, tick)
         self.proposals.setdefault(self.round, digest)
@@ -417,7 +411,6 @@ class _HonestNode:
                                        self.votes[(MsgKind.PRECOMMIT, self.round)])
         self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
                               self.d.id, self.ctx.digest)
-        self.ctx.trace.record_decision(self.d.id, self.ctx.digest)
 
     def _advance(self, tick: int) -> None:
         self.round += 1
@@ -466,8 +459,8 @@ class _EquivocatingNode:
             return
         if self.stage == "enter":
             if not self.faulted:
-                self.ctx.trace.record_fault(tick, self.d.id, "equivocation",
-                                            self.ctx.height, self.round)
+                self.ctx.trace.record(tick, "fault:equivocation", self.ctx.height,
+                                      self.round, self.d.id, None)
                 self.faulted = True
             if self.ctx.proposer(self.round).id == self.d.id:
                 self._split_send(MsgKind.PROPOSAL, tick)
@@ -511,14 +504,13 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         raise DomainError("batch must be non-empty")
     if max_rounds < 1:
         raise DomainError("max_rounds must be >= 1")
-    total = math.fsum(v.stake for v in validators)
-    if total <= 0:
-        raise DomainError("total stake must be > 0")
 
     trace = trace if trace is not None else EventTrace()
     digest = batch_digest(batch)
     net = GossipNetwork(network, validators)
     ctx = _HeightContext(validators, digest, net, max_rounds, height, trace)
+    if ctx.total_stake <= 0:
+        raise DomainError("total stake must be > 0")
 
     nodes: dict[str, _HonestNode | _EquivocatingNode] = {}
     for v in sorted(validators, key=lambda v: v.id):
@@ -578,7 +570,7 @@ def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
     """
     for v in sorted(ctx.roster, key=lambda v: v.id):
         if v.behavior is Behavior.SILENT:
-            ctx.trace.record_fault(last_tick, v.id, "non-participation", ctx.height, 0)
+            ctx.trace.record(last_tick, "fault:non-participation", ctx.height, 0, v.id, None)
 
     if ctx.first_decision is not None:
         decide_tick, decided_round, votes = ctx.first_decision

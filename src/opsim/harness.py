@@ -16,7 +16,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -27,13 +27,13 @@ from .allocation import ConvergenceReport, hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
                         ValidatorDescriptor, run_height)
 from .errors import ConfigError, DomainError
-from .incentives import (AggregationReport, EventKind, LedgerEntry, ReputationParams,
-                         SettlementEvent, feedback_iterate, make_aggregation_report,
-                         settle, update_trust)
-from .scenarios import (FAILURE_RATE_CONSTANT, MetricsReport, PaymentNodeParams,
-                        PaymentWindowLog, SequencerRunLog, failure_probability,
-                        optimize_throughput, payment_metrics, payment_utility,
-                        sequencer_metrics)
+from .incentives import (AggregationReport, EntryKind, EventKind, LedgerEntry,
+                         ReputationParams, SettlementEvent, feedback_iterate,
+                         make_aggregation_report, settle, update_trust)
+from .scenarios import (FAILURE_RATE_CONSTANT, MetricsReport, PaymentMetrics,
+                        PaymentNodeParams, PaymentWindowLog, SequencerMetrics,
+                        SequencerRunLog, failure_probability, optimize_throughput,
+                        payment_metrics, payment_utility, sequencer_metrics)
 from .scheduling import apply_fallback, assign_windows, on_window_miss
 
 SCENARIOS = ("sequencer", "payment")
@@ -46,27 +46,28 @@ SCENARIOS = ("sequencer", "payment")
 class OperatorConfig:
     id: str
     stake: float
-    behavior: str = "honest"
-    trust: float = 0.5
-    capacity: float = 100.0
-    resources: float = 10.0
-    region_latency: int = 1
-    payment: PaymentNodeParams | None = None
+    behavior: str
+    trust: float
+    capacity: float
+    resources: float
+    region_latency: int
+    payment: PaymentNodeParams | None
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    window_length: int = 8
-    windows_per_epoch: int = 4
-    grace_length: int = 4
+    window_length: int
+    windows_per_epoch: int
+    grace_length: int
 
 
 @dataclass(frozen=True)
 class IncentiveParams:
-    reputation: ReputationParams = field(default_factory=ReputationParams)
-    submit_fee: float = 1.0
+    reputation: ReputationParams
+    submit_fee: float
 
 
+# Built only by load_config; the _Row tables below declare every default.
 @dataclass(frozen=True)
 class RunConfig:
     scenario: str
@@ -76,10 +77,10 @@ class RunConfig:
     network: NetworkModel
     schedule: ScheduleParams
     incentives: IncentiveParams
-    max_rounds: int = 10
-    failure_rate_constant: float = FAILURE_RATE_CONSTANT
-    epochs: int = 1
-    seed: int = 0
+    max_rounds: int
+    failure_rate_constant: float
+    epochs: int
+    seed: int
 
     def to_dict(self) -> dict[str, Any]:
         """Config document with every default explicit; it reloads to an equal config."""
@@ -353,11 +354,14 @@ def load_config(source: str | Path) -> RunConfig:
 
     partitions = doc["network"]["partition_schedule"]
     for i, part in enumerate(partitions):
+        # A partition must cut a link: split the roster, over some tick >= 0.
+        members = f"network.partitions[{i}].members"
         unknown = [member for member in part["members"] if member not in op_ids]
-        _reject_if(bool(unknown), f"network.partitions[{i}].members",
-                   f"references unknown operators {unknown}")
-        _reject_if(part["end_tick"] < part["start_tick"], f"network.partitions[{i}].end",
-                   "must be >= start")
+        _reject_if(bool(unknown), members, f"references unknown operators {unknown}")
+        _reject_if(not 0 < len(set(part["members"])) < len(op_ids), members,
+                   "must name some operators but not all")
+        _reject_if(part["end_tick"] <= max(part["start_tick"], 0),
+                   f"network.partitions[{i}].end", "must be > max(start, 0)")
         partitions[i] = PartitionSpec(**dict(part, members=frozenset(part["members"])))
     doc["network"]["partition_schedule"] = tuple(partitions)
 
@@ -422,47 +426,22 @@ class RunReport:
 
 
 def _metrics_to_dict(metrics: MetricsReport) -> dict[str, Any]:
-    doc: dict[str, Any] = {}
-    if metrics.sequencer is not None:
-        doc["sequencer"] = {
-            "throughput": metrics.sequencer.throughput,
-            "latency": metrics.sequencer.latency,
-            "fault_tolerance": metrics.sequencer.fault_tolerance,
-            "efficiency": metrics.sequencer.efficiency,
-        }
-    if metrics.payment is not None:
-        doc["payment"] = {
-            "total_transactions": metrics.payment.total_transactions,
-            "validation_efficiency": metrics.payment.validation_efficiency,
-            "error_rate": metrics.payment.error_rate,
-            "revenue_growth": metrics.payment.revenue_growth,
-            "total_penalties": metrics.payment.total_penalties,
-        }
-    return doc
+    """The present scenario sections; ``vars`` copies no nested value, unlike ``asdict``."""
+    return {name: dict(vars(section)) for name, section in vars(metrics).items()
+            if section is not None}
 
 
 def _epoch_to_dict(report: EpochReport) -> dict[str, Any]:
     return {
         "epoch": report.epoch,
         "metrics": _metrics_to_dict(report.metrics),
-        "convergence": {
-            "converged": report.convergence.converged,
-            "iterations": report.convergence.iterations,
-            "step_norm": report.convergence.step_norm,
-            "constraint_violation": report.convergence.constraint_violation,
-            "multipliers": dict(sorted(report.convergence.multipliers.items())),
-        },
+        "convergence": dict(vars(report.convergence)),
         "stability": {
             "verdict": report.stability_verdict,
             "eigen_min": report.eigen_extremes[0],
             "eigen_max": report.eigen_extremes[1],
         },
-        "aggregation": {
-            "tick": report.aggregation.tick,
-            "values": report.aggregation.values,
-            "weights": report.aggregation.weights,
-            "aggregate": report.aggregation.aggregate,
-        },
+        "aggregation": dict(vars(report.aggregation)),
         "ledger": [
             {"operator": e.operator_id, "tick": e.tick, "kind": e.kind.value,
              "amount": e.amount, "reason": e.reason}
@@ -486,10 +465,7 @@ def _scaled_tasks(tasks: Sequence[TaskSpec], scale: Mapping[str, float]) -> list
     ]
 
 
-def _window_line(tick: int, kind: str, height: int, window_index: int,
-                 operator_id: str) -> str:
-    """Trace line of one submission-window event."""
-    return f"{tick},{kind},{height},{window_index},{operator_id},-"
+_TOTALS = {EntryKind.REWARD: "rewards", EntryKind.FEE: "fees", EntryKind.SLASH: "slashes"}
 
 
 def run_simulation(config: RunConfig) -> RunReport:
@@ -505,10 +481,18 @@ def run_simulation(config: RunConfig) -> RunReport:
     task_values = {t.id: t.value for t in config.tasks}
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
 
-    trace_lines: list[str] = []
+    # The trace digest covers every line emitted, joined by "\n".
+    trace_hash = hashlib.sha256()
+    separator = b""
+
+    def emit(line: str) -> None:
+        nonlocal separator
+        trace_hash.update(separator + line.encode())
+        separator = b"\n"
+
     epoch_reports: list[EpochReport] = []
-    payment_logs: list[PaymentWindowLog] = []
-    totals = {"rewards": 0.0, "fees": 0.0, "slashes": 0.0}
+    previous_payment_log: PaymentWindowLog | None = None
+    totals = dict.fromkeys(_TOTALS.values(), 0.0)
     height_index = 0
 
     for epoch in range(config.epochs):
@@ -532,9 +516,8 @@ def run_simulation(config: RunConfig) -> RunReport:
                                   config.schedule.grace_length)
         epoch_base_tick = epoch * horizon
 
+        # Submissions and faults are recorded once, as settlement events.
         events: list[SettlementEvent] = []
-        outcomes: dict[str, list[float]] = {op.id: [] for op in config.operators}
-        missed_operators: set[str] = set()
         window_records: list[dict] = []
         height_records: list[dict] = []
 
@@ -545,11 +528,7 @@ def run_simulation(config: RunConfig) -> RunReport:
                 trusts[operator_id], config.failure_rate_constant)
             kind = EventKind.MISS if missed else EventKind.SUBMIT_SUCCESS
             events.append(SettlementEvent(kind, operator_id, tick))
-            outcomes[operator_id].append(0.0 if missed else 1.0)
-            if missed:
-                missed_operators.add(operator_id)
-            trace_lines.append(_window_line(tick, kinds[missed], height, window_index,
-                                            operator_id))
+            emit(f"{tick},{kinds[missed]},{height},{window_index},{operator_id},-")
             return not missed
 
         for window_slot in range(len(schedule.windows)):
@@ -562,7 +541,8 @@ def run_simulation(config: RunConfig) -> RunReport:
                           rng_seed=fork_seed(config.seed, f"net:{epoch}:{window.window_index}"))
             outcome = run_height(validators, batch, net, config.max_rounds,
                                  height=height_index, trace=height_trace)
-            trace_lines.extend(height_trace.to_lines())
+            for line in height_trace.to_lines():
+                emit(line)
             height_records.append({
                 "height": height_index,
                 "window_index": window.window_index,
@@ -576,8 +556,7 @@ def run_simulation(config: RunConfig) -> RunReport:
 
             for fault in height_trace.faults:
                 events.append(SettlementEvent(EventKind.CONSENSUS_FAULT,
-                                              fault.validator, window_tick))
-                outcomes[fault.validator].append(0.0)
+                                              fault.sender, window_tick))
 
             record = {"window_index": window.window_index,
                       "operator": window.operator_id,
@@ -598,37 +577,41 @@ def run_simulation(config: RunConfig) -> RunReport:
                                       ("fallback-submit", "unrecoverable-miss"), height, index)
                     record["fallback"] = {"operator": fallback.operator_id, "submitted": rescued}
                 elif not submitted:
-                    trace_lines.append(_window_line(window_tick, "unrecoverable-miss", height,
-                                                    index, window.operator_id))
+                    emit(f"{window_tick},unrecoverable-miss,{height},{index},"
+                         f"{window.operator_id},-")
             window_records.append(record)
             height_index += 1
 
-        # Task completion events: every operator with positive allocation
-        # shares the task pool by performance score.
+        # One scoring pass. Every operator with positive allocation shares the
+        # task pool by performance score; each agent's (consensus score,
+        # performance score, cost) sums, in task order, feed the metrics.
         epoch_end_tick = epoch_base_tick + horizon
-        by_agent = {a.id: a for a in agents}
+        work = {a.id: [0.0, 0.0, 0.0] for a in agents}
         for task in tasks:
-            for agent_id in sorted(by_agent):
-                units = allocation.get(agent_id, task.id)
-                if units <= 0:
-                    continue
-                _, performance = evaluate_scores(by_agent[agent_id], task, units)
-                events.append(SettlementEvent(EventKind.TASK_COMPLETE, agent_id,
-                                              epoch_end_tick, task_id=task.id,
-                                              score=performance))
+            for agent in agents:
+                units = allocation.get(agent.id, task.id)
+                consensus, performance = evaluate_scores(agent, task, units)
+                sums = work[agent.id]
+                sums[0] += consensus
+                sums[1] += performance
+                sums[2] += task.cost_rate * units
+                if units > 0:
+                    events.append(SettlementEvent(EventKind.TASK_COMPLETE, agent.id,
+                                                  epoch_end_tick, task_id=task.id,
+                                                  score=performance))
 
         ledger, stakes = settle(events, agents, task_values, reputation,
                                 config.incentives.submit_fee)
         for entry in ledger:
-            if entry.kind.value == "reward":
-                totals["rewards"] += entry.amount
-            elif entry.kind.value == "fee":
-                totals["fees"] += entry.amount
-            else:
-                totals["slashes"] += entry.amount
+            totals[_TOTALS[entry.kind]] += entry.amount
 
+        # Trust folds each operator's outcomes in event order: 1 for a
+        # submission, 0 for a miss or a consensus fault.
         trusts = {
-            op: update_trust(outcomes[op], reputation, start=trusts[op])
+            op: update_trust([float(e.kind is EventKind.SUBMIT_SUCCESS) for e in events
+                              if e.operator_id == op
+                              and e.kind is not EventKind.TASK_COMPLETE],
+                             reputation, start=trusts[op])
             for op in sorted(trusts)
         }
 
@@ -637,8 +620,13 @@ def run_simulation(config: RunConfig) -> RunReport:
                                               aggregation_weights)
         aggregation_weights = feedback_iterate(trusts, aggregation_weights)
 
-        metrics = _epoch_metrics(config, agents, tasks, allocation, missed_operators,
-                                 payment_logs)
+        if config.scenario == "sequencer":
+            missed = {e.operator_id for e in events if e.kind is EventKind.MISS}
+            metrics = _sequencer_metrics(agents, allocation, work, missed)
+        else:
+            payment_log = _payment_log(operators)
+            metrics = _payment_metrics(payment_log, previous_payment_log)
+            previous_payment_log = payment_log
         epoch_reports.append(EpochReport(
             epoch=epoch,
             metrics=metrics,
@@ -654,51 +642,35 @@ def run_simulation(config: RunConfig) -> RunReport:
             heights=tuple(height_records),
         ))
 
-    trace_text = "\n".join(trace_lines)
-    digest = hashlib.sha256(trace_text.encode()).hexdigest()
     return RunReport(config=config.to_dict(), epochs=tuple(epoch_reports),
-                     ledger_totals=dict(sorted(totals.items())), trace_digest=digest)
+                     ledger_totals=dict(sorted(totals.items())),
+                     trace_digest=trace_hash.hexdigest())
 
 
-def _epoch_metrics(config: RunConfig, agents: Sequence[OperatorState],
-                   tasks: Sequence[TaskSpec], allocation: AllocationVector,
-                   missed_operators: set[str],
-                   payment_logs: list[PaymentWindowLog]) -> MetricsReport:
-    if config.scenario == "sequencer":
-        outputs: dict[str, float] = {}
-        consensus_scores: dict[str, float] = {}
-        performance_scores: dict[str, float] = {}
-        costs: dict[str, float] = {}
-        for agent in agents:
-            total_c = total_s = total_cost = 0.0
-            for task in tasks:
-                units = allocation.get(agent.id, task.id)
-                c, s = evaluate_scores(agent, task, units)
-                total_c += c
-                total_s += s
-                total_cost += task.cost_rate * units
-            if total_c + total_s <= 0:
-                continue  # idle node: performed no validation work this epoch
-            outputs[agent.id] = allocation.operator_total(agent.id)
-            consensus_scores[agent.id] = total_c
-            performance_scores[agent.id] = total_s
-            costs[agent.id] = total_cost
-        if not outputs:
-            return MetricsReport()
-        total_resources = math.fsum(a.resources for a in agents)
-        log = SequencerRunLog(
-            outputs=outputs, consensus_scores=consensus_scores,
-            performance_scores=performance_scores,
-            failures=len(missed_operators & set(outputs)),
-            costs=costs, total_resources=total_resources)
-        return MetricsReport(sequencer=sequencer_metrics(log))
+def _sequencer_metrics(agents: Sequence[OperatorState], allocation: AllocationVector,
+                       work: Mapping[str, Sequence[float]], missed: set[str]) -> MetricsReport:
+    """Metrics over the agents that scored; an idle one did no validation work."""
+    active = [a.id for a in agents if work[a.id][0] + work[a.id][1] > 0]
+    if not active:
+        return MetricsReport()
+    log = SequencerRunLog(
+        outputs={a: allocation.operator_total(a) for a in active},
+        consensus_scores={a: work[a][0] for a in active},
+        performance_scores={a: work[a][1] for a in active},
+        failures=len(missed.intersection(active)),
+        costs={a: work[a][2] for a in active},
+        total_resources=math.fsum(a.resources for a in agents))
+    return MetricsReport(sequencer=sequencer_metrics(log))
 
+
+def _payment_log(operators: Sequence[OperatorConfig]) -> PaymentWindowLog:
+    """Each operator's epoch at its utility-maximizing throughput."""
     transactions: dict[str, float] = {}
     validation_costs: dict[str, float] = {}
     errors: dict[str, float] = {}
     penalties: dict[str, float] = {}
     profit = 0.0
-    for op in sorted(config.operators, key=lambda o: o.id):
+    for op in operators:
         params = op.payment
         assert params is not None  # guaranteed by config validation
         best = optimize_throughput(params)
@@ -707,23 +679,21 @@ def _epoch_metrics(config: RunConfig, agents: Sequence[OperatorState],
         errors[op.id] = params.expected_errors(best)
         penalties[op.id] = params.penalty(best)
         profit += payment_utility(params, best)
-    payment_logs.append(PaymentWindowLog(
-        transactions=transactions, validation_costs=validation_costs,
-        errors=errors, penalties=penalties, profit=profit))
-    # Totals describe this epoch only; growth compares the last two epochs.
-    metrics = payment_metrics(payment_logs[-1:])
-    if len(payment_logs) >= 2:
-        growth = payment_metrics(payment_logs[-2:]).revenue_growth
+    return PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
+                            errors=errors, penalties=penalties, profit=profit)
+
+
+def _payment_metrics(log: PaymentWindowLog,
+                     previous: PaymentWindowLog | None) -> MetricsReport:
+    """Totals describe this epoch only; growth compares it with the previous one."""
+    metrics = payment_metrics([log])
+    if previous is not None:
+        growth = payment_metrics([previous, log]).revenue_growth
         metrics = replace(metrics, revenue_growth=growth)
     return MetricsReport(payment=metrics)
 
 
 # --- Report output ------------------------------------------------------------
-
-_SEQUENCER_CSV_METRICS = ("throughput", "latency", "fault_tolerance", "efficiency")
-_PAYMENT_CSV_METRICS = ("total_transactions", "validation_efficiency", "error_rate",
-                        "revenue_growth", "total_penalties")
-
 
 def _format_number(value: Any) -> str:
     if value is None:
@@ -742,7 +712,8 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         return
     scenario = report.config["scenario"]
-    names = _SEQUENCER_CSV_METRICS if scenario == "sequencer" else _PAYMENT_CSV_METRICS
+    section_type = SequencerMetrics if scenario == "sequencer" else PaymentMetrics
+    names = [f.name for f in fields(section_type)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epoch", "metric", "value"])

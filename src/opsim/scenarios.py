@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocation import StabilityReport, check_convergence, stability_report
+from .allocation import StabilityReport, _classify, check_convergence
 from .agents import AllocationVector
 from .errors import ConstraintViolationError, DomainError
 
@@ -259,13 +259,18 @@ def payment_convergence_check(history: Sequence[AllocationVector], tolerance: fl
     Convergence applies the displacement rule to the last two allocations.
     The stability verdict classifies the utility Hessian in (transactions,
     fee): [[-v, 1], [1, 0]] when the fee is treated as a variable, [[-v]]
-    when it is fixed.
+    when it is fixed. Its eigenvalues are computed in closed form: -v, or
+    the roots of l^2 + v*l - 1 = 0. Those roots multiply to -1, so with
+    t = v + sign(v) * sqrt(v^2 + 4) they are -t/2 and 2/t, neither of
+    which cancels.
     """
     if len(history) < 2:
         raise DomainError("convergence check needs at least two allocations")
     converged = check_convergence(history[-2], history[-1], tolerance)
-    if fee_variable:
-        hessian = [[-cost_coeff, 1.0], [1.0, 0.0]]
-    else:
-        hessian = [[-cost_coeff]]
-    return converged, stability_report(hessian)
+    if not math.isfinite(cost_coeff):
+        raise DomainError("cost_coeff must be finite")
+    if not fee_variable:
+        return converged, _classify(-cost_coeff, -cost_coeff)
+    t = cost_coeff + math.copysign(math.hypot(cost_coeff, 2.0), cost_coeff)
+    low, high = sorted((-t / 2.0, 2.0 / t))
+    return converged, _classify(low, high)

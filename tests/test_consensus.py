@@ -169,7 +169,7 @@ class TestRunHeight:
                              trace=trace)
         assert outcome.committed
         assert outcome.rounds_used == 2
-        assert any(f.kind == "invalid-proposal" for f in trace.faults)
+        assert any(f.kind == "fault:invalid-proposal" for f in trace.faults)
 
     def test_single_validator_commits_alone(self):
         outcome = run_height(make_validators(["honest"]), ["tx"], LOSSLESS, 5)
@@ -218,14 +218,14 @@ class TestRunHeight:
         trace = EventTrace()
         outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=5, trace=trace)
         assert outcome.committed
-        assert any(f.kind == "equivocation" and f.validator == "v3"
+        assert any(f.kind == "fault:equivocation" and f.sender == "v3"
                    for f in trace.faults)
 
     def test_silent_fault_recorded(self):
         validators = make_validators(["honest", "honest", "honest", "silent"])
         trace = EventTrace()
         run_height(validators, ["tx"], LOSSLESS, max_rounds=5, trace=trace)
-        assert any(f.kind == "non-participation" and f.validator == "v3"
+        assert any(f.kind == "fault:non-participation" and f.sender == "v3"
                    for f in trace.faults)
 
 

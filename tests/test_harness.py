@@ -72,9 +72,30 @@ FULL = {
                      "penalty_coeff": 0.1, "error_cost_coeff": 0.2, "error_rate": 0.01,
                      "deadline": 1.0, "validation_time": 0.5, "validation_cost_cap": 3.0,
                      "stages": [{"latency": 0.2, "error_rate": 0.01}]}},
+        {"id": "b", "stake": 5.0,
+         "payment": {"fee": 0.5, "validation_cost_coeff": 0.02, "capacity": 80.0}},
     ],
     "tasks": [{"id": "t", "cost_rate": 0.1, "corruption_rate": 0.05, "resource_cap": 4.0,
-               "value": 3.0, "consensus_gain": {"a": 1.0}, "performance_gain": 0.5}],
+               "value": 3.0, "consensus_gain": {"a": 1.0, "b": 2.0},
+               "performance_gain": 0.5}],
+}
+
+# Numeric edge cases that a run must survive.
+EDGE_CASES = {
+    "single-operator": {
+        "scenario": "sequencer", "seed": 4, "epochs": 3, "failure_rate_constant": 0.05,
+        "operators": [{"id": "solo", "stake": 20.0, "trust": 0.1}],
+        "tasks": [{"id": "t", "resource_cap": 4.0, "value": 5.0}]},
+    "zero-stake": {
+        "scenario": "sequencer", "seed": 2, "epochs": 3, "failure_rate_constant": 0.2,
+        "operators": [{"id": "a", "stake": 0.0}, {"id": "b", "stake": 30.0},
+                      {"id": "c", "stake": 30.0}, {"id": "d", "stake": 30.0}],
+        "tasks": [{"id": "t", "resource_cap": 6.0, "value": 9.0}]},
+    "zero-gain": {
+        "scenario": "sequencer", "seed": 1, "epochs": 2,
+        "operators": [{"id": "a", "stake": 10.0}, {"id": "b", "stake": 12.0}],
+        "tasks": [{"id": "t", "resource_cap": 3.0, "value": 7.0,
+                   "consensus_gain": 0.0, "performance_gain": 0.0}]},
 }
 
 WRONG_KIND = {"number": "1.0", "integer": 1.5, "string": 7, "list": "x",
@@ -107,6 +128,24 @@ def _display(path):
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
+def _object_keys(doc, path="", found=None):
+    """Path of every object in ``doc`` (list items as ``[]``) -> the union of its keys.
+
+    Maps keyed by operator or task ids, and the config echo, count as values.
+    """
+    found = {} if found is None else found
+    if isinstance(doc, dict):
+        found.setdefault(path, set()).update(doc)
+        for key, value in doc.items():
+            if key not in ("config", "stakes", "trusts", "allocation", "multipliers",
+                           "values", "weights"):
+                _object_keys(value, f"{path}.{key}".lstrip("."), found)
+    elif isinstance(doc, list):
+        for item in doc:
+            _object_keys(item, path + "[]", found)
+    return found
+
+
 @st.composite
 def config_docs(draw):
     """Valid config documents; optional fields are drawn present or omitted."""
@@ -131,10 +170,12 @@ def config_docs(draw):
     network = {}
     maybe(network, "drop_probability", unit)
     maybe(network, "latency_jitter", st.integers(0, 3))
-    maybe(network, "partitions", st.lists(st.integers(0, 50).flatmap(
-        lambda start: st.fixed_dictionaries({
-            "start": st.just(start), "end": st.integers(start, 100),
-            "members": st.lists(st.sampled_from(ids), unique=True)})), max_size=2))
+    if len(ids) > 1:  # a partition must split the roster
+        maybe(network, "partitions", st.lists(st.integers(0, 50).flatmap(
+            lambda start: st.fixed_dictionaries({
+                "start": st.just(start), "end": st.integers(start + 1, 100),
+                "members": st.lists(st.sampled_from(ids), min_size=1,
+                                    max_size=len(ids) - 1, unique=True)})), max_size=2))
     maybe(doc, "network", st.just(network))
     schedule = {}
     maybe(schedule, "window_length", st.integers(1, 12))
@@ -303,11 +344,21 @@ class TestLoadConfig:
             (("operators", 0, "capacity"), -5.0),
             (("operators", 0, "resources"), float("inf")),
             (("operators", 0, "region_latency"), -1),
-            (("network", "partitions", 0, "end"), -1)]])
+            (("network", "partitions", 0, "end"), -1),
+            (("network", "partitions", 0, "end"), 0),
+            (("network", "partitions", 0, "members"), []),
+            (("network", "partitions", 0, "members"), ["a", "b"])]])
     def test_out_of_range_value_names_the_field(self, path, value):
         with pytest.raises(ConfigError) as exc:
             load_config(_full_with(path, value))
         assert exc.value.field == _display(path)
+
+    def test_partition_before_tick_zero_is_rejected(self):
+        doc = json.loads(_full_with(("network", "partitions", 0, "start"), -50))
+        doc["network"]["partitions"][0]["end"] = -10
+        with pytest.raises(ConfigError) as exc:
+            load_config(json.dumps(doc))
+        assert exc.value.field == "network.partitions[0].end"
 
     def test_solver_section_is_rejected(self):
         doc = json.loads(MINIMAL)
@@ -402,6 +453,29 @@ class TestRunSimulation:
         for epoch in report.epochs:
             assert all(not h["committed"] for h in epoch.heights)
 
+    @pytest.mark.parametrize("case", ["single-operator", "zero-stake", "zero-gain"])
+    def test_edge_case_runs_are_reproducible_and_bounded(self, tmp_path, case):
+        config = load_config(json.dumps(EDGE_CASES[case]))
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            write_report(run_simulation(config), "json", path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        epochs = read_report(paths[0])["epochs"]
+        for epoch in epochs:
+            assert all(entry["amount"] >= 0 for entry in epoch["ledger"])
+            assert all(stake >= 0 for stake in epoch["stakes"].values())
+            assert all(0 <= trust <= 1 for trust in epoch["trusts"].values())
+        windows = [w for epoch in epochs for w in epoch["windows"]]
+        missed = [w for w in windows if w["committed"] and not w["submitted"]]
+        if case == "single-operator":
+            assert missed and all(w["fallback"] is None for w in missed)
+        if case == "zero-stake":
+            assert any(e["operator"] == "a" for epoch in epochs for e in epoch["ledger"])
+        if case == "zero-gain":
+            for epoch in epochs:
+                assert epoch["metrics"] == {}
+                assert all(e["reason"] != "task-complete" for e in epoch["ledger"])
+
     def test_zero_epochs_gives_empty_report(self):
         config = load_config(MINIMAL.replace('"scenario": "sequencer",',
                                              '"scenario": "sequencer", "epochs": 0,'))
@@ -447,6 +521,39 @@ class TestReports:
         csv_out = tmp_path / "empty.csv"
         write_report(report, "csv", csv_out)
         assert csv_out.read_text().strip() == "epoch,metric,value"
+
+    @pytest.mark.parametrize("text, section, metrics", [
+        pytest.param(BASIC, "sequencer",
+                     ["throughput", "latency", "fault_tolerance", "efficiency"],
+                     id="sequencer"),
+        pytest.param(PAYMENT, "payment",
+                     ["total_transactions", "validation_efficiency", "error_rate",
+                      "revenue_growth", "total_penalties"], id="payment")])
+    def test_report_shape(self, tmp_path, text, section, metrics):
+        report = run_simulation(load_config(text))
+        shape = {
+            "": {"config", "epochs", "ledger_totals", "trace_digest"},
+            "ledger_totals": {"fees", "rewards", "slashes"},
+            "epochs[]": {"epoch", "metrics", "convergence", "stability", "aggregation",
+                         "ledger", "stakes", "trusts", "allocation", "windows", "heights"},
+            "epochs[].metrics": {section},
+            f"epochs[].metrics.{section}": set(metrics),
+            "epochs[].convergence": {"converged", "iterations", "step_norm",
+                                     "constraint_violation", "multipliers"},
+            "epochs[].stability": {"verdict", "eigen_min", "eigen_max"},
+            "epochs[].aggregation": {"tick", "values", "weights", "aggregate"},
+            "epochs[].ledger[]": {"operator", "tick", "kind", "amount", "reason"},
+            "epochs[].windows[]": {"window_index", "operator", "start", "end", "committed",
+                                   "submitted", "fallback"},
+            "epochs[].windows[].fallback": {"operator", "submitted"},
+            "epochs[].heights[]": {"height", "window_index", "committed", "digest",
+                                   "rounds_used", "ticks_elapsed", "signers"},
+        }
+        assert _object_keys(report.to_dict()) == shape
+        out = tmp_path / "report.csv"
+        write_report(report, "csv", out)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == metrics * len(report.epochs)
 
     def test_float_precision_roundtrip(self, tmp_path):
         report = run_simulation(load_config(BASIC))
@@ -529,6 +636,8 @@ def test_run_path_never_imports_numpy():
               "import opsim\n"
               "for path in sys.argv[2:]:\n"
               "    opsim.run_simulation(opsim.load_config(path))\n"
+              "history = [opsim.AllocationVector({('a', 't'): 1.0})] * 2\n"
+              "opsim.payment_convergence_check(history, 1e-6, cost_coeff=0.01)\n"
               "assert 'numpy' not in sys.modules, 'the run path imported numpy'\n")
     configs = [str(ROOT / "configs" / name) for name in ("sequencer.json", "payment.json")]
     result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],

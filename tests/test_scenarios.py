@@ -8,7 +8,7 @@ from opsim import (AllocationVector, ConstraintViolationError, DomainError,
                    PaymentNodeParams, PaymentWindowLog, SequencerRunLog,
                    StabilityVerdict, failure_probability, optimize_throughput,
                    payment_convergence_check, payment_metrics, payment_utility,
-                   sequencer_metrics)
+                   sequencer_metrics, stability_report)
 from oracles import scan_throughput
 
 
@@ -294,6 +294,35 @@ class TestPaymentConvergence:
         # roots of l^2 + v*l - 1 = 0 with v = 0.01
         assert low == pytest.approx((-0.01 - math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
         assert high == pytest.approx((-0.01 + math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
+
+    def test_huge_cost_keeps_the_small_root(self):
+        alloc = AllocationVector({("a", "t"): 1.0})
+        # eigvalsh rounds the high eigenvalue of [[-1e300, 1], [1, 0]] to 0.0.
+        _, report = payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=1e300)
+        assert report.eigen_extremes == (-1e300, 1e-300)
+
+    def test_fixed_fee_tiny_cost_is_exact(self):
+        alloc = AllocationVector({("a", "t"): 1.0})
+        _, report = payment_convergence_check([alloc, alloc], 1e-6,
+                                              cost_coeff=1e-300, fee_variable=False)
+        assert report.eigen_extremes == (-1e-300, -1e-300)
+
+    @given(v=st.floats(-1e6, 1e6), fee_variable=st.booleans())
+    def test_closed_form_matches_eigvalsh(self, v, fee_variable):
+        alloc = AllocationVector({("a", "t"): 1.0})
+        _, report = payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=v,
+                                              fee_variable=fee_variable)
+        matrix = [[-v, 1.0], [1.0, 0.0]] if fee_variable else [[-v]]
+        dense = stability_report(matrix)
+        assert report.eigen_extremes == pytest.approx(dense.eigen_extremes,
+                                                      rel=1e-12, abs=1e-12)
+        assert report.verdict is dense.verdict
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, v):
+        alloc = AllocationVector({("a", "t"): 1.0})
+        with pytest.raises(DomainError):
+            payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=v)
 
     def test_fixed_fee_zero_cost_is_boundary(self):
         alloc = AllocationVector({("a", "t"): 1.0})
