@@ -16,10 +16,9 @@ from .agents import (AllocationVector, Deviation, EquilibriumResult, OperatorSta
 from .allocation import (ConvergenceReport, StabilityReport, StabilityVerdict,
                          check_convergence, hessian_stability, lagrangian_gradient,
                          solve_allocation, stability_report, welfare)
-from .consensus import (AggregatedSignature, Behavior, ConsensusMessage, EventTrace,
-                        GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
-                        RoundOutcome, ValidatorDescriptor, batch_digest, quorum_met,
-                        run_height)
+from .consensus import (AggregatedSignature, Behavior, EventTrace, GossipNetwork,
+                        NetworkModel, PartitionSpec, RoundOutcome, TraceEvent,
+                        ValidatorDescriptor, batch_digest, quorum_met, run_height)
 from .errors import ConfigError, ConstraintViolationError, DomainError, OpsimError
 from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,
                       ScheduleParams, fork_seed, load_config, read_report,

@@ -40,12 +40,6 @@ class Behavior(Enum):
     INVALID_PROPOSER = "invalid-proposer"
 
 
-class MsgKind(Enum):
-    PROPOSAL = "proposal"
-    PREVOTE = "prevote"
-    PRECOMMIT = "precommit"
-
-
 @dataclass
 class ValidatorDescriptor:
     """A staked validator with a fixed behavior for the run."""
@@ -62,24 +56,6 @@ class ValidatorDescriptor:
             raise DomainError(f"validator {self.id}: stake must be finite and > 0")
         if self.region_latency < 0:
             raise DomainError(f"validator {self.id}: region_latency must be >= 0")
-
-
-@dataclass(frozen=True)
-class ConsensusMessage:
-    """One protocol message; ``batch_digest`` of None marks a nil vote."""
-
-    kind: MsgKind
-    height: int
-    round: int
-    sender: str
-    batch_digest: str | None
-    send_tick: int
-
-    def __post_init__(self) -> None:
-        if self.height < 0 or self.round < 0:
-            raise DomainError("height and round must be >= 0")
-        if self.kind is MsgKind.PROPOSAL and self.batch_digest is None:
-            raise DomainError("proposals must carry a digest")
 
 
 @dataclass(frozen=True)
@@ -128,13 +104,6 @@ class NetworkModel:
             raise DomainError("latency_jitter must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
-    message: ConsensusMessage
-    recipient: str
-    deliver_tick: int
-
-
 def quorum_met(signed_stake: float, total_stake: float) -> bool:
     """Strict two-thirds rule: signed stake must exceed 2/3 of the total."""
     return 3.0 * signed_stake > 2.0 * total_stake
@@ -151,12 +120,24 @@ def batch_digest(batch: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One protocol event; a sent message is its own event.
+
+    Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
+    ``digest`` of None marks a nil vote.
+    """
+
     tick: int
     kind: str
     height: int
     round: int
     sender: str
     digest: str | None
+
+    def __post_init__(self) -> None:
+        if self.height < 0 or self.round < 0:
+            raise DomainError("height and round must be >= 0")
+        if self.kind == "proposal" and self.digest is None:
+            raise DomainError("proposals must carry a digest")
 
 
 class EventTrace:
@@ -170,8 +151,10 @@ class EventTrace:
         self.events: list[TraceEvent] = []
 
     def record(self, tick: int, kind: str, height: int, round_: int,
-               sender: str, digest: str | None) -> None:
-        self.events.append(TraceEvent(tick, kind, height, round_, sender, digest))
+               sender: str, digest: str | None) -> TraceEvent:
+        event = TraceEvent(tick, kind, height, round_, sender, digest)
+        self.events.append(event)
+        return event
 
     @property
     def faults(self) -> list[TraceEvent]:
@@ -192,10 +175,10 @@ class EventTrace:
 class GossipNetwork:
     """Seeded fan-out delivery between validators.
 
-    Every broadcast schedules one delivery per recipient at
-    send_tick + sender latency + jitter, independently dropped with the
-    model's probability. Identical seed and call sequence yield an
-    identical delivery trace.
+    Every broadcast schedules one delivery per recipient at the message's
+    tick + sender latency + jitter, independently dropped with the model's
+    probability. Identical seed and call sequence yield an identical
+    delivery trace.
     """
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
@@ -203,19 +186,23 @@ class GossipNetwork:
         self._latency = {v.id: v.region_latency for v in validators}
         self._ids = sorted(self._latency)
         self._rng = random.Random(model.rng_seed)
-        # (deliver tick, seq, message, recipient); a Delivery is built only
-        # when it comes due, so messages in flight stay small.
-        self._queue: list[tuple[int, int, ConsensusMessage, str]] = []
+        # (deliver tick, seq, message, recipient)
+        self._queue: list[tuple[int, int, TraceEvent, str]] = []
         self._seq = 0
         self._last_tick = -1
 
-    def broadcast(self, message: ConsensusMessage,
+    def broadcast(self, message: TraceEvent,
                   recipients: Iterable[str] | None = None) -> None:
         sender = message.sender
         if sender not in self._latency:
             raise DomainError(f"unknown sender {sender}")
-        send_tick = message.send_tick + self._latency[sender]
-        for recipient in self._ids if recipients is None else sorted(set(recipients)):
+        if recipients is not None:
+            recipients = sorted(set(recipients))
+            for recipient in recipients:
+                if recipient not in self._latency:
+                    raise DomainError(f"unknown recipient {recipient}")
+        send_tick = message.tick + self._latency[sender]
+        for recipient in self._ids if recipients is None else recipients:
             if recipient == sender:
                 continue
             jitter = self._rng.randint(0, self._model.latency_jitter)
@@ -233,8 +220,8 @@ class GossipNetwork:
                     return True
         return False
 
-    def step(self, tick: int) -> list[Delivery]:
-        """Deliveries due at or before ``tick``; ticks must not decrease.
+    def step(self, tick: int) -> list[tuple[TraceEvent, str]]:
+        """(message, recipient) pairs due at or before ``tick``; ticks must not decrease.
 
         ``run_height`` steps only at event ticks, so one step may cover
         several ticks; a delivery due at a tick already stepped comes out
@@ -245,8 +232,7 @@ class GossipNetwork:
         self._last_tick = tick
         delivered = []
         while self._queue and self._queue[0][0] <= tick:
-            deliver_tick, _, message, recipient = heapq.heappop(self._queue)
-            delivered.append(Delivery(message, recipient, deliver_tick))
+            delivered.append(heapq.heappop(self._queue)[2:])
         return delivered
 
     @property
@@ -277,14 +263,20 @@ class _HeightContext:
         self.max_rounds = max_rounds
         self.height = height
         self.trace = trace
-        # (tick, round, precommit tally) of the first commit decision. The
-        # tally is the decider's live dict, so precommits drained after the
+        # (tick, round, precommit voters) of the first commit decision. The
+        # voters are the decider's live dict, so precommits drained after the
         # decision still count. Holding the node instead would make a
         # node-context reference cycle that outlives the height.
-        self.first_decision: tuple[int, int, dict[str, str | None]] | None = None
+        self.first_decision: tuple[int, int, dict[str, float]] | None = None
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster[round_ % len(self.roster)]
+
+    def send(self, tick: int, kind: str, round_: int, sender: str, digest: str | None,
+             recipients: Iterable[str] | None = None) -> None:
+        """Record a message as a trace event and broadcast that event."""
+        message = self.trace.record(tick, kind, self.height, round_, sender, digest)
+        self.network.broadcast(message, recipients)
 
 
 class _HonestNode:
@@ -295,33 +287,29 @@ class _HonestNode:
         self.ctx = ctx
         self.round = 0
         self.phase = "propose"
-        self.deadline = phase_timeout(0)
+        # Tick at which the phase timer fires; meaningless once done.
+        self.next_due = phase_timeout(0)
         self.proposals: dict[int, str] = {}
-        # First vote per sender: votes[(kind, round)][sender] = digest.
-        self.votes: dict[tuple[MsgKind, int], dict[str, str | None]] = {}
-        self.quorums: set[tuple[MsgKind, int, str | None]] = set()
+        # votes[(kind, round, digest)][voter] = the voter's stake.
+        self.votes: dict[tuple[str, int, str | None], dict[str, float]] = {}
+        self.quorums: set[tuple[str, int, str | None]] = set()
 
     @property
     def done(self) -> bool:
         return self.phase == "done"
 
-    @property
-    def next_due(self) -> int:
-        """Tick at which the phase timer fires; meaningless once done."""
-        return self.deadline
-
     def start(self, tick: int) -> None:
         self._maybe_propose(tick)
         self._evaluate(tick)
 
-    def on_message(self, msg: ConsensusMessage, tick: int) -> None:
+    def on_message(self, msg: TraceEvent, tick: int) -> None:
         # Bookkeeping continues after deciding so the commit certificate can
         # cover precommits that were still in flight at decision time.
-        if msg.kind is MsgKind.PROPOSAL:
+        if msg.kind == "proposal":
             if msg.sender == self.ctx.proposer(msg.round).id:
-                self.proposals.setdefault(msg.round, msg.batch_digest)
+                self.proposals.setdefault(msg.round, msg.digest)
         else:
-            self._vote(msg.kind, msg.round, msg.sender, msg.batch_digest)
+            self._vote((msg.kind, msg.round, msg.digest), msg.sender)
         if not self.done:
             self._evaluate(tick)
 
@@ -329,22 +317,24 @@ class _HonestNode:
         if not self.done:
             self._evaluate(tick)
 
-    def _vote(self, kind: MsgKind, round_: int, sender: str, digest: str | None) -> None:
-        """Keep a sender's first vote of a kind per round.
+    def _vote(self, key: tuple[str, int, str | None], voter: str) -> None:
+        """Tally one vote under its (kind, round, digest) key.
 
-        A (kind, round, digest) key joins ``quorums`` when a new vote for it
-        brings its voters' stake fsum over quorum. Votes only accumulate, so
-        a key never leaves ``quorums``; fsum is exactly rounded, so
-        membership does not depend on the order votes arrived in.
+        The key joins ``quorums`` when the vote brings its voters' stake fsum
+        over quorum. Votes only accumulate, so a key never leaves
+        ``quorums``; fsum is exactly rounded, so membership does not depend
+        on the order votes arrived in.
+
+        This counts each sender's first vote of a kind per round, as the
+        protocol asks, without a per-sender check: a node hears each sender
+        at most once per (kind, round). Honest nodes cast each kind once per
+        round, an equivocator sends its two digests to disjoint halves of
+        its peers, and the network delivers each queued copy once.
         """
-        votes = self.votes.setdefault((kind, round_), {})
-        if sender in votes:
-            return
-        votes[sender] = digest
-        key = (kind, round_, digest)
-        if key not in self.quorums and quorum_met(
-                math.fsum([self.ctx.stakes[s] for s, d in votes.items() if d == digest]),
-                self.ctx.total_stake):
+        voters = self.votes.setdefault(key, {})
+        voters[voter] = self.ctx.stakes[voter]
+        if key not in self.quorums and quorum_met(math.fsum(voters.values()),
+                                                  self.ctx.total_stake):
             self.quorums.add(key)
 
     def _maybe_propose(self, tick: int) -> None:
@@ -355,12 +345,8 @@ class _HonestNode:
             digest = f"{self.ctx.digest}!invalid"
             self.ctx.trace.record(tick, "fault:invalid-proposal", self.ctx.height,
                                   self.round, self.d.id, None)
-        msg = ConsensusMessage(MsgKind.PROPOSAL, self.ctx.height, self.round,
-                               self.d.id, digest, tick)
         self.proposals.setdefault(self.round, digest)
-        self.ctx.trace.record(tick, "proposal", self.ctx.height, self.round,
-                              self.d.id, digest)
-        self.ctx.network.broadcast(msg)
+        self.ctx.send(tick, "proposal", self.round, self.d.id, digest)
 
     def _evaluate(self, tick: int) -> None:
         while True:
@@ -377,38 +363,36 @@ class _HonestNode:
     def _evaluate_propose(self, tick: int) -> None:
         digest = self.proposals.get(self.round)
         if digest is not None:
-            self._cast(MsgKind.PREVOTE, digest if digest == self.ctx.digest else None, tick)
-        elif tick >= self.deadline:
-            self._cast(MsgKind.PREVOTE, None, tick)
+            self._cast("prevote", digest if digest == self.ctx.digest else None, tick)
+        elif tick >= self.next_due:
+            self._cast("prevote", None, tick)
 
     def _evaluate_prevote(self, tick: int) -> None:
         validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and (MsgKind.PREVOTE, self.round, self.ctx.digest) in self.quorums:
-            self._cast(MsgKind.PRECOMMIT, self.ctx.digest, tick)
-        elif (MsgKind.PREVOTE, self.round, None) in self.quorums or tick >= self.deadline:
-            self._cast(MsgKind.PRECOMMIT, None, tick)
+        if validated and ("prevote", self.round, self.ctx.digest) in self.quorums:
+            self._cast("precommit", self.ctx.digest, tick)
+        elif ("prevote", self.round, None) in self.quorums or tick >= self.next_due:
+            self._cast("precommit", None, tick)
 
     def _evaluate_precommit(self, tick: int) -> None:
         validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and (MsgKind.PRECOMMIT, self.round, self.ctx.digest) in self.quorums:
+        if validated and ("precommit", self.round, self.ctx.digest) in self.quorums:
             self._decide(tick)
-        elif (MsgKind.PRECOMMIT, self.round, None) in self.quorums or tick >= self.deadline:
+        elif ("precommit", self.round, None) in self.quorums or tick >= self.next_due:
             self._advance(tick)
 
-    def _cast(self, kind: MsgKind, digest: str | None, tick: int) -> None:
-        msg = ConsensusMessage(kind, self.ctx.height, self.round, self.d.id, digest, tick)
-        self._vote(kind, self.round, self.d.id, digest)
-        self.phase = "prevote" if kind is MsgKind.PREVOTE else "precommit"
-        self.deadline = tick + phase_timeout(self.round)
-        self.ctx.trace.record(tick, kind.value, self.ctx.height, self.round,
-                              self.d.id, digest)
-        self.ctx.network.broadcast(msg)
+    def _cast(self, kind: str, digest: str | None, tick: int) -> None:
+        """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
+        self._vote((kind, self.round, digest), self.d.id)
+        self.phase = kind
+        self.next_due = tick + phase_timeout(self.round)
+        self.ctx.send(tick, kind, self.round, self.d.id, digest)
 
     def _decide(self, tick: int) -> None:
         self.phase = "done"
         if self.ctx.first_decision is None:
             self.ctx.first_decision = (tick, self.round,
-                                       self.votes[(MsgKind.PRECOMMIT, self.round)])
+                                       self.votes[("precommit", self.round, self.ctx.digest)])
         self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
                               self.d.id, self.ctx.digest)
 
@@ -418,7 +402,7 @@ class _HonestNode:
             self.phase = "done"
             return
         self.phase = "propose"
-        self.deadline = tick + phase_timeout(self.round)
+        self.next_due = tick + phase_timeout(self.round)
         self.ctx.trace.record(tick, "round-start", self.ctx.height, self.round,
                               self.d.id, None)
         self._maybe_propose(tick)
@@ -451,7 +435,7 @@ class _EquivocatingNode:
         timeout = phase_timeout(self.round)
         return self.entered + (timeout if self.stage == "precommit" else 3 * timeout)
 
-    def on_message(self, msg: ConsensusMessage, tick: int) -> None:
+    def on_message(self, msg: TraceEvent, tick: int) -> None:
         pass
 
     def on_tick(self, tick: int) -> None:
@@ -463,27 +447,22 @@ class _EquivocatingNode:
                                       self.round, self.d.id, None)
                 self.faulted = True
             if self.ctx.proposer(self.round).id == self.d.id:
-                self._split_send(MsgKind.PROPOSAL, tick)
-            self._split_send(MsgKind.PREVOTE, tick)
+                self._split_send("proposal", tick)
+            self._split_send("prevote", tick)
             self.stage = "precommit"
         elif self.stage == "precommit":
-            self._split_send(MsgKind.PRECOMMIT, tick)
+            self._split_send("precommit", tick)
             self.stage = "advance"
         else:
             self.round += 1
             self.entered = tick
             self.stage = "enter"
 
-    def _split_send(self, kind: MsgKind, tick: int) -> None:
+    def _split_send(self, kind: str, tick: int) -> None:
         forged = f"{self.ctx.digest}#forged:{self.d.id}:{self.round}"
         for digest, half in ((self.ctx.digest, self.first_half), (forged, self.second_half)):
-            if not half:
-                continue
-            msg = ConsensusMessage(kind, self.ctx.height, self.round, self.d.id,
-                                   digest, tick)
-            self.ctx.trace.record(tick, kind.value, self.ctx.height, self.round,
-                                  self.d.id, digest)
-            self.ctx.network.broadcast(msg, recipients=half)
+            if half:
+                self.ctx.send(tick, kind, self.round, self.d.id, digest, half)
 
 
 def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
@@ -527,10 +506,10 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
     def deliver(tick: int) -> None:
-        for delivery in net.step(tick):
-            target = nodes.get(delivery.recipient)
+        for message, recipient in net.step(tick):
+            target = nodes.get(recipient)
             if target is not None:
-                target.on_message(delivery.message, tick)
+                target.on_message(message, tick)
 
     for node in protocol_nodes:
         node.start(0)
@@ -564,20 +543,18 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
     """Record silent validators and the height's end; return its outcome.
 
-    The commit certificate is the first decider's precommit tally for its
-    round, read after the drain so it covers precommits that were still in
-    flight when quorum crossed.
+    The commit certificate is the first decider's precommit voters for its
+    round and the batch digest, read after the drain so it covers precommits
+    that were still in flight when quorum crossed.
     """
     for v in sorted(ctx.roster, key=lambda v: v.id):
         if v.behavior is Behavior.SILENT:
             ctx.trace.record(last_tick, "fault:non-participation", ctx.height, 0, v.id, None)
 
     if ctx.first_decision is not None:
-        decide_tick, decided_round, votes = ctx.first_decision
-        signers = frozenset(s for s, d in votes.items() if d == ctx.digest)
-        signature = AggregatedSignature(ctx.digest, signers,
-                                        math.fsum(ctx.stakes[s] for s in signers),
-                                        ctx.total_stake)
+        decide_tick, decided_round, voters = ctx.first_decision
+        signature = AggregatedSignature(ctx.digest, frozenset(voters),
+                                        math.fsum(voters.values()), ctx.total_stake)
         return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
                             rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
     ctx.trace.record(last_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)

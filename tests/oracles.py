@@ -162,10 +162,10 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
     tick = 0
     last_tick = 0
     while tick <= horizon:
-        for delivery in net.step(tick):
-            target = nodes.get(delivery.recipient)
+        for message, recipient in net.step(tick):
+            target = nodes.get(recipient)
             if target is not None:
-                target.on_message(delivery.message, tick)
+                target.on_message(message, tick)
         for node_id in sorted(nodes):
             nodes[node_id].on_tick(tick)
         last_tick = tick
@@ -177,9 +177,9 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
 
     while net.pending > 0 and tick <= horizon:
         tick += 1
-        for delivery in net.step(tick):
-            target = nodes.get(delivery.recipient)
+        for message, recipient in net.step(tick):
+            target = nodes.get(recipient)
             if target is not None:
-                target.on_message(delivery.message, tick)
+                target.on_message(message, tick)
 
     return _finish_height(ctx, last_tick)

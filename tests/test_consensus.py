@@ -6,9 +6,9 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opsim import (AggregatedSignature, Behavior, ConsensusMessage, DomainError,
-                   EventTrace, GossipNetwork, MsgKind, NetworkModel, PartitionSpec,
-                   ValidatorDescriptor, batch_digest, quorum_met, run_height)
+from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, GossipNetwork,
+                   NetworkModel, PartitionSpec, TraceEvent, ValidatorDescriptor,
+                   batch_digest, quorum_met, run_height)
 from opsim import consensus
 from oracles import run_height_ticked, stake_quorum
 
@@ -29,11 +29,16 @@ class TestTypes:
 
     def test_nil_proposal_rejected(self):
         with pytest.raises(DomainError):
-            ConsensusMessage(MsgKind.PROPOSAL, 0, 0, "v", None, 0)
+            TraceEvent(0, "proposal", 0, 0, "v", None)
 
     def test_nil_votes_allowed(self):
-        msg = ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v", None, 0)
-        assert msg.batch_digest is None
+        msg = TraceEvent(0, "prevote", 0, 0, "v", None)
+        assert msg.digest is None
+
+    @pytest.mark.parametrize("height, round_", [(-1, 0), (0, -1)])
+    def test_negative_height_or_round_rejected(self, height, round_):
+        with pytest.raises(DomainError):
+            TraceEvent(0, "prevote", height, round_, "v", "d")
 
     def test_network_model_bounds(self):
         with pytest.raises(DomainError):
@@ -46,14 +51,12 @@ class TestGossip:
     def test_lossless_unit_latency_delivers_once(self):
         validators = make_validators(["honest"] * 3, latency=1)
         net = GossipNetwork(LOSSLESS, validators)
-        msg = ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v0", "d", send_tick=5)
+        msg = TraceEvent(5, "prevote", 0, 0, "v0", "d")
         assert net.next_tick is None
         net.broadcast(msg)
         assert net.next_tick == 6
         assert net.step(5) == []
-        delivered = net.step(6)
-        assert sorted(d.recipient for d in delivered) == ["v1", "v2"]
-        assert all(d.deliver_tick == 6 for d in delivered)
+        assert net.step(6) == [(msg, "v1"), (msg, "v2")]
         assert net.next_tick is None
         assert net.step(7) == []
 
@@ -70,11 +73,10 @@ class TestGossip:
             net = GossipNetwork(model, make_validators(["honest"] * 4))
             log = []
             for tick in range(3):
-                msg = ConsensusMessage(MsgKind.PREVOTE, 0, 0, f"v{tick}", "d", tick)
-                net.broadcast(msg)
-                log.extend((d.recipient, d.deliver_tick) for d in net.step(tick))
+                net.broadcast(TraceEvent(tick, "prevote", 0, 0, f"v{tick}", "d"))
+                log.extend((recipient, tick) for _, recipient in net.step(tick))
             for tick in range(3, 12):
-                log.extend((d.recipient, d.deliver_tick) for d in net.step(tick))
+                log.extend((recipient, tick) for _, recipient in net.step(tick))
             traces.append(log)
         assert traces[0] == traces[1]
 
@@ -84,14 +86,21 @@ class TestGossip:
             partition_schedule=(PartitionSpec(0, 100, frozenset({"v0"})),))
         validators = make_validators(["honest"] * 3, latency=1)
         net = GossipNetwork(model, validators)
-        net.broadcast(ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v0", "d", 0))
-        net.broadcast(ConsensusMessage(MsgKind.PREVOTE, 0, 0, "v1", "d", 0))
+        net.broadcast(TraceEvent(0, "prevote", 0, 0, "v0", "d"))
+        net.broadcast(TraceEvent(0, "prevote", 0, 0, "v1", "d"))
         delivered = []
         for tick in range(4):
             delivered.extend(net.step(tick))
-        pairs = {(d.message.sender, d.recipient) for d in delivered}
+        pairs = {(message.sender, recipient) for message, recipient in delivered}
         assert ("v0", "v1") not in pairs and ("v0", "v2") not in pairs
         assert ("v1", "v2") in pairs and ("v1", "v0") not in pairs
+
+    def test_unknown_recipient_rejected(self):
+        net = GossipNetwork(LOSSLESS, make_validators(["honest"] * 2))
+        with pytest.raises(DomainError, match="ghost"):
+            net.broadcast(TraceEvent(0, "prevote", 0, 0, "v0", "d"),
+                          recipients=["v1", "ghost"])
+        assert net.pending == 0
 
     def test_decreasing_tick_rejected(self):
         net = GossipNetwork(LOSSLESS, make_validators(["honest"] * 2))
@@ -298,13 +307,14 @@ class TestLiveness:
 
 @contextmanager
 def recorded(cls, method):
-    """Patch ``cls.method`` to also record (self, args); yield the records."""
+    """Patch ``cls.method`` to also record (self, args, result); yield the records."""
     calls = []
     original = getattr(cls, method)
 
     def wrapper(self, *args):
-        calls.append((self, args))
-        return original(self, *args)
+        result = original(self, *args)
+        calls.append((self, args, result))
+        return result
 
     setattr(cls, method, wrapper)
     try:
@@ -315,14 +325,9 @@ def recorded(cls, method):
 
 def recomputed_quorums(node):
     """(kind, round, digest) keys with quorum, re-summed from a node's vote tally."""
-    keys = set()
-    for (kind, round_), votes in node.votes.items():
-        for digest in set(votes.values()):
-            signed = math.fsum(node.ctx.stakes[s] for s, vote in votes.items()
-                               if vote == digest)
-            if stake_quorum(signed, node.ctx.total_stake):
-                keys.add((kind, round_, digest))
-    return keys
+    return {key for key, voters in node.votes.items()
+            if stake_quorum(math.fsum(node.ctx.stakes[v] for v in voters),
+                            node.ctx.total_stake)}
 
 
 @st.composite
@@ -364,8 +369,23 @@ class TestEventAdvance:
         assert trace.to_lines() == expected_trace.to_lines()
         assert trace.faults == expected_trace.faults
         assert trace.decisions == expected_trace.decisions
-        for node, _ in started:
+        for node, _, _ in started:
             assert node.quorums == recomputed_quorums(node)
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=heights())
+    @example(height=(make_validators(["honest", "equivocating", "honest", "equivocating"]),
+                     LOSSLESS, 3))
+    def test_each_recipient_hears_a_sender_once_per_kind_and_round(self, height):
+        # The vote tally keys on (kind, round, digest) with no per-sender
+        # check; it counts each sender's first vote only if no second one
+        # arrives.
+        validators, model, max_rounds = height
+        with recorded(GossipNetwork, "step") as steps:
+            run_height(validators, ["a", "b"], model, max_rounds)
+        heard = [(recipient, message.sender, message.kind, message.round)
+                 for _, _, delivered in steps for message, recipient in delivered]
+        assert len(heard) == len(set(heard))
 
     def test_zero_latency_message_arrives_next_tick(self):
         # v0's proposal, broadcast before tick 0 is stepped, arrives at 0;
@@ -400,7 +420,7 @@ class TestEventAdvance:
         with recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
-        assert [tick for _, (tick,) in steps] == [0, 1, 2, 3, 21, 22]
+        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
         assert "v3" in outcome.signature.signer_set
 
 
