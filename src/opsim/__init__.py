@@ -27,11 +27,10 @@ from .incentives import (AggregationReport, EntryKind, EventKind, LedgerEntry,
                          ReputationParams, SettlementEvent,
                          aggregate_results, feedback_iterate, make_aggregation_report,
                          settle, update_reputation, update_trust)
-from .scenarios import (MetricsReport, PaymentMetrics, PaymentNodeParams,
-                        PaymentWindowLog, SequencerMetrics, SequencerRunLog,
-                        failure_probability, optimize_throughput,
-                        payment_convergence_check, payment_metrics, payment_utility,
-                        sequencer_metrics)
+from .scenarios import (PaymentMetrics, PaymentNodeParams, PaymentWindowLog,
+                        SequencerMetrics, SequencerRunLog, failure_probability,
+                        optimize_throughput, payment_convergence_check, payment_metrics,
+                        payment_utility, sequencer_metrics)
 from .scheduling import (Schedule, SubmissionWindow, apply_fallback, assign_windows,
                          on_window_miss)
 

@@ -29,6 +29,13 @@ SPECTRUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Outcome of one allocation solve.
+
+    The water-filling solve is exact, so ``converged``, ``iterations`` and
+    ``step_norm`` are always True, 1 and 0.0; the report keeps them as
+    fields of its ``convergence`` section.
+    """
+
     converged: bool
     iterations: int
     step_norm: float

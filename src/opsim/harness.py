@@ -23,17 +23,16 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
-from .allocation import ConvergenceReport, hessian_stability, solve_allocation
+from .allocation import hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
                         ValidatorDescriptor, run_height)
 from .errors import ConfigError, DomainError
-from .incentives import (AggregationReport, EntryKind, EventKind, LedgerEntry,
-                         ReputationParams, SettlementEvent, feedback_iterate,
-                         make_aggregation_report, settle, update_trust)
-from .scenarios import (FAILURE_RATE_CONSTANT, MetricsReport, PaymentMetrics,
-                        PaymentNodeParams, PaymentWindowLog, SequencerMetrics,
-                        SequencerRunLog, failure_probability, optimize_throughput,
-                        payment_metrics, payment_utility, sequencer_metrics)
+from .incentives import (EntryKind, EventKind, ReputationParams, SettlementEvent,
+                         feedback_iterate, make_aggregation_report, settle, update_trust)
+from .scenarios import (FAILURE_RATE_CONSTANT, PaymentMetrics, PaymentNodeParams,
+                        PaymentWindowLog, SequencerMetrics, SequencerRunLog,
+                        failure_probability, optimize_throughput, payment_metrics,
+                        payment_utility, sequencer_metrics)
 from .scheduling import apply_fallback, assign_windows, on_window_miss
 
 SCENARIOS = ("sequencer", "payment")
@@ -315,9 +314,10 @@ def load_config(source: str | Path) -> RunConfig:
     _reject_if(doc["scenario"] not in SCENARIOS, "scenario", f"must be one of {SCENARIOS}")
     _reject_if(doc["epochs"] < 0, "epochs", "must be >= 0")
     _reject_if(doc["max_rounds"] < 1, "max_rounds", "must be >= 1")
-    _reject_if(doc["failure_rate_constant"] < 0, "failure_rate_constant", "must be >= 0")
+    for name, value in (("failure_rate_constant", doc["failure_rate_constant"]),
+                        ("incentives.submit_fee", doc["incentives"]["submit_fee"])):
+        _reject_if(not 0 <= value < math.inf, name, "must be finite and >= 0")
 
-    _reject_if(doc["incentives"]["submit_fee"] < 0, "incentives.submit_fee", "must be >= 0")
     incentives = IncentiveParams(**dict(doc["incentives"], reputation=_build(
         ReputationParams, "incentives", doc["incentives"]["reputation"])))
 
@@ -394,65 +394,21 @@ def fork_seed(seed: int, label: str) -> int:
 
 
 @dataclass(frozen=True)
-class EpochReport:
-    epoch: int
-    metrics: MetricsReport
-    convergence: ConvergenceReport
-    stability_verdict: str
-    eigen_extremes: tuple[float, float]
-    aggregation: AggregationReport
-    ledger: tuple[LedgerEntry, ...]
-    stakes: dict[str, float]
-    trusts: dict[str, float]
-    allocation: dict[str, float]
-    windows: tuple[dict, ...]
-    heights: tuple[dict, ...]
-
-
-@dataclass(frozen=True)
 class RunReport:
+    """A run's report; ``to_dict()`` is the document ``read_report`` returns."""
+
     config: dict[str, Any]
-    epochs: tuple[EpochReport, ...]
+    epochs: tuple[dict[str, Any], ...]
     ledger_totals: dict[str, float]
     trace_digest: str
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "config": self.config,
-            "epochs": [_epoch_to_dict(e) for e in self.epochs],
+            "epochs": list(self.epochs),
             "ledger_totals": self.ledger_totals,
             "trace_digest": self.trace_digest,
         }
-
-
-def _metrics_to_dict(metrics: MetricsReport) -> dict[str, Any]:
-    """The present scenario sections; ``vars`` copies no nested value, unlike ``asdict``."""
-    return {name: dict(vars(section)) for name, section in vars(metrics).items()
-            if section is not None}
-
-
-def _epoch_to_dict(report: EpochReport) -> dict[str, Any]:
-    return {
-        "epoch": report.epoch,
-        "metrics": _metrics_to_dict(report.metrics),
-        "convergence": dict(vars(report.convergence)),
-        "stability": {
-            "verdict": report.stability_verdict,
-            "eigen_min": report.eigen_extremes[0],
-            "eigen_max": report.eigen_extremes[1],
-        },
-        "aggregation": dict(vars(report.aggregation)),
-        "ledger": [
-            {"operator": e.operator_id, "tick": e.tick, "kind": e.kind.value,
-             "amount": e.amount, "reason": e.reason}
-            for e in report.ledger
-        ],
-        "stakes": report.stakes,
-        "trusts": report.trusts,
-        "allocation": report.allocation,
-        "windows": list(report.windows),
-        "heights": list(report.heights),
-    }
 
 
 def _scaled_tasks(tasks: Sequence[TaskSpec], scale: Mapping[str, float]) -> list[TaskSpec]:
@@ -490,7 +446,7 @@ def run_simulation(config: RunConfig) -> RunReport:
         trace_hash.update(separator + line.encode())
         separator = b"\n"
 
-    epoch_reports: list[EpochReport] = []
+    epoch_reports: list[dict[str, Any]] = []
     previous_payment_log: PaymentWindowLog | None = None
     totals = dict.fromkeys(_TOTALS.values(), 0.0)
     height_index = 0
@@ -627,20 +583,23 @@ def run_simulation(config: RunConfig) -> RunReport:
             payment_log = _payment_log(operators)
             metrics = _payment_metrics(payment_log, previous_payment_log)
             previous_payment_log = payment_log
-        epoch_reports.append(EpochReport(
-            epoch=epoch,
-            metrics=metrics,
-            convergence=convergence,
-            stability_verdict=stability.verdict.value,
-            eigen_extremes=stability.eigen_extremes,
-            aggregation=aggregation,
-            ledger=tuple(ledger),
-            stakes=dict(sorted(stakes.items())),
-            trusts=dict(sorted(trusts.items())),
-            allocation={f"{a}:{t}": v for (a, t), v in allocation.items()},
-            windows=tuple(window_records),
-            heights=tuple(height_records),
-        ))
+        # ``vars`` copies no nested value, unlike ``asdict``.
+        epoch_reports.append({
+            "epoch": epoch,
+            "metrics": metrics,
+            "convergence": dict(vars(convergence)),
+            "stability": {"verdict": stability.verdict.value,
+                          "eigen_min": stability.eigen_extremes[0],
+                          "eigen_max": stability.eigen_extremes[1]},
+            "aggregation": dict(vars(aggregation)),
+            "ledger": [{"operator": e.operator_id, "tick": e.tick, "kind": e.kind.value,
+                        "amount": e.amount, "reason": e.reason} for e in ledger],
+            "stakes": dict(sorted(stakes.items())),
+            "trusts": dict(sorted(trusts.items())),
+            "allocation": {f"{a}:{t}": v for (a, t), v in allocation.items()},
+            "windows": window_records,
+            "heights": height_records,
+        })
 
     return RunReport(config=config.to_dict(), epochs=tuple(epoch_reports),
                      ledger_totals=dict(sorted(totals.items())),
@@ -648,11 +607,11 @@ def run_simulation(config: RunConfig) -> RunReport:
 
 
 def _sequencer_metrics(agents: Sequence[OperatorState], allocation: AllocationVector,
-                       work: Mapping[str, Sequence[float]], missed: set[str]) -> MetricsReport:
-    """Metrics over the agents that scored; an idle one did no validation work."""
+                       work: Mapping[str, Sequence[float]], missed: set[str]) -> dict:
+    """The epoch's metrics section over the agents that scored; {} if none did."""
     active = [a.id for a in agents if work[a.id][0] + work[a.id][1] > 0]
     if not active:
-        return MetricsReport()
+        return {}
     log = SequencerRunLog(
         outputs={a: allocation.operator_total(a) for a in active},
         consensus_scores={a: work[a][0] for a in active},
@@ -660,7 +619,7 @@ def _sequencer_metrics(agents: Sequence[OperatorState], allocation: AllocationVe
         failures=len(missed.intersection(active)),
         costs={a: work[a][2] for a in active},
         total_resources=math.fsum(a.resources for a in agents))
-    return MetricsReport(sequencer=sequencer_metrics(log))
+    return {"sequencer": dict(vars(sequencer_metrics(log)))}
 
 
 def _payment_log(operators: Sequence[OperatorConfig]) -> PaymentWindowLog:
@@ -684,13 +643,12 @@ def _payment_log(operators: Sequence[OperatorConfig]) -> PaymentWindowLog:
 
 
 def _payment_metrics(log: PaymentWindowLog,
-                     previous: PaymentWindowLog | None) -> MetricsReport:
-    """Totals describe this epoch only; growth compares it with the previous one."""
-    metrics = payment_metrics([log])
+                     previous: PaymentWindowLog | None) -> dict:
+    """The epoch's metrics section: this epoch's totals, growth since the previous."""
+    metrics = dict(vars(payment_metrics([log])))
     if previous is not None:
-        growth = payment_metrics([previous, log]).revenue_growth
-        metrics = replace(metrics, revenue_growth=growth)
-    return MetricsReport(payment=metrics)
+        metrics["revenue_growth"] = payment_metrics([previous, log]).revenue_growth
+    return {"payment": metrics}
 
 
 # --- Report output ------------------------------------------------------------
@@ -718,10 +676,9 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epoch", "metric", "value"])
     for epoch in report.epochs:
-        doc = _metrics_to_dict(epoch.metrics)
-        section = doc.get(scenario, {})
+        section = epoch["metrics"].get(scenario, {})
         for name in names:
-            writer.writerow([epoch.epoch, name, _format_number(section.get(name))])
+            writer.writerow([epoch["epoch"], name, _format_number(section.get(name))])
     path.write_text(buffer.getvalue())
 
 

@@ -68,14 +68,6 @@ class PaymentMetrics:
     total_penalties: float
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Metric bundle of one run window; unused scenario parts stay None."""
-
-    sequencer: SequencerMetrics | None = None
-    payment: PaymentMetrics | None = None
-
-
 def sequencer_metrics(log: SequencerRunLog) -> SequencerMetrics:
     """Throughput, latency, fault tolerance, and efficiency of one window.
 
@@ -148,9 +140,9 @@ class PaymentNodeParams:
                 raise DomainError(f"payment params: {name} must be >= 0")
         if not 0.0 <= self.error_rate <= 1.0:
             raise DomainError("payment params: error_rate must lie in [0, 1]")
-        if self.deadline < 0:
+        if not self.deadline >= 0:  # NaN fails too
             raise DomainError("payment params: deadline must be >= 0")
-        if self.validation_cost_cap is not None and self.validation_cost_cap < 0:
+        if self.validation_cost_cap is not None and not self.validation_cost_cap >= 0:
             raise DomainError("payment params: validation_cost_cap must be >= 0")
 
     def validation_cost(self, transactions: float) -> float:

@@ -41,14 +41,6 @@ class Schedule:
     windows: tuple[SubmissionWindow, ...]
     grace_length: int
 
-    def to_records(self) -> list[dict]:
-        """Ordered export: one record per window."""
-        return [
-            {"window_index": w.window_index, "operator": w.operator_id,
-             "start": w.start_tick, "end": w.end_tick, "is_fallback": w.is_fallback}
-            for w in self.windows
-        ]
-
 
 def _ranked(reputations: Mapping[str, float]) -> list[str]:
     return sorted(reputations, key=lambda op: (-reputations[op], op))

@@ -39,5 +39,5 @@ def test_trace_digest_is_pinned(shipped):
 
 def test_signer_sets_are_pinned(shipped):
     name, report = shipped
-    signers = [h["signers"] for epoch in report.epochs for h in epoch.heights]
+    signers = [h["signers"] for epoch in report.epochs for h in epoch["heights"]]
     assert hashlib.sha256(json.dumps(signers).encode()).hexdigest() == GOLDEN_SIGNERS[name]

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -312,7 +313,8 @@ class TestLoadConfig:
         rerun = run_simulation(load_config(json.dumps(report.config)))
         assert rerun.to_dict() == report.to_dict()
         for epoch in rerun.epochs:
-            assert epoch.metrics.payment.total_transactions == pytest.approx(165.92, abs=5e-3)
+            metrics = epoch["metrics"]["payment"]
+            assert metrics["total_transactions"] == pytest.approx(165.92, abs=5e-3)
 
     @pytest.mark.parametrize("path, kind", [
         pytest.param(path, kind, id=_display(path)) for path, kind in _row_paths(_TOP)])
@@ -344,6 +346,10 @@ class TestLoadConfig:
             (("operators", 0, "capacity"), -5.0),
             (("operators", 0, "resources"), float("inf")),
             (("operators", 0, "region_latency"), -1),
+            (("failure_rate_constant",), float("nan")),
+            (("failure_rate_constant",), float("inf")),
+            (("incentives", "submit_fee"), float("nan")),
+            (("incentives", "submit_fee"), float("inf")),
             (("network", "partitions", 0, "end"), -1),
             (("network", "partitions", 0, "end"), 0),
             (("network", "partitions", 0, "members"), []),
@@ -352,6 +358,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(_full_with(path, value))
         assert exc.value.field == _display(path)
+
+    @pytest.mark.parametrize("key", ["deadline", "validation_cost_cap"])
+    def test_nan_payment_bound_names_the_block(self, key):
+        with pytest.raises(ConfigError) as exc:
+            load_config(_full_with(("operators", 0, "payment", key), float("nan")))
+        assert exc.value.field == "operators[0].payment"
+        assert key in str(exc.value)
 
     def test_partition_before_tick_zero_is_rejected(self):
         doc = json.loads(_full_with(("network", "partitions", 0, "start"), -50))
@@ -396,8 +409,8 @@ class TestRunSimulation:
             '"seed": 11', '"seed": 11, "failure_rate_constant": 0.0'))
         report = run_simulation(config)
         for epoch in report.epochs:
-            assert epoch.metrics.sequencer.fault_tolerance == 1.0
-            for height in epoch.heights:
+            assert epoch["metrics"]["sequencer"]["fault_tolerance"] == 1.0
+            for height in epoch["heights"]:
                 assert height["committed"]
 
     def test_silent_validator_slashed_and_excluded_from_signers(self):
@@ -406,12 +419,12 @@ class TestRunSimulation:
                                '"behavior": "silent"}')
         report = run_simulation(load_config(silent))
         first = report.epochs[0]
-        assert all("op-d" not in h["signers"] for h in first.heights)
-        assert any(e.operator_id == "op-d" and e.kind.value == "slash"
-                   for e in first.ledger)
+        assert all("op-d" not in h["signers"] for h in first["heights"])
+        assert any(e["operator"] == "op-d" and e["kind"] == "slash"
+                   for e in first["ledger"])
         baseline = run_simulation(load_config(BASIC))
-        assert len(first.heights[0]["signers"]) \
-            == len(baseline.epochs[0].heights[0]["signers"]) - 1
+        assert len(first["heights"][0]["signers"]) \
+            == len(baseline.epochs[0]["heights"][0]["signers"]) - 1
 
     def test_all_success_monotone_stakes_and_trust(self):
         config = load_config(BASIC.replace(
@@ -420,24 +433,24 @@ class TestRunSimulation:
         prev_stakes = {op.id: op.stake for op in config.operators}
         prev_trusts = {op.id: 0.5 for op in config.operators}
         for epoch in report.epochs:
-            for op, stake in epoch.stakes.items():
+            for op, stake in epoch["stakes"].items():
                 assert stake >= prev_stakes[op] - 1e-9
-            for op, trust in epoch.trusts.items():
+            for op, trust in epoch["trusts"].items():
                 assert trust >= prev_trusts[op] - 1e-9
-            prev_stakes, prev_trusts = epoch.stakes, epoch.trusts
+            prev_stakes, prev_trusts = epoch["stakes"], epoch["trusts"]
 
     def test_payment_scenario_metrics_present(self):
         report = run_simulation(load_config(PAYMENT))
-        assert report.epochs[0].metrics.payment is not None
-        assert report.epochs[0].metrics.payment.revenue_growth is None
-        assert report.epochs[1].metrics.payment.revenue_growth is not None
+        assert "payment" in report.epochs[0]["metrics"]
+        assert report.epochs[0]["metrics"]["payment"]["revenue_growth"] is None
+        assert report.epochs[1]["metrics"]["payment"]["revenue_growth"] is not None
         # static parameters give identical profits epoch over epoch
-        assert report.epochs[1].metrics.payment.revenue_growth == pytest.approx(0.0)
+        assert report.epochs[1]["metrics"]["payment"]["revenue_growth"] == pytest.approx(0.0)
 
     def test_payment_totals_are_per_epoch_not_cumulative(self):
         report = run_simulation(load_config(PAYMENT))
-        first = report.epochs[0].metrics.payment.total_transactions
-        second = report.epochs[1].metrics.payment.total_transactions
+        first = report.epochs[0]["metrics"]["payment"]["total_transactions"]
+        second = report.epochs[1]["metrics"]["payment"]["total_transactions"]
         # Static node params give identical (not accumulating) epoch totals.
         assert second == pytest.approx(first)
         # n1 optimum (1 - 2*0.01)/0.01 = 98, n2 optimum 0.9/0.02 = 45.
@@ -451,7 +464,7 @@ class TestRunSimulation:
         report = run_simulation(load_config(json.dumps(partitioned)))
         # {op-a, op-b} holds 180 of 280 stake; neither side reaches >2/3.
         for epoch in report.epochs:
-            assert all(not h["committed"] for h in epoch.heights)
+            assert all(not h["committed"] for h in epoch["heights"])
 
     @pytest.mark.parametrize("case", ["single-operator", "zero-stake", "zero-gain"])
     def test_edge_case_runs_are_reproducible_and_bounded(self, tmp_path, case):
@@ -628,6 +641,14 @@ def test_readme_names_every_config_field():
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     keys = {path[-1] for path, _ in _row_paths(_TOP)}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_run_path_never_imports_numpy():

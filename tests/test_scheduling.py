@@ -36,13 +36,6 @@ class TestAssign:
         with pytest.raises(DomainError):
             assign_windows({"a": 0.5}, 20, 10, grace_length=6)
 
-    def test_records_export(self):
-        schedule = assign_windows({"a": 0.5, "b": 0.4}, 20, 10)
-        records = schedule.to_records()
-        assert records[0] == {"window_index": 0, "operator": "a", "start": 0,
-                              "end": 10, "is_fallback": False}
-        assert len(records) == 2
-
 
 class TestFallback:
     def test_highest_other_takes_over(self):
