@@ -33,6 +33,11 @@ from .errors import DomainError
 BASE_PHASE_TIMEOUT = 4
 
 
+def _is_tick_count(value: object) -> bool:
+    """True for an int >= 0; ticks are integers, and a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Behavior(Enum):
     HONEST = "honest"
     SILENT = "silent"
@@ -54,8 +59,9 @@ class ValidatorDescriptor:
             self.behavior = Behavior(self.behavior)
         if not math.isfinite(self.stake) or self.stake <= 0:
             raise DomainError(f"validator {self.id}: stake must be finite and > 0")
-        if self.region_latency < 0:
-            raise DomainError(f"validator {self.id}: region_latency must be >= 0")
+        if not _is_tick_count(self.region_latency):
+            raise DomainError(f"validator {self.id}: region_latency must be an integer "
+                              f">= 0, got {self.region_latency!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,9 @@ class NetworkModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability < 1.0:
             raise DomainError("drop_probability must lie in [0, 1)")
-        if self.latency_jitter < 0:
-            raise DomainError("latency_jitter must be >= 0")
+        if not _is_tick_count(self.latency_jitter):
+            raise DomainError("latency_jitter must be an integer >= 0, "
+                              f"got {self.latency_jitter!r}")
 
 
 def quorum_met(signed_stake: float, total_stake: float) -> bool:
@@ -175,43 +182,82 @@ class EventTrace:
 class GossipNetwork:
     """Seeded fan-out delivery between validators.
 
-    Every broadcast schedules one delivery per recipient at the message's
-    tick + sender latency + jitter, independently dropped with the model's
-    probability. Identical seed and call sequence yield an identical
-    delivery trace.
+    A broadcast gives every recipient but the sender a deliver tick of the
+    message's tick + sender latency + uniform jitter, drops it independently
+    with the model's probability, and cuts it when a partition separates
+    sender and recipient at that tick. Draws go recipient by recipient in id
+    order. The recipients one broadcast reaches at one tick share a queue
+    entry that lists them in id order, and entries are numbered in
+    deliver-tick order, so ``step`` hands out deliveries in (deliver tick,
+    broadcast, recipient id) order. A lossless, jitter-free network delivers
+    every recipient at the same tick and draws nothing. Identical seed and
+    call sequence yield an identical delivery trace.
     """
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
         self._model = model
         self._latency = {v.id: v.region_latency for v in validators}
-        self._ids = sorted(self._latency)
+        self._ids = tuple(sorted(self._latency))
+        self._index = {vid: i for i, vid in enumerate(self._ids)}
         self._rng = random.Random(model.rng_seed)
-        # (deliver tick, seq, message, recipient)
-        self._queue: list[tuple[int, int, TraceEvent, str]] = []
+        self._draws = model.latency_jitter > 0 or model.drop_probability > 0
+        # (deliver tick, seq, message, recipients in id order)
+        self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
         self._seq = 0
+        self._pending = 0
         self._last_tick = -1
 
     def broadcast(self, message: TraceEvent,
                   recipients: Iterable[str] | None = None) -> None:
         sender = message.sender
-        if sender not in self._latency:
+        index = self._index.get(sender)
+        if index is None:
             raise DomainError(f"unknown sender {sender}")
-        if recipients is not None:
-            recipients = sorted(set(recipients))
-            for recipient in recipients:
-                if recipient not in self._latency:
+        if recipients is None:
+            targets: Sequence[str] = self._ids[:index] + self._ids[index + 1:]
+        else:
+            targets = sorted(set(recipients))
+            for recipient in targets:
+                if recipient not in self._index:
                     raise DomainError(f"unknown recipient {recipient}")
+            targets = [r for r in targets if r != sender]
         send_tick = message.tick + self._latency[sender]
-        for recipient in self._ids if recipients is None else recipients:
-            if recipient == sender:
-                continue
-            jitter = self._rng.randint(0, self._model.latency_jitter)
-            dropped = self._rng.random() < self._model.drop_probability
-            deliver_tick = send_tick + jitter
-            if dropped or self._partitioned(sender, recipient, deliver_tick):
-                continue
-            heapq.heappush(self._queue, (deliver_tick, self._seq, message, recipient))
+        if not self._draws:
+            self._push(send_tick, message, targets)
+            return
+        groups = self._draw(send_tick, targets)
+        for deliver_tick in sorted(groups):
+            self._push(deliver_tick, message, groups[deliver_tick])
+
+    def _draw(self, send_tick: int, targets: Sequence[str]) -> dict[int, list[str]]:
+        """Deliver tick -> recipients that survive their drop draw.
+
+        Each recipient draws its jitter, then its drop. The jitter draw is
+        ``Random.randint(0, latency_jitter)`` written out as CPython's
+        ``_randbelow_with_getrandbits`` (3.10 to 3.12), so it consumes the
+        stream exactly as ``randint`` does.
+        """
+        bound = self._model.latency_jitter + 1
+        bits = bound.bit_length()
+        drop = self._model.drop_probability
+        getrandbits, uniform = self._rng.getrandbits, self._rng.random
+        groups: dict[int, list[str]] = {}
+        for recipient in targets:
+            jitter = getrandbits(bits)
+            while jitter >= bound:
+                jitter = getrandbits(bits)
+            if uniform() >= drop:
+                groups.setdefault(send_tick + jitter, []).append(recipient)
+        return groups
+
+    def _push(self, deliver_tick: int, message: TraceEvent, group: Sequence[str]) -> None:
+        if self._model.partition_schedule:
+            group = [r for r in group
+                     if not self._partitioned(message.sender, r, deliver_tick)]
+        if group:
+            heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
             self._seq += 1
+            self._pending += len(group)
 
     def _partitioned(self, sender: str, recipient: str, tick: int) -> bool:
         for spec in self._model.partition_schedule:
@@ -230,14 +276,18 @@ class GossipNetwork:
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
-        delivered = []
-        while self._queue and self._queue[0][0] <= tick:
-            delivered.append(heapq.heappop(self._queue)[2:])
+        queue = self._queue
+        delivered: list[tuple[TraceEvent, str]] = []
+        while queue and queue[0][0] <= tick:
+            _, _, message, group = heapq.heappop(queue)
+            delivered.extend([(message, recipient) for recipient in group])
+        self._pending -= len(delivered)
         return delivered
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """Deliveries queued and not yet stepped out."""
+        return self._pending
 
     @property
     def next_tick(self) -> int | None:

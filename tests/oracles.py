@@ -4,15 +4,18 @@ These deliberately avoid the library's solution paths: welfare maximization
 is done on a discrete grid (greedy marginal allocation, exact for separable
 concave objectives, cross-checked against exhaustive enumeration), gradients
 come from central finite differences, throughput optima from an integer
-scan, the paper's allocation method is projected gradient ascent, and a
-consensus height advances one tick at a time.
+scan, the paper's allocation method is projected gradient ascent, a
+consensus height advances one tick at a time, and gossip queues one delivery
+per recipient with ``randint`` jitter.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 
+from opsim import DomainError
 from opsim.consensus import (Behavior, EventTrace, GossipNetwork, _EquivocatingNode,
                              _finish_height, _HeightContext, _HonestNode, batch_digest,
                              phase_timeout)
@@ -183,3 +186,67 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
                 target.on_message(message, tick)
 
     return _finish_height(ctx, last_tick)
+
+
+class PerRecipientGossip:
+    """``GossipNetwork`` with one queue entry per delivery and no shortcuts.
+
+    Every recipient but the sender, in id order, draws
+    ``randint(0, latency_jitter)`` and then its drop, on every network, and
+    is queued under its own (deliver tick, seq) key unless dropped or cut
+    off by a partition.
+    """
+
+    def __init__(self, model, validators):
+        self._model = model
+        self._latency = {v.id: v.region_latency for v in validators}
+        self._ids = sorted(self._latency)
+        self._rng = random.Random(model.rng_seed)
+        self._queue = []  # (deliver tick, seq, message, recipient)
+        self._seq = 0
+        self._last_tick = -1
+
+    def broadcast(self, message, recipients=None):
+        sender = message.sender
+        if sender not in self._latency:
+            raise DomainError(f"unknown sender {sender}")
+        if recipients is not None:
+            recipients = sorted(set(recipients))
+            for recipient in recipients:
+                if recipient not in self._latency:
+                    raise DomainError(f"unknown recipient {recipient}")
+        send_tick = message.tick + self._latency[sender]
+        for recipient in self._ids if recipients is None else recipients:
+            if recipient == sender:
+                continue
+            jitter = self._rng.randint(0, self._model.latency_jitter)
+            dropped = self._rng.random() < self._model.drop_probability
+            deliver_tick = send_tick + jitter
+            if dropped or self._partitioned(sender, recipient, deliver_tick):
+                continue
+            heapq.heappush(self._queue, (deliver_tick, self._seq, message, recipient))
+            self._seq += 1
+
+    def _partitioned(self, sender, recipient, tick):
+        for spec in self._model.partition_schedule:
+            if spec.start_tick <= tick < spec.end_tick:
+                if (sender in spec.members) != (recipient in spec.members):
+                    return True
+        return False
+
+    def step(self, tick):
+        if tick < self._last_tick:
+            raise DomainError("gossip steps must use non-decreasing ticks")
+        self._last_tick = tick
+        delivered = []
+        while self._queue and self._queue[0][0] <= tick:
+            delivered.append(heapq.heappop(self._queue)[2:])
+        return delivered
+
+    @property
+    def pending(self):
+        return len(self._queue)
+
+    @property
+    def next_tick(self):
+        return self._queue[0][0] if self._queue else None

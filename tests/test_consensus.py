@@ -10,7 +10,7 @@ from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, Gossi
                    NetworkModel, PartitionSpec, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
 from opsim import consensus
-from oracles import run_height_ticked, stake_quorum
+from oracles import PerRecipientGossip, run_height_ticked, stake_quorum
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 
@@ -46,8 +46,82 @@ class TestTypes:
         with pytest.raises(DomainError):
             NetworkModel(latency_jitter=-1)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+    def test_latency_jitter_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="latency_jitter must be an integer"):
+            NetworkModel(latency_jitter=value)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, 1.0, False, "1", None])
+    def test_region_latency_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(DomainError, match="validator v: region_latency must be an integer"):
+            ValidatorDescriptor(id="v", stake=1.0, region_latency=value)
+
+
+@st.composite
+def gossip_runs(draw):
+    """A network and its calls: ("broadcast", sender, recipients) or ("step", advance, None).
+
+    ``recipients`` is None (everyone) or a list that may repeat ids and name
+    the sender.
+    """
+    n = draw(st.integers(1, 12))
+    ids = [f"v{i}" for i in range(n)]
+    validators = [ValidatorDescriptor(id=vid, stake=1.0, region_latency=draw(st.integers(0, 3)))
+                  for vid in ids]
+    partitions = tuple(
+        PartitionSpec(start, start + length, frozenset(members))
+        for start, length, members in draw(st.lists(
+            st.tuples(st.integers(0, 20), st.integers(1, 20),
+                      st.sets(st.sampled_from(ids), min_size=1)), max_size=2)))
+    model = NetworkModel(drop_probability=draw(st.just(0.0) | st.floats(0.0, 0.5)),
+                         latency_jitter=draw(st.integers(0, 3)),
+                         rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
+                         partition_schedule=partitions)
+    broadcast = st.tuples(st.just("broadcast"), st.sampled_from(ids),
+                          st.none() | st.lists(st.sampled_from(ids), max_size=n + 2))
+    step = st.tuples(st.just("step"), st.integers(0, 3), st.none())
+    return validators, model, draw(st.lists(broadcast | step, max_size=40))
+
+
+def fixed_gossip_run(latency_jitter, drop_probability):
+    """Eight validators and 200 seeded calls over a network with the given draws."""
+    rng = random.Random(7)
+    ids = [f"v{i}" for i in range(8)]
+    validators = [ValidatorDescriptor(id=vid, stake=1.0, region_latency=rng.randint(0, 3))
+                  for vid in ids]
+    model = NetworkModel(drop_probability=drop_probability, latency_jitter=latency_jitter,
+                         rng_seed=11)
+    calls = [("broadcast", rng.choice(ids),
+              None if rng.random() < 0.7 else rng.sample(ids, rng.randint(0, 8)))
+             if rng.random() < 0.6 else ("step", rng.randint(0, 3), None)
+             for _ in range(200)]
+    return validators, model, calls
+
 
 class TestGossip:
+    @settings(max_examples=200, deadline=None)
+    @given(run=gossip_runs())
+    # Skipping the draws is exact only when both are zero: with either one
+    # nonzero, the stream the other reads depends on them.
+    @example(run=fixed_gossip_run(latency_jitter=0, drop_probability=0.3))
+    @example(run=fixed_gossip_run(latency_jitter=2, drop_probability=0.0))
+    @example(run=fixed_gossip_run(latency_jitter=0, drop_probability=0.0))
+    def test_matches_per_recipient_oracle(self, run):
+        validators, model, calls = run
+        net, oracle = GossipNetwork(model, validators), PerRecipientGossip(model, validators)
+        tick = 0
+        for i, (call, arg, recipients) in enumerate(calls + [("step", 30, None)]):
+            if call == "broadcast":
+                message = TraceEvent(tick, "prevote", 0, 0, arg, f"m{i}")
+                net.broadcast(message, recipients)
+                oracle.broadcast(message, recipients)
+            else:
+                tick += arg
+                assert net.step(tick) == oracle.step(tick)
+            assert net.pending == oracle.pending
+            assert net.next_tick == oracle.next_tick
+        assert net.pending == 0
+
     def test_lossless_unit_latency_delivers_once(self):
         validators = make_validators(["honest"] * 3, latency=1)
         net = GossipNetwork(LOSSLESS, validators)
