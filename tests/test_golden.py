@@ -1,8 +1,12 @@
-"""The shipped configs' trace digests and commit signer sets, pinned in full.
+"""The shipped configs' trace digests, signer sets and reports, pinned in full.
 
 A change that moves either digest changes simulated behaviour and must
 re-pin it here on purpose. ``trace_digest`` does not cover the signer set
-of each height's commit certificate, so that is pinned separately.
+of each height's commit certificate, so that is pinned separately. Nor does
+it cover what the report derives from the trace: metrics, ledger, stakes,
+trusts, aggregation, allocation and windows. The written JSON and CSV
+reports are pinned byte for byte, so a change that moves any of those
+numbers re-pins them on purpose too.
 """
 
 import hashlib
@@ -11,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from opsim import load_config, run_simulation
+from opsim import load_config, run_simulation, write_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,6 +28,18 @@ GOLDEN = {
 GOLDEN_SIGNERS = {
     "sequencer.json": "75d2d2728c5289d8b36a22b5ac8551a4e68f41c1445c15be4da4726c582d3916",
     "payment.json": "caf0247346217b27cf2bedfd0e365437b6c81c871317f3a285751348c3c0664e",
+}
+
+# SHA-256 of the report file that write_report writes, per format.
+GOLDEN_REPORTS = {
+    "sequencer.json": {
+        "json": "383749f36acc8e8d6bfeee0a6fbb0fd72cecd70d1e74da15f12712a87705981f",
+        "csv": "9b74276771be83a0a194a324f314666ac0e70697427efbea082e7dee7b850292",
+    },
+    "payment.json": {
+        "json": "3f62b451aec27bea3f3c1e595e94adf33dc03266db76478a99aff1554850e6d0",
+        "csv": "346e65bb441d61140cc00ed58d5957aa15324d115a0406a3587adaf8e3ed4271",
+    },
 }
 
 
@@ -41,3 +57,11 @@ def test_signer_sets_are_pinned(shipped):
     name, report = shipped
     signers = [h["signers"] for epoch in report.epochs for h in epoch["heights"]]
     assert hashlib.sha256(json.dumps(signers).encode()).hexdigest() == GOLDEN_SIGNERS[name]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_bytes_are_pinned(shipped, fmt, tmp_path):
+    name, report = shipped
+    path = tmp_path / f"report.{fmt}"
+    write_report(report, fmt, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[name][fmt]
