@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, DomainError, OpsimError
 from .harness import load_config, read_report, run_simulation, write_report
@@ -40,15 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.seed is not None or args.epochs is not None:
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.epochs is not None:
-            if args.epochs < 0:
-                raise ConfigError("epochs must be >= 0", field="epochs")
-            overrides["epochs"] = args.epochs
-        config = replace(config, **overrides)
+    overrides = {key: value for key, value in (("seed", args.seed), ("epochs", args.epochs))
+                 if value is not None}
+    if overrides:
+        # The echoed config reloads to an equal one, so overrides pass load_config's checks.
+        config = load_config(json.dumps(dict(config.to_dict(), **overrides)))
     report = run_simulation(config)
     write_report(report, args.format, args.out)
     print(f"wrote {args.format} report for {config.epochs} epoch(s) to {args.out} "

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from operator import attrgetter
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
@@ -33,7 +33,7 @@ from .scenarios import (FAILURE_RATE_CONSTANT, PaymentMetrics, PaymentNodeParams
                         PaymentWindowLog, SequencerMetrics, SequencerRunLog,
                         failure_probability, optimize_throughput, payment_metrics,
                         payment_utility, sequencer_metrics)
-from .scheduling import apply_fallback, assign_windows, on_window_miss
+from .scheduling import Schedule, apply_fallback, assign_windows, on_window_miss
 
 SCENARIOS = ("sequencer", "payment")
 
@@ -298,8 +298,8 @@ def load_config(source: str | Path) -> RunConfig:
     """
     if isinstance(source, Path) or not source.lstrip().startswith("{"):
         try:
-            text = Path(source).read_text()
-        except OSError as exc:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {source}: {exc}") from exc
     else:
         text = source
@@ -403,12 +403,7 @@ class RunReport:
     trace_digest: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "epochs": list(self.epochs),
-            "ledger_totals": self.ledger_totals,
-            "trace_digest": self.trace_digest,
-        }
+        return dict(vars(self), epochs=list(self.epochs))
 
 
 def _scaled_tasks(tasks: Sequence[TaskSpec], scale: Mapping[str, float]) -> list[TaskSpec]:
@@ -425,15 +420,14 @@ _TOTALS = {EntryKind.REWARD: "rewards", EntryKind.FEE: "fees", EntryKind.SLASH: 
 
 
 def run_simulation(config: RunConfig) -> RunReport:
-    """Run every epoch of the configured scenario deterministically."""
+    """Run every epoch deterministically; only state that outlives an epoch lives here."""
     failure_rng = random.Random(fork_seed(config.seed, "failures"))
     reputation = config.incentives.reputation
     operators = sorted(config.operators, key=lambda o: o.id)
 
+    # An epoch's starting trusts also scale its task gains and weight its aggregation.
     trusts = {op.id: op.trust for op in config.operators}
     stakes = {op.id: op.stake for op in config.operators}
-    # Aggregation weights, and also the per-operator scale of the task gains.
-    aggregation_weights = dict(trusts)
     task_values = {t.id: t.value for t in config.tasks}
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
 
@@ -447,9 +441,7 @@ def run_simulation(config: RunConfig) -> RunReport:
         separator = b"\n"
 
     epoch_reports: list[dict[str, Any]] = []
-    previous_payment_log: PaymentWindowLog | None = None
     totals = dict.fromkeys(_TOTALS.values(), 0.0)
-    height_index = 0
 
     for epoch in range(config.epochs):
         agents = [
@@ -457,104 +449,16 @@ def run_simulation(config: RunConfig) -> RunReport:
                           capacity=op.capacity, resources=op.resources)
             for op in operators
         ]
-        # Stakes change only at settlement, so one roster serves the epoch.
-        validators = [
-            ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
-                                behavior=Behavior(op.behavior),
-                                region_latency=op.region_latency)
-            for op in operators
-        ]
-        tasks = _scaled_tasks(config.tasks, aggregation_weights)
+        tasks = _scaled_tasks(config.tasks, trusts)
         allocation, convergence = solve_allocation(agents, tasks, config.weights)
         stability = hessian_stability(agents, tasks, config.weights, allocation)
 
         schedule = assign_windows(trusts, horizon, config.schedule.window_length,
                                   config.schedule.grace_length)
-        epoch_base_tick = epoch * horizon
-
-        # Submissions and faults are recorded once, as settlement events.
-        events: list[SettlementEvent] = []
-        window_records: list[dict] = []
-        height_records: list[dict] = []
-
-        def attempt(operator_id: str, tick: int, kinds: tuple[str, str],
-                    height: int, window_index: int) -> bool:
-            """Draw one submission and record it; ``kinds`` label (submitted, missed)."""
-            missed = failure_rng.random() < failure_probability(
-                trusts[operator_id], config.failure_rate_constant)
-            kind = EventKind.MISS if missed else EventKind.SUBMIT_SUCCESS
-            events.append(SettlementEvent(kind, operator_id, tick))
-            emit(f"{tick},{kinds[missed]},{height},{window_index},{operator_id},-")
-            return not missed
-
-        for window_slot in range(len(schedule.windows)):
-            window = schedule.windows[window_slot]
-            window_tick = epoch_base_tick + window.start_tick
-            batch = [f"tx:{epoch}:{window.window_index}:{j}"
-                     for j in range(max(1, len(config.operators)))]
-            height_trace = EventTrace()
-            net = replace(config.network,
-                          rng_seed=fork_seed(config.seed, f"net:{epoch}:{window.window_index}"))
-            outcome = run_height(validators, batch, net, config.max_rounds,
-                                 height=height_index, trace=height_trace)
-            for line in height_trace.to_lines():
-                emit(line)
-            height_records.append({
-                "height": height_index,
-                "window_index": window.window_index,
-                "committed": outcome.committed,
-                "digest": outcome.batch_digest,
-                "rounds_used": outcome.rounds_used,
-                "ticks_elapsed": outcome.ticks_elapsed,
-                "signers": sorted(outcome.signature.signer_set)
-                if outcome.signature else [],
-            })
-
-            for fault in height_trace.faults:
-                events.append(SettlementEvent(EventKind.CONSENSUS_FAULT,
-                                              fault.sender, window_tick))
-
-            record = {"window_index": window.window_index,
-                      "operator": window.operator_id,
-                      "start": window_tick,
-                      "end": epoch_base_tick + window.end_tick,
-                      "committed": outcome.committed,
-                      "submitted": False, "fallback": None}
-            if outcome.committed:
-                height, index = height_index, window.window_index
-                submitted = attempt(window.operator_id, window_tick,
-                                    ("submit", "window-miss"), height, index)
-                record["submitted"] = submitted
-                fallback = None if submitted else on_window_miss(schedule, window, trusts)
-                if fallback is not None:
-                    schedule = apply_fallback(schedule, fallback)
-                    fb_tick = epoch_base_tick + fallback.start_tick
-                    rescued = attempt(fallback.operator_id, fb_tick,
-                                      ("fallback-submit", "unrecoverable-miss"), height, index)
-                    record["fallback"] = {"operator": fallback.operator_id, "submitted": rescued}
-                elif not submitted:
-                    emit(f"{window_tick},unrecoverable-miss,{height},{index},"
-                         f"{window.operator_id},-")
-            window_records.append(record)
-            height_index += 1
-
-        # One scoring pass. Every operator with positive allocation shares the
-        # task pool by performance score; each agent's (consensus score,
-        # performance score, cost) sums, in task order, feed the metrics.
-        epoch_end_tick = epoch_base_tick + horizon
-        work = {a.id: [0.0, 0.0, 0.0] for a in agents}
-        for task in tasks:
-            for agent in agents:
-                units = allocation.get(agent.id, task.id)
-                consensus, performance = evaluate_scores(agent, task, units)
-                sums = work[agent.id]
-                sums[0] += consensus
-                sums[1] += performance
-                sums[2] += task.cost_rate * units
-                if units > 0:
-                    events.append(SettlementEvent(EventKind.TASK_COMPLETE, agent.id,
-                                                  epoch_end_tick, task_id=task.id,
-                                                  score=performance))
+        events, window_records, height_records = _submissions(
+            config, operators, stakes, trusts, schedule, epoch, failure_rng, emit)
+        epoch_end_tick = (epoch + 1) * horizon
+        work = _score(agents, tasks, allocation, epoch_end_tick, events)
 
         ledger, stakes = settle(events, agents, task_values, reputation,
                                 config.incentives.submit_fee)
@@ -563,26 +467,24 @@ def run_simulation(config: RunConfig) -> RunReport:
 
         # Trust folds each operator's outcomes in event order: 1 for a
         # submission, 0 for a miss or a consensus fault.
-        trusts = {
+        updated = {
             op: update_trust([float(e.kind is EventKind.SUBMIT_SUCCESS) for e in events
                               if e.operator_id == op
                               and e.kind is not EventKind.TASK_COMPLETE],
                              reputation, start=trusts[op])
             for op in sorted(trusts)
         }
-
-        operator_outputs = {a.id: allocation.operator_total(a.id) for a in agents}
-        aggregation = make_aggregation_report(epoch_end_tick, operator_outputs,
-                                              aggregation_weights)
-        aggregation_weights = feedback_iterate(trusts, aggregation_weights)
+        outputs = {a.id: allocation.operator_total(a.id) for a in agents}
+        aggregation = make_aggregation_report(epoch_end_tick, outputs, trusts)
+        trusts = feedback_iterate(updated, trusts)
 
         if config.scenario == "sequencer":
             missed = {e.operator_id for e in events if e.kind is EventKind.MISS}
-            metrics = _sequencer_metrics(agents, allocation, work, missed)
+            metrics = _sequencer_metrics(agents, outputs, work, missed)
         else:
-            payment_log = _payment_log(operators)
-            metrics = _payment_metrics(payment_log, previous_payment_log)
-            previous_payment_log = payment_log
+            if epoch == 0:  # not before: an epoch-free run must not need them
+                payment_sections = _payment_sections(operators)
+            metrics = {"payment": dict(payment_sections[epoch > 0])}
         # ``vars`` copies no nested value, unlike ``asdict``.
         epoch_reports.append({
             "epoch": epoch,
@@ -606,14 +508,109 @@ def run_simulation(config: RunConfig) -> RunReport:
                      trace_digest=trace_hash.hexdigest())
 
 
-def _sequencer_metrics(agents: Sequence[OperatorState], allocation: AllocationVector,
+def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
+                 stakes: Mapping[str, float], trusts: Mapping[str, float],
+                 schedule: Schedule, epoch: int, failure_rng: random.Random,
+                 emit: Callable[[str], None]) -> tuple[list[SettlementEvent], list, list]:
+    """Per window, a consensus height and, once it commits, the submission draws."""
+    # Stakes change only at settlement, so one roster serves the epoch.
+    validators = [
+        ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
+                            behavior=Behavior(op.behavior),
+                            region_latency=op.region_latency)
+        for op in operators
+    ]
+    epoch_base_tick = epoch * schedule.horizon_ticks
+    # Submissions and faults are recorded once, as settlement events.
+    events: list[SettlementEvent] = []
+    window_records: list[dict] = []
+    height_records: list[dict] = []
+
+    def attempt(operator_id: str, tick: int, kinds: tuple[str, str]) -> bool:
+        """Draw one submission in the current window; ``kinds`` label (submitted, missed)."""
+        missed = failure_rng.random() < failure_probability(
+            trusts[operator_id], config.failure_rate_constant)
+        kind = EventKind.MISS if missed else EventKind.SUBMIT_SUCCESS
+        events.append(SettlementEvent(kind, operator_id, tick))
+        emit(f"{tick},{kinds[missed]},{height},{index},{operator_id},-")
+        return not missed
+
+    for window_slot in range(len(schedule.windows)):
+        window = schedule.windows[window_slot]
+        index, window_tick = window.window_index, epoch_base_tick + window.start_tick
+        height = epoch * config.schedule.windows_per_epoch + window_slot
+        batch = [f"tx:{epoch}:{index}:{j}" for j in range(len(config.operators))]
+        height_trace = EventTrace()
+        net = replace(config.network, rng_seed=fork_seed(config.seed, f"net:{epoch}:{index}"))
+        outcome = run_height(validators, batch, net, config.max_rounds,
+                             height=height, trace=height_trace)
+        for line in height_trace.to_lines():
+            emit(line)
+        height_records.append({
+            "height": height,
+            "window_index": index,
+            "committed": outcome.committed,
+            "digest": outcome.batch_digest,
+            "rounds_used": outcome.rounds_used,
+            "ticks_elapsed": outcome.ticks_elapsed,
+            "signers": sorted(outcome.signature.signer_set)
+            if outcome.signature else [],
+        })
+
+        for fault in height_trace.faults:
+            events.append(SettlementEvent(EventKind.CONSENSUS_FAULT,
+                                          fault.sender, window_tick))
+
+        record = {"window_index": index,
+                  "operator": window.operator_id,
+                  "start": window_tick,
+                  "end": epoch_base_tick + window.end_tick,
+                  "committed": outcome.committed,
+                  "submitted": False, "fallback": None}
+        if outcome.committed:
+            submitted = attempt(window.operator_id, window_tick, ("submit", "window-miss"))
+            record["submitted"] = submitted
+            fallback = None if submitted else on_window_miss(schedule, window, trusts)
+            if fallback is not None:
+                schedule = apply_fallback(schedule, fallback)
+                rescued = attempt(fallback.operator_id, epoch_base_tick + fallback.start_tick,
+                                  ("fallback-submit", "unrecoverable-miss"))
+                record["fallback"] = {"operator": fallback.operator_id, "submitted": rescued}
+            elif not submitted:
+                emit(f"{window_tick},unrecoverable-miss,{height},{index},"
+                     f"{window.operator_id},-")
+        window_records.append(record)
+    return events, window_records, height_records
+
+
+def _score(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
+           allocation: AllocationVector, tick: int,
+           events: list[SettlementEvent]) -> dict[str, list[float]]:
+    """Each agent's (consensus, performance, cost) sums, in task order; every
+    positive allocation appends a task-complete event at ``tick`` to ``events``."""
+    work = {a.id: [0.0, 0.0, 0.0] for a in agents}
+    for task in tasks:
+        for agent in agents:
+            units = allocation.get(agent.id, task.id)
+            consensus, performance = evaluate_scores(agent, task, units)
+            sums = work[agent.id]
+            sums[0] += consensus
+            sums[1] += performance
+            sums[2] += task.cost_rate * units
+            if units > 0:
+                events.append(SettlementEvent(EventKind.TASK_COMPLETE, agent.id, tick,
+                                              task_id=task.id, score=performance))
+    return work
+
+
+def _sequencer_metrics(agents: Sequence[OperatorState], outputs: Mapping[str, float],
                        work: Mapping[str, Sequence[float]], missed: set[str]) -> dict:
     """The epoch's metrics section over the agents that scored; {} if none did."""
     active = [a.id for a in agents if work[a.id][0] + work[a.id][1] > 0]
     if not active:
         return {}
     log = SequencerRunLog(
-        outputs={a: allocation.operator_total(a) for a in active},
+        outputs={a: outputs[a] for a in active},
         consensus_scores={a: work[a][0] for a in active},
         performance_scores={a: work[a][1] for a in active},
         failures=len(missed.intersection(active)),
@@ -622,8 +619,10 @@ def _sequencer_metrics(agents: Sequence[OperatorState], allocation: AllocationVe
     return {"sequencer": dict(vars(sequencer_metrics(log)))}
 
 
-def _payment_log(operators: Sequence[OperatorConfig]) -> PaymentWindowLog:
-    """Each operator's epoch at its utility-maximizing throughput."""
+def _payment_sections(operators: Sequence[OperatorConfig]) -> tuple[dict, dict]:
+    """Payment metrics of epoch 0 and of every later epoch, at each operator's
+    utility-maximizing throughput; that reads only static config, so all
+    epochs share one log and later growth compares two equal logs."""
     transactions: dict[str, float] = {}
     validation_costs: dict[str, float] = {}
     errors: dict[str, float] = {}
@@ -638,17 +637,10 @@ def _payment_log(operators: Sequence[OperatorConfig]) -> PaymentWindowLog:
         errors[op.id] = params.expected_errors(best)
         penalties[op.id] = params.penalty(best)
         profit += payment_utility(params, best)
-    return PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
-                            errors=errors, penalties=penalties, profit=profit)
-
-
-def _payment_metrics(log: PaymentWindowLog,
-                     previous: PaymentWindowLog | None) -> dict:
-    """The epoch's metrics section: this epoch's totals, growth since the previous."""
-    metrics = dict(vars(payment_metrics([log])))
-    if previous is not None:
-        metrics["revenue_growth"] = payment_metrics([previous, log]).revenue_growth
-    return {"payment": metrics}
+    log = PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
+                           errors=errors, penalties=penalties, profit=profit)
+    first = dict(vars(payment_metrics([log])))
+    return first, dict(first, revenue_growth=payment_metrics([log, log]).revenue_growth)
 
 
 # --- Report output ------------------------------------------------------------
@@ -683,9 +675,15 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> dict[str, Any]:
-    """Load a JSON report document."""
+    """Load a JSON report document: an object holding every top-level key."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read report file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report parse error at line {exc.lineno}: {exc.msg}",
                           line=exc.lineno, column=exc.colno) from exc
+    for key in ("config", "epochs", "ledger_totals", "trace_digest"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"report {path} is not a JSON object holding '{key}'", field=key)
+    return doc

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opsim import ConfigError, fork_seed, load_config, read_report, run_simulation, write_report
+from opsim import (ConfigError, DomainError, fork_seed, load_config, read_report, run_simulation,
+                   write_report)
 from opsim.cli import main as cli_main
 from opsim.harness import _TOP
 
@@ -98,6 +100,22 @@ EDGE_CASES = {
         "tasks": [{"id": "t", "resource_cap": 3.0, "value": 7.0,
                    "consensus_gain": 0.0, "performance_gain": 0.0}]},
 }
+
+# Low trust, a high failure rate, Byzantine validators and a lossy network:
+# misses, fallbacks and slashes move trust in every epoch.
+FAILURE_HEAVY = {
+    "scenario": "sequencer", "seed": 7, "epochs": 4, "failure_rate_constant": 1.5,
+    "network": {"drop_probability": 0.2, "latency_jitter": 2},
+    "operators": [{"id": "a", "stake": 40.0, "trust": 0.2},
+                  {"id": "b", "stake": 30.0, "trust": 0.9},
+                  {"id": "c", "stake": 30.0, "behavior": "equivocating"},
+                  {"id": "d", "stake": 20.0, "trust": 0.05},
+                  {"id": "e", "stake": 10.0, "behavior": "silent"}],
+    "tasks": [{"id": "t", "resource_cap": 6.0, "value": 9.0}],
+}
+
+# A UTF-16 byte-order mark: not UTF-8 text.
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
 WRONG_KIND = {"number": "1.0", "integer": 1.5, "string": 7, "list": "x",
               "object": ["x"], "raw": "x"}
@@ -390,6 +408,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
+    def test_non_utf8_file_is_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(ConfigError, match="config.json"):
+            load_config(str(path))
+
 
 class TestRunSimulation:
     def test_identical_runs_byte_identical(self):
@@ -489,6 +513,27 @@ class TestRunSimulation:
                 assert epoch["metrics"] == {}
                 assert all(e["reason"] != "task-complete" for e in epoch["ledger"])
 
+    @pytest.mark.parametrize("text", [BASIC, json.dumps(FAILURE_HEAVY)],
+                             ids=["basic", "failure-heavy"])
+    def test_aggregation_weights_are_the_epochs_starting_trusts(self, text):
+        config = load_config(text)
+        starting = {op.id: op.trust for op in config.operators}
+        epochs = run_simulation(config).epochs
+        assert epochs[-1]["trusts"] != starting
+        for epoch in epochs:
+            assert epoch["aggregation"]["weights"] == starting
+            starting = epoch["trusts"]
+
+    def test_payment_optimum_is_needed_only_once_an_epoch_runs(self):
+        # Zero validation cost and unbounded capacity have no optimum.
+        doc = json.loads(PAYMENT)
+        doc["operators"][1]["payment"].update(validation_cost_coeff=0.0, capacity=math.inf)
+        doc["epochs"] = 0
+        assert run_simulation(load_config(json.dumps(doc))).epochs == ()
+        doc["epochs"] = 1
+        with pytest.raises(DomainError, match="unbounded"):
+            run_simulation(load_config(json.dumps(doc)))
+
     def test_zero_epochs_gives_empty_report(self):
         config = load_config(MINIMAL.replace('"scenario": "sequencer",',
                                              '"scenario": "sequencer", "epochs": 0,'))
@@ -568,6 +613,23 @@ class TestReports:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == metrics * len(report.epochs)
 
+    def test_non_utf8_report_is_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(ConfigError, match="report.json"):
+            read_report(path)
+
+    @pytest.mark.parametrize("doc, key", [
+        ([], "config"), ("config epochs", "config"), ({"config": {}}, "epochs"),
+        ({"config": {}, "epochs": [], "trace_digest": ""}, "ledger_totals"),
+        ({"config": {}, "epochs": [], "ledger_totals": {}}, "trace_digest")])
+    def test_json_that_is_not_a_report_names_the_missing_key(self, tmp_path, doc, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"'{key}'") as exc:
+            read_report(path)
+        assert exc.value.field == key
+
     def test_float_precision_roundtrip(self, tmp_path):
         report = run_simulation(load_config(BASIC))
         out = tmp_path / "report.json"
@@ -627,6 +689,29 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path), "--epochs", "3",
                          "--out", str(out_path)]) == 0
         assert len(read_report(out_path)["epochs"]) == 3
+
+    def test_negative_epoch_override_names_epochs(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(BASIC)
+        code = cli_main(["run", "--config", str(config_path), "--epochs", "-1",
+                         "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, content", [
+        pytest.param("validate", NOT_UTF8, id="validate-not-utf8"),
+        pytest.param("metrics", NOT_UTF8, id="metrics-not-utf8"),
+        pytest.param("metrics", b"[]", id="metrics-list"),
+        pytest.param("metrics", b'{"config": {}}', id="metrics-partial"),
+        pytest.param("metrics", BASIC.encode(), id="metrics-on-a-config")])
+    def test_unusable_input_is_a_config_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        flag = "--config" if command == "validate" else "--report"
+        assert cli_main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input.json" in err
 
     def test_unwritable_destination_runtime_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
