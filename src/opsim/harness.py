@@ -455,8 +455,10 @@ def run_simulation(config: RunConfig) -> RunReport:
 
         schedule = assign_windows(trusts, horizon, config.schedule.window_length,
                                   config.schedule.grace_length)
-        events, window_records, height_records = _submissions(
-            config, operators, stakes, trusts, schedule, epoch, failure_rng, emit)
+        # Submissions and faults are recorded once, as settlement events.
+        events: list[SettlementEvent] = []
+        window_records, height_records = _submissions(
+            config, operators, stakes, trusts, schedule, epoch, failure_rng, emit, events)
         epoch_end_tick = (epoch + 1) * horizon
         work = _score(agents, tasks, allocation, epoch_end_tick, events)
 
@@ -511,8 +513,9 @@ def run_simulation(config: RunConfig) -> RunReport:
 def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                  stakes: Mapping[str, float], trusts: Mapping[str, float],
                  schedule: Schedule, epoch: int, failure_rng: random.Random,
-                 emit: Callable[[str], None]) -> tuple[list[SettlementEvent], list, list]:
-    """Per window, a consensus height and, once it commits, the submission draws."""
+                 emit: Callable[[str], None],
+                 events: list[SettlementEvent]) -> tuple[list[dict], list[dict]]:
+    """Each window's consensus height and submission draws; their events join ``events``."""
     # Stakes change only at settlement, so one roster serves the epoch.
     validators = [
         ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
@@ -521,8 +524,6 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
         for op in operators
     ]
     epoch_base_tick = epoch * schedule.horizon_ticks
-    # Submissions and faults are recorded once, as settlement events.
-    events: list[SettlementEvent] = []
     window_records: list[dict] = []
     height_records: list[dict] = []
 
@@ -580,14 +581,13 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                 emit(f"{window_tick},unrecoverable-miss,{height},{index},"
                      f"{window.operator_id},-")
         window_records.append(record)
-    return events, window_records, height_records
+    return window_records, height_records
 
 
 def _score(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
            allocation: AllocationVector, tick: int,
            events: list[SettlementEvent]) -> dict[str, list[float]]:
-    """Each agent's (consensus, performance, cost) sums, in task order; every
-    positive allocation appends a task-complete event at ``tick`` to ``events``."""
+    """Each agent's (consensus, performance, cost) sums; task completions join ``events``."""
     work = {a.id: [0.0, 0.0, 0.0] for a in agents}
     for task in tasks:
         for agent in agents:
