@@ -30,9 +30,8 @@ from .errors import ConfigError, DomainError
 from .incentives import (EntryKind, EventKind, ReputationParams, SettlementEvent,
                          feedback_iterate, make_aggregation_report, settle, update_trust)
 from .scenarios import (FAILURE_RATE_CONSTANT, PaymentMetrics, PaymentNodeParams,
-                        PaymentWindowLog, SequencerMetrics, SequencerRunLog,
-                        failure_probability, optimize_throughput, payment_metrics,
-                        payment_utility, sequencer_metrics)
+                        SequencerMetrics, SequencerRunLog, _payment_sections,
+                        failure_probability, sequencer_metrics)
 from .scheduling import Schedule, apply_fallback, assign_windows, on_window_miss
 
 SCENARIOS = ("sequencer", "payment")
@@ -485,7 +484,7 @@ def run_simulation(config: RunConfig) -> RunReport:
             metrics = _sequencer_metrics(agents, outputs, work, missed)
         else:
             if epoch == 0:  # not before: an epoch-free run must not need them
-                payment_sections = _payment_sections(operators)
+                payment_sections = _payment_sections({op.id: op.payment for op in operators})
             metrics = {"payment": dict(payment_sections[epoch > 0])}
         # ``vars`` copies no nested value, unlike ``asdict``.
         epoch_reports.append({
@@ -617,30 +616,6 @@ def _sequencer_metrics(agents: Sequence[OperatorState], outputs: Mapping[str, fl
         costs={a: work[a][2] for a in active},
         total_resources=math.fsum(a.resources for a in agents))
     return {"sequencer": dict(vars(sequencer_metrics(log)))}
-
-
-def _payment_sections(operators: Sequence[OperatorConfig]) -> tuple[dict, dict]:
-    """Payment metrics of epoch 0 and of every later epoch, at each operator's
-    utility-maximizing throughput; that reads only static config, so all
-    epochs share one log and later growth compares two equal logs."""
-    transactions: dict[str, float] = {}
-    validation_costs: dict[str, float] = {}
-    errors: dict[str, float] = {}
-    penalties: dict[str, float] = {}
-    profit = 0.0
-    for op in operators:
-        params = op.payment
-        assert params is not None  # guaranteed by config validation
-        best = optimize_throughput(params)
-        transactions[op.id] = best
-        validation_costs[op.id] = params.validation_cost(best)
-        errors[op.id] = params.expected_errors(best)
-        penalties[op.id] = params.penalty(best)
-        profit += payment_utility(params, best)
-    log = PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
-                           errors=errors, penalties=penalties, profit=profit)
-    first = dict(vars(payment_metrics([log])))
-    return first, dict(first, revenue_growth=payment_metrics([log, log]).revenue_growth)
 
 
 # --- Report output ------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .allocation import StabilityReport, _classify, check_convergence
 from .agents import AllocationVector
@@ -241,6 +241,31 @@ def payment_metrics(logs: Sequence[PaymentWindowLog]) -> PaymentMetrics:
                           error_rate=error_rate,
                           revenue_growth=growth,
                           total_penalties=penalty_total)
+
+
+def _payment_sections(nodes: Mapping[str, PaymentNodeParams]) -> tuple[dict, dict]:
+    """Payment metrics of a run's epoch 0 and of each later epoch, as dicts.
+
+    Each node runs at its utility-maximizing throughput. That reads only its
+    static params, so every epoch has the same log, and a later epoch's
+    revenue growth compares two equal logs.
+    """
+    transactions: dict[str, float] = {}
+    validation_costs: dict[str, float] = {}
+    errors: dict[str, float] = {}
+    penalties: dict[str, float] = {}
+    profit = 0.0
+    for node, params in nodes.items():
+        best = optimize_throughput(params)
+        transactions[node] = best
+        validation_costs[node] = params.validation_cost(best)
+        errors[node] = params.expected_errors(best)
+        penalties[node] = params.penalty(best)
+        profit += payment_utility(params, best)
+    log = PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
+                           errors=errors, penalties=penalties, profit=profit)
+    first = dict(vars(payment_metrics([log])))
+    return first, dict(first, revenue_growth=payment_metrics([log, log]).revenue_growth)
 
 
 def payment_convergence_check(history: Sequence[AllocationVector], tolerance: float,
