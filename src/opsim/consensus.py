@@ -308,6 +308,10 @@ class _HeightContext:
         self.roster = sorted(validators, key=lambda v: (-v.stake, v.id))
         self.stakes = {v.id: v.stake for v in validators}
         self.total_stake = math.fsum(self.stakes.values())
+        # A tally whose naive running sum is below this cannot reach quorum;
+        # see _HonestNode._vote.
+        self.quorum_floor = self.total_stake * ((2.0 - (len(validators) + 3) * 2.0 ** -51)
+                                                / 3.0)
         self.digest = digest
         self.network = network
         self.max_rounds = max_rounds
@@ -343,6 +347,8 @@ class _HonestNode:
         # votes[(kind, round, digest)][voter] = the voter's stake.
         self.votes: dict[tuple[str, int, str | None], dict[str, float]] = {}
         self.quorums: set[tuple[str, int, str | None]] = set()
+        # Naive running stake sum of each key not (yet) in quorums.
+        self.sums: dict[tuple[str, int, str | None], float] = {}
 
     @property
     def done(self) -> bool:
@@ -356,24 +362,53 @@ class _HonestNode:
         # Bookkeeping continues after deciding so the commit certificate can
         # cover precommits that were still in flight at decision time.
         if msg.kind == "proposal":
-            if msg.sender == self.ctx.proposer(msg.round).id:
-                self.proposals.setdefault(msg.round, msg.digest)
+            changed = (msg.round not in self.proposals
+                       and msg.sender == self.ctx.proposer(msg.round).id)
+            if changed:
+                self.proposals[msg.round] = msg.digest
         else:
-            self._vote((msg.kind, msg.round, msg.digest), msg.sender)
-        if not self.done:
+            changed = self._vote((msg.kind, msg.round, msg.digest), msg.sender)
+        # Once _evaluate returns, the phase is a fixed point of the
+        # proposals, the quorums and whether the timer is due; a message that
+        # changes none of them cannot move it.
+        if not self.done and (changed or tick >= self.next_due):
             self._evaluate(tick)
 
     def on_tick(self, tick: int) -> None:
         if not self.done:
             self._evaluate(tick)
 
-    def _vote(self, key: tuple[str, int, str | None], voter: str) -> None:
-        """Tally one vote under its (kind, round, digest) key.
+    def _vote(self, key: tuple[str, int, str | None], voter: str) -> bool:
+        """Tally one vote under its (kind, round, digest) key; True if it joined ``quorums``.
 
         The key joins ``quorums`` when the vote brings its voters' stake fsum
         over quorum. Votes only accumulate, so a key never leaves
         ``quorums``; fsum is exactly rounded, so membership does not depend
         on the order votes arrived in.
+
+        fsum is called only when a naive running sum ``s`` of the key's k
+        stakes cannot rule quorum out, that is when ``s >= quorum_floor``.
+        With u = 2**-53, n validators (k <= n), S the exact sum of the k
+        stakes, T the total stake, and every operation rounded to nearest:
+
+        * recursive summation of positive terms gives (1 - g) S <= s with
+          g = gamma_{k-1} = (k-1)u / (1 - (k-1)u) <= 2(n-1)u (Higham,
+          *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
+        * F = fsum = fl(S) <= S(1 + u), and quorum_met rounds 3F to at most
+          3F(1 + u);
+        * the floor is fl(T c), c = fl(fl(2 - (n+3) 2**-51) / 3), so it is
+          at most T (2/3)(1 - (2n+6)u)(1 + u)**3.
+
+        So s < floor gives fl(3F) < 2T (1 + u)**5 (1 - (2n+6)u) / (1 - 2(n-1)u)
+        <= 2T, as (1 + u)**5 <= 1 + 6u, and quorum_met(F, T) is false:
+        skipping fsum loses no quorum. A sum of floats, or 3F, is exact
+        whenever it is subnormal, so only fl(T c) can break a bound by
+        underflowing; then T and every partial sum lie below 2**-1021, where
+        floats are 2**-1074 apart, so s = S = F and s < floor gives 3F < 2T
+        directly. If 2T overflows, no tally is a quorum. This is the static
+        error filter of Shewchuk's adaptive predicates (DCG 1997); fsum
+        still decides every quorum. A key's running sum is dropped once the
+        key joins ``quorums``.
 
         This counts each sender's first vote of a kind per round, as the
         protocol asks, without a per-sender check: a node hears each sender
@@ -381,11 +416,22 @@ class _HonestNode:
         round, an equivocator sends its two digests to disjoint halves of
         its peers, and the network delivers each queued copy once.
         """
-        voters = self.votes.setdefault(key, {})
-        voters[voter] = self.ctx.stakes[voter]
-        if key not in self.quorums and quorum_met(math.fsum(voters.values()),
-                                                  self.ctx.total_stake):
-            self.quorums.add(key)
+        ctx = self.ctx
+        stake = ctx.stakes[voter]
+        voters = self.votes.get(key)
+        if voters is None:
+            voters = self.votes[key] = {}
+        voters[voter] = stake
+        if key in self.quorums:
+            return False
+        running = self.sums.get(key, 0.0) + stake
+        if running < ctx.quorum_floor or not quorum_met(math.fsum(voters.values()),
+                                                        ctx.total_stake):
+            self.sums[key] = running
+            return False
+        self.sums.pop(key, None)
+        self.quorums.add(key)
+        return True
 
     def _maybe_propose(self, tick: int) -> None:
         if self.ctx.proposer(self.round).id != self.d.id:

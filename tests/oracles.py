@@ -5,8 +5,9 @@ is done on a discrete grid (greedy marginal allocation, exact for separable
 concave objectives, cross-checked against exhaustive enumeration), gradients
 come from central finite differences, throughput optima from an integer
 scan, the paper's allocation method is projected gradient ascent, a
-consensus height advances one tick at a time, and gossip queues one delivery
-per recipient with ``randint`` jitter.
+consensus height advances one tick at a time, a reference validator
+re-evaluates after every message and re-sums every tally with ``fsum``, and
+gossip queues one delivery per recipient with ``randint`` jitter.
 """
 
 from __future__ import annotations
@@ -133,13 +134,43 @@ def stake_quorum(signed: float, total: float) -> bool:
     return 3.0 * signed > 2.0 * total
 
 
-def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace=None):
-    """``run_height`` by fixed-increment time advance over the same node classes.
+class ReferenceNode(_HonestNode):
+    """``_HonestNode`` with no evaluation gate and no ``fsum`` filter.
+
+    It re-evaluates its phase after every message, and re-sums a tally with
+    ``fsum`` on every vote until the tally reaches quorum. Phase logic, sends
+    and decisions are ``_HonestNode``'s own.
+    """
+
+    def on_message(self, msg, tick):
+        if msg.kind == "proposal":
+            if msg.sender == self.ctx.proposer(msg.round).id:
+                self.proposals.setdefault(msg.round, msg.digest)
+        else:
+            self._vote((msg.kind, msg.round, msg.digest), msg.sender)
+        if not self.done:
+            self._evaluate(tick)
+
+    def _vote(self, key, voter):
+        voters = self.votes.setdefault(key, {})
+        voters[voter] = self.ctx.stakes[voter]
+        if key in self.quorums or not stake_quorum(math.fsum(voters.values()),
+                                                   self.ctx.total_stake):
+            return False
+        self.quorums.add(key)
+        return True
+
+
+def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace=None,
+                      honest=_HonestNode):
+    """``run_height`` by fixed-increment time advance.
 
     Every tick up to the horizon delivers what is due and then calls every
-    node, and in-flight messages drain one tick at a time. The height's end
-    (silent faults, certificate or no-commit record) is ``run_height``'s own
-    tail, and so are the input checks.
+    node, and in-flight messages drain one tick at a time. Honest and
+    invalid-proposer validators are ``honest`` nodes; equivocators are
+    ``run_height``'s own. The height's end (silent faults, certificate or
+    no-commit record) is ``run_height``'s own tail, and so are the input
+    checks.
     """
     trace = trace if trace is not None else EventTrace()
     digest = batch_digest(batch)
@@ -149,7 +180,7 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
     nodes = {}
     for v in sorted(validators, key=lambda v: v.id):
         if v.behavior in (Behavior.HONEST, Behavior.INVALID_PROPOSER):
-            nodes[v.id] = _HonestNode(v, ctx)
+            nodes[v.id] = honest(v, ctx)
         elif v.behavior is Behavior.EQUIVOCATING:
             nodes[v.id] = _EquivocatingNode(v, ctx)
 

@@ -10,7 +10,7 @@ from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, Gossi
                    NetworkModel, PartitionSpec, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
 from opsim import consensus
-from oracles import PerRecipientGossip, run_height_ticked, stake_quorum
+from oracles import PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 
@@ -496,6 +496,96 @@ class TestEventAdvance:
         assert outcome.ticks_elapsed == 3
         assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
         assert "v3" in outcome.signature.signer_set
+
+
+# Honest stakes and a silent validator's stake at which a left-to-right sum of
+# the honest stakes and their fsum fall on opposite sides of 2/3 of the total.
+# From 2**53 floats are 2 apart and ties round to even: 2**53 + 1.0 rounds
+# back to 2**53, so the naive sum of NAIVE_BELOW misses a quorum that fsum
+# finds, and 2**53 + 3.0 rounds up to 2**53 + 4.0, so the naive sum of
+# NAIVE_ABOVE finds a quorum that fsum does not. Both totals are exact.
+NAIVE_BELOW = ([2.0 ** 53, 1.0, 1.0, 1.0, 1.0], 2.0 ** 52)
+NAIVE_ABOVE = ([2.0 ** 53, 3.0, 3.0], 2.0 ** 52 + 4.0)
+
+
+def edge_roster(stakes, silent_stake):
+    return make_validators(["honest"] * len(stakes) + ["silent"], stakes + [silent_stake])
+
+
+class TestTallyShortcuts:
+    """The evaluation gate and the fsum filter change no trace and no quorum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=heights())
+    @example(height=(edge_roster(*NAIVE_BELOW), LOSSLESS, 2))
+    @example(height=(edge_roster(*NAIVE_ABOVE), LOSSLESS, 2))
+    @example(height=(make_validators(["honest", "equivocating", "honest", "invalid-proposer"]),
+                     NetworkModel(drop_probability=0.2, latency_jitter=2, rng_seed=5), 4))
+    def test_matches_reference_node(self, height):
+        validators, model, max_rounds = height
+        trace, expected_trace = EventTrace(), EventTrace()
+        with recorded(consensus._HonestNode, "start") as started:
+            outcome = run_height(validators, ["a", "b"], model, max_rounds,
+                                 height=7, trace=trace)
+            expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
+                                         height=7, trace=expected_trace,
+                                         honest=ReferenceNode)
+        assert outcome == expected
+        assert trace.to_lines() == expected_trace.to_lines()
+        assert trace.faults == expected_trace.faults
+        assert trace.decisions == expected_trace.decisions
+        if outcome.committed:
+            assert outcome.signature.signer_set == expected.signature.signer_set
+        nodes = [node for node, _, _ in started if not isinstance(node, ReferenceNode)]
+        reference = {node.d.id: node for node, _, _ in started if isinstance(node, ReferenceNode)}
+        assert len(nodes) == len(reference)
+        for node in nodes:
+            assert node.quorums == reference[node.d.id].quorums
+
+    @settings(max_examples=300, deadline=None)
+    @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
+                           min_size=1, max_size=12),
+           voting=st.integers(1, 12))
+    def test_floor_never_hides_a_quorum(self, stakes, voting):
+        # Subnormal to huge stakes: below quorum_floor, no prefix's fsum is a quorum.
+        validators = make_validators(["honest"] * len(stakes), stakes)
+        ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                       1, 0, EventTrace())
+        node = consensus._HonestNode(validators[0], ctx)
+        naive = 0.0
+        for i, v in enumerate(validators[:voting]):
+            naive += v.stake
+            node._vote(("prevote", 0, "d"), v.id)
+            if naive < ctx.quorum_floor:
+                assert not stake_quorum(math.fsum(stakes[:i + 1]), ctx.total_stake)
+        assert ((("prevote", 0, "d") in node.quorums)
+                == stake_quorum(math.fsum(stakes[:voting]), ctx.total_stake))
+
+    @pytest.mark.parametrize("stakes, silent_stake, fsum_quorum",
+                             [(*NAIVE_BELOW, True), (*NAIVE_ABOVE, False)])
+    def test_quorums_follow_fsum_where_the_naive_sum_disagrees(self, stakes, silent_stake,
+                                                               fsum_quorum):
+        validators = edge_roster(stakes, silent_stake)
+        ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                       1, 0, EventTrace())
+        assert ctx.total_stake == sum(map(int, stakes)) + int(silent_stake)  # exact
+        node = consensus._HonestNode(validators[0], ctx)
+        naive, added = 0.0, []
+        for v in validators[:-1]:
+            naive += v.stake
+            added.append(node._vote(("prevote", 0, "d"), v.id))
+        assert stake_quorum(math.fsum(stakes), ctx.total_stake) == fsum_quorum
+        assert stake_quorum(naive, ctx.total_stake) != fsum_quorum
+        assert (("prevote", 0, "d") in node.quorums) == fsum_quorum
+        crossed = [stake_quorum(math.fsum(stakes[:i]), ctx.total_stake)
+                   for i in range(len(stakes) + 1)]
+        assert added == [after and not before for before, after in zip(crossed, crossed[1:])]
+
+        outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2)
+        assert outcome.committed == fsum_quorum
+        if fsum_quorum:
+            assert outcome.signature.valid
+            assert outcome.signature.signer_set == {v.id for v in validators[:-1]}
 
 
 class TestCommitCertificate:
