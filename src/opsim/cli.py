@@ -57,12 +57,31 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_metrics_fields(doc: dict, path: str) -> None:
+    """Raise a ConfigError naming the first field ``_cmd_metrics`` reads that is missing."""
+    def require(obj: object, key: str, name: str) -> object:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f"report {path} has no '{name}'", field=name)
+        return obj[key]
+
+    for key in ("scenario", "seed"):
+        require(doc["config"], key, f"config.{key}")
+    if not isinstance(doc["epochs"], list):
+        raise ConfigError(f"report {path}: 'epochs' is not a list", field="epochs")
+    for i, epoch in enumerate(doc["epochs"]):
+        require(epoch, "epoch", f"epochs[{i}].epoch")
+        convergence = require(epoch, "convergence", f"epochs[{i}].convergence")
+        for key in ("multipliers", "constraint_violation"):
+            require(convergence, key, f"epochs[{i}].convergence.{key}")
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     doc = read_report(args.report)
+    _check_metrics_fields(doc, args.report)
     print(f"scenario: {doc['config']['scenario']}  "
           f"seed: {doc['config']['seed']}  "
           f"trace digest: {doc['trace_digest'][:16]}")
-    for epoch in doc.get("epochs", []):
+    for epoch in doc["epochs"]:
         print(f"epoch {epoch['epoch']}:")
         for family, values in sorted(epoch.get("metrics", {}).items()):
             for name, value in sorted(values.items()):

@@ -653,7 +653,7 @@ def read_report(path: str | Path) -> dict[str, Any]:
     """Load a JSON report document: an object holding every top-level key."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read report file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report parse error at line {exc.lineno}: {exc.msg}",

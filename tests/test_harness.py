@@ -713,6 +713,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "input.json" in err
 
+    def test_missing_report_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert cli_main(["metrics", "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read report file") and "missing.json" in err
+
+    @pytest.mark.parametrize("drop, field", [
+        (None, None),
+        (("config", "scenario"), "config.scenario"),
+        (("config", "seed"), "config.seed"),
+        (("epochs", 1, "epoch"), "epochs[1].epoch"),
+        (("epochs", 1, "convergence"), "epochs[1].convergence"),
+        (("epochs", 0, "convergence", "multipliers"), "epochs[0].convergence.multipliers"),
+        (("epochs", 0, "convergence", "constraint_violation"),
+         "epochs[0].convergence.constraint_violation")])
+    def test_metrics_names_a_missing_field(self, tmp_path, capsys, drop, field):
+        epoch = {"epoch": 0, "convergence": {"multipliers": {"t": 0.5},
+                                             "constraint_violation": 0.0}}
+        doc = {"config": {"scenario": "sequencer", "seed": 3},
+               "epochs": [epoch, json.loads(json.dumps(epoch))],
+               "ledger_totals": {}, "trace_digest": "abc"}
+        if drop is not None:
+            *parents, key = drop
+            target = doc
+            for parent in parents:
+                target = target[parent]
+            del target[key]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main(["metrics", "--report", str(path)])
+        captured = capsys.readouterr()
+        if field is None:
+            assert code == 0
+            assert "multipliers: t=0.5" in captured.out
+            return
+        assert code == 1
+        assert captured.err.startswith("config error:") and f"'{field}'" in captured.err
+        assert "report.json" in captured.err
+
+    @pytest.mark.parametrize("doc", [
+        {"config": {}, "epochs": [], "ledger_totals": {}, "trace_digest": ""},
+        {"config": [], "epochs": [], "ledger_totals": {}, "trace_digest": ""},
+        {"config": {"scenario": "s", "seed": 0}, "epochs": 5, "ledger_totals": {},
+         "trace_digest": ""},
+        {"config": {"scenario": "s", "seed": 0}, "epochs": [[]], "ledger_totals": {},
+         "trace_digest": ""}])
+    def test_metrics_on_a_malformed_report_is_a_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["metrics", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unwritable_destination_runtime_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(MINIMAL)
