@@ -512,6 +512,13 @@ def edge_roster(stakes, silent_stake):
     return make_validators(["honest"] * len(stakes) + ["silent"], stakes + [silent_stake])
 
 
+def tally_node(validators):
+    """The first validator's node in a height over ``validators``, to call ``_vote`` on."""
+    ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                   1, 0, EventTrace())
+    return consensus._HonestNode(validators[0], ctx)
+
+
 class TestTallyShortcuts:
     """The evaluation gate and the fsum filter change no trace and no quorum."""
 
@@ -549,9 +556,8 @@ class TestTallyShortcuts:
     def test_floor_never_hides_a_quorum(self, stakes, voting):
         # Subnormal to huge stakes: below quorum_floor, no prefix's fsum is a quorum.
         validators = make_validators(["honest"] * len(stakes), stakes)
-        ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
-                                       1, 0, EventTrace())
-        node = consensus._HonestNode(validators[0], ctx)
+        node = tally_node(validators)
+        ctx = node.ctx
         naive = 0.0
         for i, v in enumerate(validators[:voting]):
             naive += v.stake
@@ -566,10 +572,9 @@ class TestTallyShortcuts:
     def test_quorums_follow_fsum_where_the_naive_sum_disagrees(self, stakes, silent_stake,
                                                                fsum_quorum):
         validators = edge_roster(stakes, silent_stake)
-        ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
-                                       1, 0, EventTrace())
+        node = tally_node(validators)
+        ctx = node.ctx
         assert ctx.total_stake == sum(map(int, stakes)) + int(silent_stake)  # exact
-        node = consensus._HonestNode(validators[0], ctx)
         naive, added = 0.0, []
         for v in validators[:-1]:
             naive += v.stake
