@@ -58,21 +58,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _check_metrics_fields(doc: dict, path: str) -> None:
-    """Raise a ConfigError naming the first field ``_cmd_metrics`` reads that is missing."""
+    """Raise a ConfigError naming the first field ``_cmd_metrics`` reads that is
+    missing or has the wrong type."""
     def require(obj: object, key: str, name: str) -> object:
         if not isinstance(obj, dict) or key not in obj:
             raise ConfigError(f"report {path} has no '{name}'", field=name)
         return obj[key]
 
+    def expect(value: object, types: type | tuple[type, ...], name: str, what: str) -> None:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"report {path}: '{name}' is not {what}", field=name)
+
+    def numbers(obj: object, name: str, null: bool = False) -> None:
+        expect(obj, dict, name, "an object")
+        for key, value in obj.items():
+            if not (null and value is None):
+                expect(value, (int, float), f"{name}.{key}", "a number")
+
     for key in ("scenario", "seed"):
         require(doc["config"], key, f"config.{key}")
+    expect(doc["trace_digest"], str, "trace_digest", "a string")
     if not isinstance(doc["epochs"], list):
         raise ConfigError(f"report {path}: 'epochs' is not a list", field="epochs")
     for i, epoch in enumerate(doc["epochs"]):
         require(epoch, "epoch", f"epochs[{i}].epoch")
+        families = epoch.get("metrics", {})
+        expect(families, dict, f"epochs[{i}].metrics", "an object")
+        for family, values in families.items():
+            numbers(values, f"epochs[{i}].metrics.{family}", null=True)
         convergence = require(epoch, "convergence", f"epochs[{i}].convergence")
-        for key in ("multipliers", "constraint_violation"):
-            require(convergence, key, f"epochs[{i}].convergence.{key}")
+        name = f"epochs[{i}].convergence.multipliers"
+        numbers(require(convergence, "multipliers", name), name)
+        name = f"epochs[{i}].convergence.constraint_violation"
+        expect(require(convergence, "constraint_violation", name), (int, float), name, "a number")
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -14,7 +14,8 @@ uniform jitter, independent drops, and optional partitions, and is
 deterministic given the seed. Time is integer ticks advanced by next-event
 time advance: the engine jumps straight to the earliest tick at which a
 delivery is due or a validator's timer fires, and skips the idle ticks in
-between, at which nothing could happen.
+between, at which nothing could happen. Timers sit in a per-height heap, so
+at a tick the engine wakes only the validators whose timer is due.
 """
 
 from __future__ import annotations
@@ -322,6 +323,11 @@ class _HeightContext:
         # decision still count. Holding the node instead would make a
         # node-context reference cycle that outlives the height.
         self.first_decision: tuple[int, int, dict[str, float]] | None = None
+        # Heap of (due tick, validator id), one entry per timer set; ids, not
+        # nodes, for the same reason as first_decision.
+        self.timers: list[tuple[int, str]] = []
+        # Protocol-following validators not yet done.
+        self.unfinished = 0
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster[round_ % len(self.roster)]
@@ -341,18 +347,15 @@ class _HonestNode:
         self.ctx = ctx
         self.round = 0
         self.phase = "propose"
-        # Tick at which the phase timer fires; meaningless once done.
-        self.next_due = phase_timeout(0)
+        self.done = False
+        ctx.unfinished += 1
+        self._set_timer(phase_timeout(0))
         self.proposals: dict[int, str] = {}
         # votes[(kind, round, digest)][voter] = the voter's stake.
         self.votes: dict[tuple[str, int, str | None], dict[str, float]] = {}
         self.quorums: set[tuple[str, int, str | None]] = set()
         # Naive running stake sum of each key not (yet) in quorums.
         self.sums: dict[tuple[str, int, str | None], float] = {}
-
-    @property
-    def done(self) -> bool:
-        return self.phase == "done"
 
     def start(self, tick: int) -> None:
         self._maybe_propose(tick)
@@ -377,6 +380,16 @@ class _HonestNode:
     def on_tick(self, tick: int) -> None:
         if not self.done:
             self._evaluate(tick)
+
+    def _set_timer(self, due: int) -> None:
+        """Fire the phase timer at tick ``due``; ``next_due`` is meaningless once done."""
+        self.next_due = due
+        heapq.heappush(self.ctx.timers, (due, self.d.id))
+
+    def _finish(self) -> None:
+        self.phase = "done"
+        self.done = True
+        self.ctx.unfinished -= 1
 
     def _vote(self, key: tuple[str, int, str | None], voter: str) -> bool:
         """Tally one vote under its (kind, round, digest) key; True if it joined ``quorums``.
@@ -481,11 +494,11 @@ class _HonestNode:
         """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
         self._vote((kind, self.round, digest), self.d.id)
         self.phase = kind
-        self.next_due = tick + phase_timeout(self.round)
+        self._set_timer(tick + phase_timeout(self.round))
         self.ctx.send(tick, kind, self.round, self.d.id, digest)
 
     def _decide(self, tick: int) -> None:
-        self.phase = "done"
+        self._finish()
         if self.ctx.first_decision is None:
             self.ctx.first_decision = (tick, self.round,
                                        self.votes[("precommit", self.round, self.ctx.digest)])
@@ -495,10 +508,10 @@ class _HonestNode:
     def _advance(self, tick: int) -> None:
         self.round += 1
         if self.round >= self.ctx.max_rounds:
-            self.phase = "done"
+            self._finish()
             return
         self.phase = "propose"
-        self.next_due = tick + phase_timeout(self.round)
+        self._set_timer(tick + phase_timeout(self.round))
         self.ctx.trace.record(tick, "round-start", self.ctx.height, self.round,
                               self.d.id, None)
         self._maybe_propose(tick)
@@ -518,10 +531,7 @@ class _EquivocatingNode:
         self.first_half = others[:split]
         self.second_half = others[split:]
         self.faulted = False
-
-    @property
-    def done(self) -> bool:
-        return self.round >= self.ctx.max_rounds
+        self.done = False
 
     @property
     def next_due(self) -> int:
@@ -551,6 +561,7 @@ class _EquivocatingNode:
             self.stage = "advance"
         else:
             self.round += 1
+            self.done = self.round >= self.ctx.max_rounds
             self.entered = tick
             self.stage = "enter"
 
@@ -593,10 +604,10 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             nodes[v.id] = _HonestNode(v, ctx)
         elif v.behavior is Behavior.EQUIVOCATING:
             nodes[v.id] = _EquivocatingNode(v, ctx)
+            heapq.heappush(ctx.timers, (nodes[v.id].next_due, v.id))
         # Silent validators receive but never act.
 
-    order = list(nodes.values())
-    protocol_nodes = [n for n in order if isinstance(n, _HonestNode)]
+    protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
     max_latency = max(v.region_latency for v in validators)
     horizon = (3 * sum(phase_timeout(r) for r in range(max_rounds))
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
@@ -607,22 +618,44 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             if target is not None:
                 target.on_message(message, tick)
 
+    def stale(due: int, vid: str) -> bool:
+        """True for a timer entry whose node is done or has set another timer since."""
+        node = nodes[vid]
+        return node.done or node.next_due != due
+
     for node in protocol_nodes:
         node.start(0)
 
     # Next-event time advance: at a tick where no delivery is due and no
     # timer fires, every node would do nothing, so jump to the earliest tick
-    # where one does. Deliveries come before timers within a tick, and a
-    # message sent while tick t is processed arrives at t + 1 at the earliest.
+    # where one does, and there wake, in id order, only the nodes whose timer
+    # entry is due and not stale. Deliveries come before timers within a
+    # tick, and a message sent while tick t is processed arrives at t + 1 at
+    # the earliest, so one node's wake cannot make another's entry stale. An
+    # equivocator's next_due moves only in its own on_tick, so run_height
+    # pushes its entries; one may fall due at the very tick it was pushed, and is
+    # popped at the next one. Stale heads are purged before the jump, or the
+    # loop would visit their idle ticks.
+    timers = ctx.timers
     tick = last_tick = 0
     while tick <= horizon:
         deliver(tick)
-        for node in order:
+        woken = set()
+        while timers and timers[0][0] <= tick:
+            entry = heapq.heappop(timers)
+            if not stale(*entry):
+                woken.add(entry[1])
+        for vid in sorted(woken):
+            node = nodes[vid]
             node.on_tick(tick)
+            if isinstance(node, _EquivocatingNode) and not node.done:
+                heapq.heappush(timers, (node.next_due, vid))
         last_tick = tick
-        if all(n.done for n in protocol_nodes):
+        if not ctx.unfinished:
             break
-        due = min((n.next_due for n in order if not n.done), default=horizon)
+        while timers and stale(*timers[0]):
+            heapq.heappop(timers)
+        due = timers[0][0] if timers else horizon
         if net.next_tick is not None:
             due = min(due, net.next_tick)
         tick = max(tick + 1, min(horizon, due))

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -445,6 +447,60 @@ class TestEventAdvance:
         assert trace.decisions == expected_trace.decisions
         for node, _, _ in started:
             assert node.quorums == recomputed_quorums(node)
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=heights())
+    @example(height=(make_validators(["silent", "equivocating", "equivocating"]),
+                     LOSSLESS, 3))
+    def test_every_wake_finds_a_timer_due(self, height):
+        # run_height calls on_tick only on a node that is not done and whose
+        # timer is due, so every wake acts; the oracle's calls at other ticks
+        # do nothing. And every tick it visits after 0 delivers a message or
+        # wakes a node: a stale timer entry left at the heap head would make
+        # it visit an idle tick.
+        validators, model, max_rounds = height
+        wakes = []
+
+        def checked(on_tick):
+            def wrapper(node, tick):
+                wakes.append((node.d.id, tick, node.done, node.next_due))
+                on_tick(node, tick)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch, recorded(GossipNetwork, "step") as steps:
+            for cls in (consensus._HonestNode, consensus._EquivocatingNode):
+                patch.setattr(cls, "on_tick", checked(cls.on_tick))
+            run_height(validators, ["a", "b"], model, max_rounds)
+        assert [wake for wake in wakes if wake[2] or wake[1] < wake[3]] == []
+        woken_ticks = {tick for _, tick, _, _ in wakes}
+        assert [tick for _, (tick,), delivered in steps
+                if tick > 0 and not delivered and tick not in woken_ticks] == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(height=heights())
+    def test_a_height_leaves_no_reference_cycle(self, height):
+        # With the cycle collector off, a node or height context that is in
+        # a reference cycle outlives run_height; the timer heap holds ids,
+        # not nodes, for this reason.
+        validators, model, max_rounds = height
+        refs = []
+
+        def tracked(init):
+            def wrapper(node, descriptor, ctx):
+                init(node, descriptor, ctx)
+                refs.extend([weakref.ref(node), weakref.ref(ctx)])
+            return wrapper
+
+        gc.disable()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                for cls in (consensus._HonestNode, consensus._EquivocatingNode):
+                    patch.setattr(cls, "__init__", tracked(cls.__init__))
+                run_height(validators, ["a", "b"], model, max_rounds)
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
 
     @settings(max_examples=150, deadline=None)
     @given(height=heights())

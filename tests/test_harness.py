@@ -640,6 +640,15 @@ class TestReports:
             assert loaded["epochs"][i]["metrics"] == epoch["metrics"]
 
 
+def metrics_report():
+    """A two-epoch report document holding every field ``opsim metrics`` reads."""
+    epoch = {"epoch": 0, "metrics": {"sequencer": {"throughput": 2, "latency": None}},
+             "convergence": {"multipliers": {"t": 0.5}, "constraint_violation": 0.0}}
+    return {"config": {"scenario": "sequencer", "seed": 3},
+            "epochs": [epoch, json.loads(json.dumps(epoch))],
+            "ledger_totals": {}, "trace_digest": "abc"}
+
+
 class TestCli:
     def test_run_and_metrics(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -729,11 +738,7 @@ class TestCli:
         (("epochs", 0, "convergence", "constraint_violation"),
          "epochs[0].convergence.constraint_violation")])
     def test_metrics_names_a_missing_field(self, tmp_path, capsys, drop, field):
-        epoch = {"epoch": 0, "convergence": {"multipliers": {"t": 0.5},
-                                             "constraint_violation": 0.0}}
-        doc = {"config": {"scenario": "sequencer", "seed": 3},
-               "epochs": [epoch, json.loads(json.dumps(epoch))],
-               "ledger_totals": {}, "trace_digest": "abc"}
+        doc = metrics_report()
         if drop is not None:
             *parents, key = drop
             target = doc
@@ -747,10 +752,41 @@ class TestCli:
         if field is None:
             assert code == 0
             assert "multipliers: t=0.5" in captured.out
+            assert "  sequencer.latency = absent" in captured.out.splitlines()
             return
         assert code == 1
         assert captured.err.startswith("config error:") and f"'{field}'" in captured.err
         assert "report.json" in captured.err
+
+    @pytest.mark.parametrize("where, value, field", [
+        (("trace_digest",), 5, "trace_digest"),
+        (("epochs", 1, "metrics"), [], "epochs[1].metrics"),
+        (("epochs", 1, "metrics", "sequencer"), 3, "epochs[1].metrics.sequencer"),
+        (("epochs", 1, "metrics", "sequencer", "throughput"), "x",
+         "epochs[1].metrics.sequencer.throughput"),
+        (("epochs", 0, "metrics", "sequencer", "throughput"), True,
+         "epochs[0].metrics.sequencer.throughput"),
+        (("epochs", 0, "convergence", "multipliers"), [0.5], "epochs[0].convergence.multipliers"),
+        (("epochs", 0, "convergence", "multipliers", "t"), "0.5",
+         "epochs[0].convergence.multipliers.t"),
+        (("epochs", 0, "convergence", "multipliers", "t"), None,
+         "epochs[0].convergence.multipliers.t"),
+        (("epochs", 1, "convergence", "constraint_violation"), "0",
+         "epochs[1].convergence.constraint_violation"),
+        (("epochs", 1, "convergence", "constraint_violation"), None,
+         "epochs[1].convergence.constraint_violation")])
+    def test_metrics_names_a_wrong_typed_field(self, tmp_path, capsys, where, value, field):
+        doc = metrics_report()
+        *parents, key = where
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["metrics", "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{field}'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [
         {"config": {}, "epochs": [], "ledger_totals": {}, "trace_digest": ""},
