@@ -300,6 +300,11 @@ def phase_timeout(round_: int) -> int:
     return BASE_PHASE_TIMEOUT << round_
 
 
+def timeout_total(max_rounds: int) -> int:
+    """Three phase timeouts in each of ``max_rounds`` rounds, a geometric sum."""
+    return 3 * BASE_PHASE_TIMEOUT * ((1 << max_rounds) - 1)
+
+
 class _HeightContext:
     """Shared state of one height: roster, stakes, digest, network, first decision."""
 
@@ -609,7 +614,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
     max_latency = max(v.region_latency for v in validators)
-    horizon = (3 * sum(phase_timeout(r) for r in range(max_rounds))
+    horizon = (timeout_total(max_rounds)
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
     def deliver(tick: int) -> None:

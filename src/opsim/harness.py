@@ -86,16 +86,18 @@ class RunConfig:
 
 
 REQUIRED = object()  # default of a field that must be given
-DERIVED = object()  # computed by load_config; unlike a None default, null is rejected
 
 
 class _Row(NamedTuple):
     """One config field: JSON name, attribute it sets, kind and default.
 
-    ``attr`` may be "outer.inner"; None marks a field folded into others at
-    load time and not echoed. ``rows`` describe an object or list items. A
-    None default makes a field optional: null counts as omitted, and None
-    takes the domain class's default.
+    The kind, "object" or a key of ``_KINDS``, is the field's rule on its
+    own value: its type and any range or allowed values; only rules that
+    read other fields stay in load_config. ``attr`` may be "outer.inner";
+    None marks a field folded into others at load time and not echoed.
+    ``rows`` describe an object or list items. A None default makes a
+    field optional: null counts as omitted, and None takes the domain
+    class's default or the one load_config derives.
     """
 
     key: str
@@ -120,19 +122,19 @@ _NETWORK = (
     _Row("partitions", "partition_schedule", "list", [], _PARTITION),
 )
 _SCHEDULE = (
-    _Row("window_length", "window_length", "integer", 8),
-    _Row("windows_per_epoch", "windows_per_epoch", "integer", DERIVED),  # max(4, n)
-    _Row("grace_length", "grace_length", "integer", None),  # window_length // 2
+    _Row("window_length", "window_length", "positive", 8),
+    _Row("windows_per_epoch", "windows_per_epoch", "positive", None),  # max(4, n)
+    _Row("grace_length", "grace_length", "count", None),  # window_length // 2
 )
 _INCENTIVES = (
     _Row("smoothing", "reputation.smoothing", "number", 0.9),
     _Row("initial_trust", "reputation.initial_trust", "number", 0.5),
     _Row("slash_fraction", "reputation.slash_fraction", "number", 0.05),
-    _Row("submit_fee", "submit_fee", "number", 1.0),
+    _Row("submit_fee", "submit_fee", "amount", 1.0),
 )
 _STAGE = (
-    _Row("latency", "latency", "number", 0.0),
-    _Row("error_rate", "error_rate", "number", 0.0),
+    _Row("latency", "latency", "amount", 0.0),
+    _Row("error_rate", "error_rate", "fraction", 0.0),
 )
 _PAYMENT = (
     _Row("fee", "fee", "number"),
@@ -144,16 +146,16 @@ _PAYMENT = (
     _Row("deadline", "deadline", "number", None),  # null: no deadline
     _Row("validation_time", "validation_time", "number", None),  # from stages, else 0
     _Row("validation_cost_cap", "validation_cost_cap", "number", None),  # null: no cap
-    _Row("stages", None, "list", None, _STAGE),
+    _Row("stages", None, "items", None, _STAGE),
 )
 _OPERATOR = (
     _Row("id", "id", "string"),
-    _Row("stake", "stake", "number"),
-    _Row("behavior", "behavior", "string", "honest"),
-    _Row("trust", "trust", "number", None),  # incentives.initial_trust
-    _Row("capacity", "capacity", "number", 100.0),
-    _Row("resources", "resources", "number", 10.0),
-    _Row("region_latency", "region_latency", "integer", 1),
+    _Row("stake", "stake", "amount"),
+    _Row("behavior", "behavior", "behavior", "honest"),
+    _Row("trust", "trust", "fraction", None),  # incentives.initial_trust
+    _Row("capacity", "capacity", "amount", 100.0),
+    _Row("resources", "resources", "amount", 10.0),
+    _Row("region_latency", "region_latency", "count", 1),
     _Row("payment", "payment", "object", None, _PAYMENT),
 )
 _TASK = (
@@ -162,28 +164,42 @@ _TASK = (
     _Row("corruption_rate", "corruption_rate", "number", 0.0),
     _Row("resource_cap", "resource_cap", "number"),
     # A number gives every operator that gain; a table must cover the roster.
-    _Row("consensus_gain", "consensus_gain", "raw", 1.0),
-    _Row("performance_gain", "performance_gain", "raw", 1.0),
+    _Row("consensus_gain", "consensus_gain", "gain", 1.0),
+    _Row("performance_gain", "performance_gain", "gain", 1.0),
     _Row("value", "value", "number", 0.0),
 )
 _TOP = (
-    _Row("scenario", "scenario", "string"),
+    _Row("scenario", "scenario", "scenario"),
     _Row("seed", "seed", "integer", 0),
-    _Row("epochs", "epochs", "integer", 1),
-    _Row("max_rounds", "max_rounds", "integer", 10),
-    _Row("failure_rate_constant", "failure_rate_constant", "number",
+    _Row("epochs", "epochs", "count", 1),
+    _Row("max_rounds", "max_rounds", "positive", 10),
+    _Row("failure_rate_constant", "failure_rate_constant", "amount",
          FAILURE_RATE_CONSTANT),
     _Row("weights", "weights", "object", {}, _WEIGHTS),
     _Row("network", "network", "object", {}, _NETWORK),
     _Row("schedule", "schedule", "object", {}, _SCHEDULE),
     _Row("incentives", "incentives", "object", {}, _INCENTIVES),
-    _Row("operators", "operators", "list", REQUIRED, _OPERATOR),
-    _Row("tasks", "tasks", "list", REQUIRED, _TASK),
+    _Row("operators", "operators", "items", REQUIRED, _OPERATOR),
+    _Row("tasks", "tasks", "items", REQUIRED, _TASK),
 )
 
 _BEHAVIORS = [b.value for b in Behavior]
-_KINDS = {"number": ((int, float), "a number"), "integer": (int, "an integer"),
-          "string": (str, "a non-empty string"), "list": (list, "a list")}
+# kind: (type of its JSON value, test of its range or None, what it asks for).
+# A float kind reads an integer as a float first.
+_KINDS = {
+    "number": (float, None, "a number"),
+    "amount": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "fraction": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "gain": (float, None, "a number or an object"),
+    "integer": (int, None, "an integer"),
+    "count": (int, lambda v: v >= 0, "an integer >= 0"),
+    "positive": (int, lambda v: v >= 1, "an integer >= 1"),
+    "string": (str, bool, "a non-empty string"),
+    "scenario": (str, lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
+    "behavior": (str, lambda v: v in _BEHAVIORS, f"one of {_BEHAVIORS}"),
+    "list": (list, None, "a list"),
+    "items": (list, bool, "a non-empty list"),
+}
 
 
 def _parse(raw: Any, rows: tuple[_Row, ...], context: str) -> dict[str, Any]:
@@ -215,13 +231,16 @@ def _parse(raw: Any, rows: tuple[_Row, ...], context: str) -> dict[str, Any]:
 def _coerce(value: Any, kind: str, name: str, rows: tuple[_Row, ...] | None = None) -> Any:
     if kind == "object":
         return _parse(value, rows, name)
-    if kind == "raw":
-        return value
-    types, noun = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types) or value == "":
+    if kind == "gain" and isinstance(value, dict):  # a per-operator table
+        return {op: _coerce(v, "number", f"{name}[{op}]") for op, v in value.items()}
+    cls, test, noun = _KINDS[kind]
+    if cls is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"field '{name}' is too large for a float", field=name) from None
+    if isinstance(value, bool) or not isinstance(value, cls) or test and not test(value):
         raise ConfigError(f"field '{name}' must be {noun}", field=name)
-    if kind == "number":
-        return float(value)
     if rows is not None:
         return [_parse(item, rows, f"{name}[{i}]") for i, item in enumerate(value)]
     return value
@@ -235,8 +254,8 @@ def _echo(obj: Any, rows: tuple[_Row, ...]) -> dict[str, Any]:
         if value is None and (row.attr is None or row.rows):
             continue  # folded into other fields, or an absent optional block
         if row.rows is not None:
-            value = ([_echo(item, row.rows) for item in value] if row.kind == "list"
-                     else _echo(value, row.rows))
+            value = (_echo(value, row.rows) if row.kind == "object"
+                     else [_echo(item, row.rows) for item in value])
         elif isinstance(value, dict):
             value = dict(sorted(value.items()))
         elif isinstance(value, frozenset):
@@ -260,29 +279,24 @@ def _reject_if(condition: bool, name: str, rule: str) -> None:
         raise ConfigError(f"{name} {rule}", field=name)
 
 
-def _gain_table(raw: Any, name: str, operator_ids: list[str]) -> dict[str, float]:
-    """Scalar gains broadcast to every operator; tables must cover all."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return {op: float(raw) for op in operator_ids}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a number or an object", field=name)
-    for op in raw:
+def _gain_table(gain: Any, name: str, operator_ids: list[str]) -> dict[str, float]:
+    """A number is every operator's gain; a table must cover the roster."""
+    if not isinstance(gain, dict):
+        return dict.fromkeys(operator_ids, gain)
+    for op in gain:
         _reject_if(op not in operator_ids, name, f"references unknown operator '{op}'")
-    missing = [op for op in operator_ids if op not in raw]
+    missing = [op for op in operator_ids if op not in gain]
     _reject_if(bool(missing), name, f"missing operators {missing}")
-    return {op: _coerce(v, "number", f"{name}[{op}]") for op, v in raw.items()}
+    return gain
 
 
 def _payment(params: dict[str, Any], context: str) -> PaymentNodeParams:
     """Fold the optional stage list into validation time and error rate."""
-    stages = params.pop("stages")
-    _reject_if(stages == [], f"{context}.stages", "must be a non-empty list")
     latency, pass_rate = 0.0, 1.0
-    for stage in stages or ():
+    for stage in params.pop("stages") or ():
         latency += stage["latency"]
         pass_rate *= 1.0 - stage["error_rate"]
-    derived = {"validation_time": latency,
-               "error_rate": min(1.0, max(0.0, 1.0 - pass_rate))}
+    derived = {"validation_time": latency, "error_rate": 1.0 - pass_rate}
     params.update({k: v for k, v in derived.items() if params[k] is None})
     return _build(PaymentNodeParams, context, params)
 
@@ -310,28 +324,13 @@ def load_config(source: str | Path) -> RunConfig:
             line=exc.lineno, column=exc.colno) from exc
 
     doc = _parse(raw, _TOP, "")
-    _reject_if(doc["scenario"] not in SCENARIOS, "scenario", f"must be one of {SCENARIOS}")
-    _reject_if(doc["epochs"] < 0, "epochs", "must be >= 0")
-    _reject_if(doc["max_rounds"] < 1, "max_rounds", "must be >= 1")
-    for name, value in (("failure_rate_constant", doc["failure_rate_constant"]),
-                        ("incentives.submit_fee", doc["incentives"]["submit_fee"])):
-        _reject_if(not 0 <= value < math.inf, name, "must be finite and >= 0")
-
     incentives = IncentiveParams(**dict(doc["incentives"], reputation=_build(
         ReputationParams, "incentives", doc["incentives"]["reputation"])))
 
-    _reject_if(not doc["operators"], "operators", "must be a non-empty list")
     operators: list[OperatorConfig] = []
     for i, op in enumerate(doc["operators"]):
-        _reject_if(op["behavior"] not in _BEHAVIORS, f"operators[{i}].behavior",
-                   f"must be one of {_BEHAVIORS}")
-        for key in ("stake", "capacity", "resources", "region_latency"):
-            _reject_if(not 0 <= op[key] < math.inf, f"operators[{i}].{key}",
-                       "must be finite and >= 0")
         if op["trust"] is None:
             op["trust"] = incentives.reputation.initial_trust
-        _reject_if(not 0.0 <= op["trust"] <= 1.0, f"operators[{i}].trust",
-                   "must lie in [0, 1]")
         if op["payment"] is not None:
             op["payment"] = _payment(op["payment"], f"operators[{i}].payment")
         operators.append(OperatorConfig(**op))
@@ -341,7 +340,6 @@ def load_config(source: str | Path) -> RunConfig:
         _reject_if(bool(missing), "operators",
                    f"need payment params in the payment scenario: {missing}")
 
-    _reject_if(not doc["tasks"], "tasks", "must be a non-empty list")
     tasks: list[TaskSpec] = []
     for i, task in enumerate(doc["tasks"]):
         for table in ("consensus_gain", "performance_gain"):
@@ -365,16 +363,13 @@ def load_config(source: str | Path) -> RunConfig:
     doc["network"]["partition_schedule"] = tuple(partitions)
 
     schedule = doc["schedule"]
-    window_length = schedule["window_length"]
-    _reject_if(window_length <= 0, "schedule.window_length", "must be > 0")
-    if schedule["windows_per_epoch"] is DERIVED:
+    half_window = schedule["window_length"] // 2
+    if schedule["windows_per_epoch"] is None:
         schedule["windows_per_epoch"] = max(4, len(operators))
-    _reject_if(schedule["windows_per_epoch"] < 1, "schedule.windows_per_epoch",
-               "must be >= 1")
     if schedule["grace_length"] is None:
-        schedule["grace_length"] = window_length // 2
-    _reject_if(not 0 <= schedule["grace_length"] <= window_length // 2,
-               "schedule.grace_length", "must lie in [0, window_length // 2]")
+        schedule["grace_length"] = half_window
+    _reject_if(schedule["grace_length"] > half_window, "schedule.grace_length",
+               "must be <= window_length // 2")
 
     return RunConfig(**dict(
         doc, operators=tuple(operators), tasks=tuple(tasks),

@@ -166,17 +166,22 @@ class AggregationReport:
     tick: int
     values: dict[str, float]
     weights: dict[str, float]
-    aggregate: float
+    aggregate: float | None
 
 
 def make_aggregation_report(tick: int, values: Mapping[str, float],
                             weights: Mapping[str, float]) -> AggregationReport:
-    """Aggregate per-operator reported values under the given weights."""
+    """Aggregate per-operator reported values under the given weights.
+
+    The aggregate is None when every weight is 0: the weighted mean is then
+    undefined.
+    """
     if set(values) != set(weights):
         raise DomainError("values and weights must cover the same operators")
     order = sorted(values)
-    aggregate = aggregate_results([values[op] for op in order],
-                                  [weights[op] for op in order])
+    ordered_weights = [weights[op] for op in order]
+    aggregate = (aggregate_results([values[op] for op in order], ordered_weights)
+                 if any(ordered_weights) else None)
     return AggregationReport(tick=tick, values=dict(sorted(values.items())),
                              weights=dict(sorted(weights.items())), aggregate=aggregate)
 

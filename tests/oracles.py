@@ -161,6 +161,11 @@ class ReferenceNode(_HonestNode):
         return True
 
 
+def summed_timeouts(max_rounds: int) -> int:
+    """Three phase timeouts in each of ``max_rounds`` rounds, summed round by round."""
+    return 3 * sum(phase_timeout(r) for r in range(max_rounds))
+
+
 def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace=None,
                       honest=_HonestNode):
     """``run_height`` by fixed-increment time advance.
@@ -186,7 +191,7 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
 
     protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
     max_latency = max(v.region_latency for v in validators)
-    horizon = (3 * sum(phase_timeout(r) for r in range(max_rounds))
+    horizon = (summed_timeouts(max_rounds)
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
     for node in (nodes[i] for i in sorted(nodes)):

@@ -12,7 +12,8 @@ from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, Gossi
                    NetworkModel, PartitionSpec, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
 from opsim import consensus
-from oracles import PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum
+from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum,
+                     summed_timeouts)
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 
@@ -552,6 +553,10 @@ class TestEventAdvance:
         assert outcome.ticks_elapsed == 3
         assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
         assert "v3" in outcome.signature.signer_set
+
+    def test_timeout_total_is_the_summed_timeouts(self):
+        rounds = range(1, 65)
+        assert [consensus.timeout_total(r) for r in rounds] == [summed_timeouts(r) for r in rounds]
 
 
 # Honest stakes and a silent validator's stake at which a left-to-right sum of

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opsim import (ConfigError, DomainError, fork_seed, load_config, read_report, run_simulation,
-                   write_report)
+from opsim import (Behavior, ConfigError, DomainError, fork_seed, load_config, read_report,
+                   run_simulation, write_report)
 from opsim.cli import main as cli_main
-from opsim.harness import _TOP
+from opsim.harness import _KINDS, _TOP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,7 +65,7 @@ FULL = {
     "weights": {"consensus": 1.0, "performance": 2.0},
     "network": {"drop_probability": 0.1, "latency_jitter": 1,
                 "partitions": [{"start": 0, "end": 5, "members": ["a"]}]},
-    "schedule": {"window_length": 6, "windows_per_epoch": 3, "grace_length": 2},
+    "schedule": {"window_length": 6, "windows_per_epoch": 3, "grace_length": 0},
     "incentives": {"smoothing": 0.8, "initial_trust": 0.4, "slash_fraction": 0.1,
                    "submit_fee": 0.5},
     "operators": [
@@ -117,8 +117,26 @@ FAILURE_HEAVY = {
 # A UTF-16 byte-order mark: not UTF-8 text.
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
-WRONG_KIND = {"number": "1.0", "integer": 1.5, "string": 7, "list": "x",
-              "object": ["x"], "raw": "x"}
+WRONG_KIND = {"number": "1.0", "amount": "1.0", "fraction": "0.5", "gain": "x",
+              "integer": 1.5, "count": 1.5, "positive": 1.5, "string": 7, "scenario": 7,
+              "behavior": 7, "list": "x", "items": "x", "object": ["x"]}
+
+# A JSON integer literal of 401 digits: too large for a float.
+BIG = 10 ** 400
+
+# Values just inside and just outside the bounds of each ranged kind. For
+# "string" and "items" the inside case is FULL itself: its ids are one
+# character long and its task and stage lists hold one item each.
+BOUNDS = {
+    "amount": ([0, sys.float_info.max], [-5e-324, math.inf, math.nan, BIG]),
+    "fraction": ([0, 1], [-5e-324, 1.0000000000000002, math.nan]),
+    "count": ([0], [-1]),
+    "positive": ([1], [0]),
+    "string": ([], [""]),
+    "scenario": (["sequencer", "payment"], ["auction"]),
+    "behavior": ([b.value for b in Behavior], ["sneaky"]),
+    "items": ([], [[]]),
+}
 
 
 def _row_paths(rows, prefix=()):
@@ -127,7 +145,7 @@ def _row_paths(rows, prefix=()):
         path = prefix + (row.key,)
         yield path, row.kind
         if row.rows is not None:
-            yield from _row_paths(row.rows, path + ((0,) if row.kind == "list" else ()))
+            yield from _row_paths(row.rows, path + (() if row.kind == "object" else (0,)))
 
 
 def _full_with(path, *value):
@@ -145,6 +163,11 @@ def _full_with(path, *value):
 
 def _display(path):
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _label(value):
+    """``value`` for a test id, with the 401-digit literal written short."""
+    return "10**400" if value == BIG else str(value)
 
 
 def _object_keys(doc, path="", found=None):
@@ -343,22 +366,41 @@ class TestLoadConfig:
         assert name in str(exc.value)
         assert exc.value.field == name
 
+    def test_wrong_kind_covers_every_kind(self):
+        assert set(WRONG_KIND) == {*_KINDS, "object"}
+        assert {kind for _, kind in _row_paths(_TOP)} == set(WRONG_KIND)
+
+    @pytest.mark.parametrize("path, value, inside", [
+        pytest.param(path, value, inside, id=f"{_display(path)}={_label(value)}")
+        for path, kind in _row_paths(_TOP) if kind in BOUNDS
+        for inside, values in zip((True, False), BOUNDS[kind]) for value in values])
+    def test_ranged_row_bounds(self, path, value, inside):
+        text = _full_with(path, value)
+        if inside:
+            load_config(text)
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_config(text)
+        assert exc.value.field == _display(path)
+
     @pytest.mark.parametrize("path", [
         ("schedule", "grace_length"), ("operators", 0, "trust"),
         ("operators", 0, "payment", "stages"), ("operators", 0, "payment", "deadline"),
-        ("operators", 0, "payment", "validation_cost_cap")])
+        ("operators", 0, "payment", "validation_cost_cap"), ("schedule", "windows_per_epoch")])
     def test_null_counts_as_omitted_for_optional_fields(self, path):
         assert load_config(_full_with(path, None)) == load_config(_full_with(path))
 
     @pytest.mark.parametrize("path", [
-        ("seed",), ("weights",), ("schedule", "windows_per_epoch"),
+        ("seed",), ("weights",), ("operators", 0, "payment", "stages", 0, "latency"),
         ("operators", 0, "behavior"), ("tasks", 0, "consensus_gain")])
     def test_null_is_rejected_for_fields_with_a_default(self, path):
         with pytest.raises(ConfigError):
             load_config(_full_with(path, None))
 
-    @pytest.mark.parametrize("path, value", [
-        pytest.param(path, value, id=f"{_display(path)}={value}") for path, value in [
+    @pytest.mark.parametrize("path, value, field", [
+        pytest.param(path, value, name[0] if name else _display(path),
+                     id=f"{_display(path)}={_label(value)}")
+        for path, value, *name in [
             (("operators", 0, "stake"), -1.0),
             (("operators", 0, "stake"), float("nan")),
             (("operators", 0, "capacity"), -5.0),
@@ -371,11 +413,21 @@ class TestLoadConfig:
             (("network", "partitions", 0, "end"), -1),
             (("network", "partitions", 0, "end"), 0),
             (("network", "partitions", 0, "members"), []),
-            (("network", "partitions", 0, "members"), ["a", "b"])]])
-    def test_out_of_range_value_names_the_field(self, path, value):
+            (("network", "partitions", 0, "members"), ["a", "b"]),
+            (("operators", 0, "stake"), BIG),
+            (("operators", 0, "resources"), BIG),
+            (("tasks", 0, "resource_cap"), BIG),
+            (("tasks", 0, "consensus_gain", "a"), BIG, "tasks[0].consensus_gain[a]"),
+            (("tasks", 0, "performance_gain"), BIG),
+            # Two stages at error rate 2: their pass rates multiply to 1.
+            (("operators", 0, "payment", "stages"), [{"error_rate": 2.0}] * 2,
+             "operators[0].payment.stages[0].error_rate"),
+            (("operators", 0, "payment", "stages", 0, "error_rate"), float("nan")),
+            (("operators", 0, "payment", "stages", 0, "latency"), -0.4)]])
+    def test_out_of_range_value_names_the_field(self, path, value, field):
         with pytest.raises(ConfigError) as exc:
             load_config(_full_with(path, value))
-        assert exc.value.field == _display(path)
+        assert exc.value.field == field
 
     @pytest.mark.parametrize("key", ["deadline", "validation_cost_cap"])
     def test_nan_payment_bound_names_the_block(self, key):
@@ -523,6 +575,16 @@ class TestRunSimulation:
         for epoch in epochs:
             assert epoch["aggregation"]["weights"] == starting
             starting = epoch["trusts"]
+
+    @pytest.mark.parametrize("text", [BASIC, PAYMENT], ids=["sequencer", "payment"])
+    def test_all_zero_trusts_run_every_epoch(self, text):
+        doc = json.loads(text)
+        for op in doc["operators"]:
+            op["trust"] = 0.0
+        epochs = run_simulation(load_config(json.dumps(doc))).epochs
+        assert len(epochs) == doc["epochs"]
+        # The trusts weight the aggregation, and an all-zero weighting has no mean.
+        assert epochs[0]["aggregation"]["aggregate"] is None
 
     def test_payment_optimum_is_needed_only_once_an_epoch_runs(self):
         # Zero validation cost and unbounded capacity have no optimum.

@@ -181,6 +181,10 @@ class TestAggregation:
         assert report.aggregate == pytest.approx(5.0)
         assert report.tick == 5
 
+    def test_report_with_all_zero_weights_has_no_aggregate(self):
+        report = make_aggregation_report(5, {"a": 2.0, "b": 6.0}, {"a": 0.0, "b": 0.0})
+        assert report.aggregate is None
+
 
 class TestFeedback:
     def test_weights_follow_trust(self):
