@@ -15,7 +15,9 @@ deterministic given the seed. Time is integer ticks advanced by next-event
 time advance: the engine jumps straight to the earliest tick at which a
 delivery is due or a validator's timer fires, and skips the idle ticks in
 between, at which nothing could happen. Timers sit in a per-height heap, so
-at a tick the engine wakes only the validators whose timer is due.
+at a tick the engine wakes only the validators whose timer is due. The
+network hands out each message with its whole recipient group, and one
+loop tallies it at every recipient in id order.
 """
 
 from __future__ import annotations
@@ -189,10 +191,10 @@ class GossipNetwork:
     sender and recipient at that tick. Draws go recipient by recipient in id
     order. The recipients one broadcast reaches at one tick share a queue
     entry that lists them in id order, and entries are numbered in
-    deliver-tick order, so ``step`` hands out deliveries in (deliver tick,
-    broadcast, recipient id) order. A lossless, jitter-free network delivers
-    every recipient at the same tick and draws nothing. Identical seed and
-    call sequence yield an identical delivery trace.
+    deliver-tick order, so ``step`` hands out (message, recipients) entries
+    in (deliver tick, broadcast) order. A lossless, jitter-free network
+    delivers every recipient at the same tick and draws nothing. Identical
+    seed and call sequence yield an identical delivery trace.
     """
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
@@ -252,37 +254,32 @@ class GossipNetwork:
         return groups
 
     def _push(self, deliver_tick: int, message: TraceEvent, group: Sequence[str]) -> None:
-        if self._model.partition_schedule:
-            group = [r for r in group
-                     if not self._partitioned(message.sender, r, deliver_tick)]
+        # Only recipients on the sender's side of every partition in force stay.
+        for spec in self._model.partition_schedule:
+            if spec.start_tick <= deliver_tick < spec.end_tick:
+                side = message.sender in spec.members
+                group = [r for r in group if (r in spec.members) == side]
         if group:
             heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
             self._seq += 1
             self._pending += len(group)
 
-    def _partitioned(self, sender: str, recipient: str, tick: int) -> bool:
-        for spec in self._model.partition_schedule:
-            if spec.start_tick <= tick < spec.end_tick:
-                if (sender in spec.members) != (recipient in spec.members):
-                    return True
-        return False
+    def step(self, tick: int) -> list[tuple[TraceEvent, Sequence[str]]]:
+        """(message, recipients) entries due at or before ``tick``; ticks must not decrease.
 
-    def step(self, tick: int) -> list[tuple[TraceEvent, str]]:
-        """(message, recipient) pairs due at or before ``tick``; ticks must not decrease.
-
-        ``run_height`` steps only at event ticks, so one step may cover
-        several ticks; a delivery due at a tick already stepped comes out
-        at the next step.
+        Recipients are in id order and never empty. ``run_height`` steps only at
+        event ticks, so one step may cover several ticks; a delivery due at a
+        tick already stepped comes out at the next step.
         """
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
         queue = self._queue
-        delivered: list[tuple[TraceEvent, str]] = []
+        delivered: list[tuple[TraceEvent, Sequence[str]]] = []
         while queue and queue[0][0] <= tick:
             _, _, message, group = heapq.heappop(queue)
-            delivered.extend([(message, recipient) for recipient in group])
-        self._pending -= len(delivered)
+            delivered.append((message, group))
+            self._pending -= len(group)
         return delivered
 
     @property
@@ -315,7 +312,7 @@ class _HeightContext:
         self.stakes = {v.id: v.stake for v in validators}
         self.total_stake = math.fsum(self.stakes.values())
         # A tally whose naive running sum is below this cannot reach quorum;
-        # see _HonestNode._vote.
+        # see _HonestNode.receive.
         self.quorum_floor = self.total_stake * ((2.0 - (len(validators) + 3) * 2.0 ** -51)
                                                 / 3.0)
         self.digest = digest
@@ -338,10 +335,11 @@ class _HeightContext:
         return self.roster[round_ % len(self.roster)]
 
     def send(self, tick: int, kind: str, round_: int, sender: str, digest: str | None,
-             recipients: Iterable[str] | None = None) -> None:
-        """Record a message as a trace event and broadcast that event."""
+             recipients: Iterable[str] | None = None) -> TraceEvent:
+        """Record a message as a trace event, broadcast that event and return it."""
         message = self.trace.record(tick, kind, self.height, round_, sender, digest)
         self.network.broadcast(message, recipients)
+        return message
 
 
 class _HonestNode:
@@ -366,41 +364,20 @@ class _HonestNode:
         self._maybe_propose(tick)
         self._evaluate(tick)
 
-    def on_message(self, msg: TraceEvent, tick: int) -> None:
-        # Bookkeeping continues after deciding so the commit certificate can
-        # cover precommits that were still in flight at decision time.
-        if msg.kind == "proposal":
-            changed = (msg.round not in self.proposals
-                       and msg.sender == self.ctx.proposer(msg.round).id)
-            if changed:
-                self.proposals[msg.round] = msg.digest
-        else:
-            changed = self._vote((msg.kind, msg.round, msg.digest), msg.sender)
-        # Once _evaluate returns, the phase is a fixed point of the
-        # proposals, the quorums and whether the timer is due; a message that
-        # changes none of them cannot move it.
-        if not self.done and (changed or tick >= self.next_due):
-            self._evaluate(tick)
+    @staticmethod
+    def receive(ctx: _HeightContext, message: TraceEvent, group: Iterable[_HonestNode],
+                tick: int | None = None) -> None:
+        """Hand ``message`` to each node of ``group`` in turn; the only tally path.
 
-    def on_tick(self, tick: int) -> None:
-        if not self.done:
-            self._evaluate(tick)
+        A node stores a proposal from the round's proposer or tallies a vote.
+        Then, unless ``tick`` is None (``_cast`` tallying its own vote) or
+        the node is done, it evaluates if its proposals or quorums changed or
+        its timer is due: after ``_evaluate`` the phase is a fixed point of
+        those three. Done nodes keep tallying, so the commit certificate
+        covers precommits still in flight at decision time.
 
-    def _set_timer(self, due: int) -> None:
-        """Fire the phase timer at tick ``due``; ``next_due`` is meaningless once done."""
-        self.next_due = due
-        heapq.heappush(self.ctx.timers, (due, self.d.id))
-
-    def _finish(self) -> None:
-        self.phase = "done"
-        self.done = True
-        self.ctx.unfinished -= 1
-
-    def _vote(self, key: tuple[str, int, str | None], voter: str) -> bool:
-        """Tally one vote under its (kind, round, digest) key; True if it joined ``quorums``.
-
-        The key joins ``quorums`` when the vote brings its voters' stake fsum
-        over quorum. Votes only accumulate, so a key never leaves
+        A vote's key joins ``quorums`` when the vote brings its voters'
+        stake fsum over quorum. Votes only accumulate, so a key never leaves
         ``quorums``; fsum is exactly rounded, so membership does not depend
         on the order votes arrived in.
 
@@ -434,22 +411,48 @@ class _HonestNode:
         round, an equivocator sends its two digests to disjoint halves of
         its peers, and the network delivers each queued copy once.
         """
-        ctx = self.ctx
+        round_, voter = message.round, message.sender
+        proposal = message.kind == "proposal"
+        valid = proposal and voter == ctx.proposer(round_).id
+        key = (message.kind, round_, message.digest)
         stake = ctx.stakes[voter]
-        voters = self.votes.get(key)
-        if voters is None:
-            voters = self.votes[key] = {}
-        voters[voter] = stake
-        if key in self.quorums:
-            return False
-        running = self.sums.get(key, 0.0) + stake
-        if running < ctx.quorum_floor or not quorum_met(math.fsum(voters.values()),
-                                                        ctx.total_stake):
-            self.sums[key] = running
-            return False
-        self.sums.pop(key, None)
-        self.quorums.add(key)
-        return True
+        floor, total = ctx.quorum_floor, ctx.total_stake
+        for node in group:
+            changed = False
+            if proposal:
+                if valid and round_ not in node.proposals:
+                    node.proposals[round_] = message.digest
+                    changed = True
+            else:
+                voters = node.votes.get(key)
+                if voters is None:
+                    voters = node.votes[key] = {}
+                    node.sums[key] = 0.0
+                voters[voter] = stake
+                if key not in node.quorums:
+                    running = node.sums[key] + stake
+                    if running < floor or not quorum_met(math.fsum(voters.values()), total):
+                        node.sums[key] = running
+                    else:
+                        del node.sums[key]
+                        node.quorums.add(key)
+                        changed = True
+            if tick is not None and not node.done and (changed or tick >= node.next_due):
+                node._evaluate(tick)
+
+    def on_tick(self, tick: int) -> None:
+        if not self.done:
+            self._evaluate(tick)
+
+    def _set_timer(self, due: int) -> None:
+        """Fire the phase timer at tick ``due``; ``next_due`` is meaningless once done."""
+        self.next_due = due
+        heapq.heappush(self.ctx.timers, (due, self.d.id))
+
+    def _finish(self) -> None:
+        self.phase = "done"
+        self.done = True
+        self.ctx.unfinished -= 1
 
     def _maybe_propose(self, tick: int) -> None:
         if self.ctx.proposer(self.round).id != self.d.id:
@@ -497,10 +500,10 @@ class _HonestNode:
 
     def _cast(self, kind: str, digest: str | None, tick: int) -> None:
         """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
-        self._vote((kind, self.round, digest), self.d.id)
         self.phase = kind
         self._set_timer(tick + phase_timeout(self.round))
-        self.ctx.send(tick, kind, self.round, self.d.id, digest)
+        self.receive(self.ctx, self.ctx.send(tick, kind, self.round, self.d.id, digest),
+                     (self,))
 
     def _decide(self, tick: int) -> None:
         self._finish()
@@ -545,9 +548,6 @@ class _EquivocatingNode:
             return self.entered
         timeout = phase_timeout(self.round)
         return self.entered + (timeout if self.stage == "precommit" else 3 * timeout)
-
-    def on_message(self, msg: TraceEvent, tick: int) -> None:
-        pass
 
     def on_tick(self, tick: int) -> None:
         if self.done or tick < self.next_due:
@@ -612,23 +612,22 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             heapq.heappush(ctx.timers, (nodes[v.id].next_due, v.id))
         # Silent validators receive but never act.
 
-    protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
     max_latency = max(v.region_latency for v in validators)
     horizon = (timeout_total(max_rounds)
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
+    listening = {vid: node for vid, node in nodes.items() if isinstance(node, _HonestNode)}
+
     def deliver(tick: int) -> None:
-        for message, recipient in net.step(tick):
-            target = nodes.get(recipient)
-            if target is not None:
-                target.on_message(message, tick)
+        for message, recipients in net.step(tick):
+            _HonestNode.receive(ctx, message, filter(None, map(listening.get, recipients)), tick)
 
     def stale(due: int, vid: str) -> bool:
         """True for a timer entry whose node is done or has set another timer since."""
         node = nodes[vid]
         return node.done or node.next_due != due
 
-    for node in protocol_nodes:
+    for node in listening.values():
         node.start(0)
 
     # Next-event time advance: at a tick where no delivery is due and no

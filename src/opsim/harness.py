@@ -108,8 +108,8 @@ class _Row(NamedTuple):
 
 
 _WEIGHTS = (
-    _Row("consensus", "w1", "number", 1.0),
-    _Row("performance", "w2", "number", 1.0),
+    _Row("consensus", "w1", "amount", 1.0),
+    _Row("performance", "w2", "amount", 1.0),
 )
 _PARTITION = (
     _Row("start", "start_tick", "integer"),
@@ -117,7 +117,7 @@ _PARTITION = (
     _Row("members", "members", "list"),
 )
 _NETWORK = (
-    _Row("drop_probability", "drop_probability", "number", 0.0),
+    _Row("drop_probability", "drop_probability", "probability", 0.0),
     _Row("latency_jitter", "latency_jitter", "integer", 0),
     _Row("partitions", "partition_schedule", "list", [], _PARTITION),
 )
@@ -127,9 +127,9 @@ _SCHEDULE = (
     _Row("grace_length", "grace_length", "count", None),  # window_length // 2
 )
 _INCENTIVES = (
-    _Row("smoothing", "reputation.smoothing", "number", 0.9),
-    _Row("initial_trust", "reputation.initial_trust", "number", 0.5),
-    _Row("slash_fraction", "reputation.slash_fraction", "number", 0.05),
+    _Row("smoothing", "reputation.smoothing", "interior", 0.9),
+    _Row("initial_trust", "reputation.initial_trust", "fraction", 0.5),
+    _Row("slash_fraction", "reputation.slash_fraction", "interior", 0.05),
     _Row("submit_fee", "submit_fee", "amount", 1.0),
 )
 _STAGE = (
@@ -137,14 +137,14 @@ _STAGE = (
     _Row("error_rate", "error_rate", "fraction", 0.0),
 )
 _PAYMENT = (
-    _Row("fee", "fee", "number"),
-    _Row("validation_cost_coeff", "validation_cost_coeff", "number"),
+    _Row("fee", "fee", "amount"),
+    _Row("validation_cost_coeff", "validation_cost_coeff", "amount"),
     _Row("capacity", "capacity", "number"),
-    _Row("penalty_coeff", "penalty_coeff", "number", 0.0),
-    _Row("error_cost_coeff", "error_cost_coeff", "number", 0.0),
-    _Row("error_rate", "error_rate", "number", None),  # from stages, else 0
+    _Row("penalty_coeff", "penalty_coeff", "amount", 0.0),
+    _Row("error_cost_coeff", "error_cost_coeff", "amount", 0.0),
+    _Row("error_rate", "error_rate", "fraction", None),  # from stages, else 0
     _Row("deadline", "deadline", "number", None),  # null: no deadline
-    _Row("validation_time", "validation_time", "number", None),  # from stages, else 0
+    _Row("validation_time", "validation_time", "amount", None),  # from stages, else 0
     _Row("validation_cost_cap", "validation_cost_cap", "number", None),  # null: no cap
     _Row("stages", None, "items", None, _STAGE),
 )
@@ -160,19 +160,19 @@ _OPERATOR = (
 )
 _TASK = (
     _Row("id", "id", "string"),
-    _Row("cost_rate", "cost_rate", "number", 0.0),
-    _Row("corruption_rate", "corruption_rate", "number", 0.0),
-    _Row("resource_cap", "resource_cap", "number"),
+    _Row("cost_rate", "cost_rate", "amount", 0.0),
+    _Row("corruption_rate", "corruption_rate", "amount", 0.0),
+    _Row("resource_cap", "resource_cap", "amount"),
     # A number gives every operator that gain; a table must cover the roster.
     _Row("consensus_gain", "consensus_gain", "gain", 1.0),
     _Row("performance_gain", "performance_gain", "gain", 1.0),
-    _Row("value", "value", "number", 0.0),
+    _Row("value", "value", "amount", 0.0),
 )
 _TOP = (
     _Row("scenario", "scenario", "scenario"),
     _Row("seed", "seed", "integer", 0),
     _Row("epochs", "epochs", "count", 1),
-    _Row("max_rounds", "max_rounds", "positive", 10),
+    _Row("max_rounds", "max_rounds", "rounds", 10),
     _Row("failure_rate_constant", "failure_rate_constant", "amount",
          FAILURE_RATE_CONSTANT),
     _Row("weights", "weights", "object", {}, _WEIGHTS),
@@ -190,10 +190,14 @@ _KINDS = {
     "number": (float, None, "a number"),
     "amount": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "fraction": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "gain": (float, None, "a number or an object"),
+    "probability": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "interior": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "gain": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0 or an object"),
     "integer": (int, None, "an integer"),
     "count": (int, lambda v: v >= 0, "an integer >= 0"),
     "positive": (int, lambda v: v >= 1, "an integer >= 1"),
+    # At 64 rounds a height's timeouts already sum to 12 (2**64 - 1) ticks.
+    "rounds": (int, lambda v: 1 <= v <= 64, "an integer in [1, 64]"),
     "string": (str, bool, "a non-empty string"),
     "scenario": (str, lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
     "behavior": (str, lambda v: v in _BEHAVIORS, f"one of {_BEHAVIORS}"),
@@ -232,7 +236,7 @@ def _coerce(value: Any, kind: str, name: str, rows: tuple[_Row, ...] | None = No
     if kind == "object":
         return _parse(value, rows, name)
     if kind == "gain" and isinstance(value, dict):  # a per-operator table
-        return {op: _coerce(v, "number", f"{name}[{op}]") for op, v in value.items()}
+        return {op: _coerce(v, "amount", f"{name}[{op}]") for op, v in value.items()}
     cls, test, noun = _KINDS[kind]
     if cls is float and type(value) is int:
         try:

@@ -5,9 +5,10 @@ is done on a discrete grid (greedy marginal allocation, exact for separable
 concave objectives, cross-checked against exhaustive enumeration), gradients
 come from central finite differences, throughput optima from an integer
 scan, the paper's allocation method is projected gradient ascent, a
-consensus height advances one tick at a time, a reference validator
-re-evaluates after every message and re-sums every tally with ``fsum``, and
-gossip queues one delivery per recipient with ``randint`` jitter.
+consensus height advances one tick at a time and hands each message to one
+recipient at a time, a reference validator re-evaluates after every message
+and re-sums every tally with ``fsum``, and gossip queues one delivery per
+recipient with ``randint`` jitter.
 """
 
 from __future__ import annotations
@@ -135,30 +136,27 @@ def stake_quorum(signed: float, total: float) -> bool:
 
 
 class ReferenceNode(_HonestNode):
-    """``_HonestNode`` with no evaluation gate and no ``fsum`` filter.
+    """``_HonestNode`` with no evaluation gate, no ``fsum`` filter and no group loop.
 
-    It re-evaluates its phase after every message, and re-sums a tally with
-    ``fsum`` on every vote until the tally reaches quorum. Phase logic, sends
-    and decisions are ``_HonestNode``'s own.
+    It hears a message one node at a time, re-evaluates its phase after
+    every message, and re-sums a tally with ``fsum`` on every vote, its own
+    included. Phase logic, sends and decisions are ``_HonestNode``'s own.
     """
 
-    def on_message(self, msg, tick):
-        if msg.kind == "proposal":
-            if msg.sender == self.ctx.proposer(msg.round).id:
-                self.proposals.setdefault(msg.round, msg.digest)
-        else:
-            self._vote((msg.kind, msg.round, msg.digest), msg.sender)
-        if not self.done:
-            self._evaluate(tick)
-
-    def _vote(self, key, voter):
-        voters = self.votes.setdefault(key, {})
-        voters[voter] = self.ctx.stakes[voter]
-        if key in self.quorums or not stake_quorum(math.fsum(voters.values()),
-                                                   self.ctx.total_stake):
-            return False
-        self.quorums.add(key)
-        return True
+    @staticmethod
+    def receive(ctx, message, group, tick=None):
+        for node in group:
+            if message.kind == "proposal":
+                if message.sender == ctx.proposer(message.round).id:
+                    node.proposals.setdefault(message.round, message.digest)
+            else:
+                key = (message.kind, message.round, message.digest)
+                voters = node.votes.setdefault(key, {})
+                voters[message.sender] = ctx.stakes[message.sender]
+                if stake_quorum(math.fsum(voters.values()), ctx.total_stake):
+                    node.quorums.add(key)
+            if tick is not None and not node.done:
+                node._evaluate(tick)
 
 
 def summed_timeouts(max_rounds: int) -> int:
@@ -170,12 +168,12 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
                       honest=_HonestNode):
     """``run_height`` by fixed-increment time advance.
 
-    Every tick up to the horizon delivers what is due and then calls every
-    node, and in-flight messages drain one tick at a time. Honest and
-    invalid-proposer validators are ``honest`` nodes; equivocators are
-    ``run_height``'s own. The height's end (silent faults, certificate or
-    no-commit record) is ``run_height``'s own tail, and so are the input
-    checks.
+    Every tick up to the horizon delivers what is due, one recipient at a
+    time, and then calls every node, and in-flight messages drain one tick
+    at a time. Honest and invalid-proposer validators are ``honest`` nodes;
+    equivocators are ``run_height``'s own. The height's end (silent faults,
+    certificate or no-commit record) is ``run_height``'s own tail, and so
+    are the input checks.
     """
     trace = trace if trace is not None else EventTrace()
     digest = batch_digest(batch)
@@ -190,6 +188,14 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
             nodes[v.id] = _EquivocatingNode(v, ctx)
 
     protocol_nodes = [n for n in nodes.values() if isinstance(n, _HonestNode)]
+
+    def deliver(tick):
+        for message, group in net.step(tick):
+            for recipient in group:
+                target = nodes.get(recipient)
+                if isinstance(target, _HonestNode):
+                    honest.receive(ctx, message, (target,), tick)
+
     max_latency = max(v.region_latency for v in validators)
     horizon = (summed_timeouts(max_rounds)
                + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
@@ -201,10 +207,7 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
     tick = 0
     last_tick = 0
     while tick <= horizon:
-        for message, recipient in net.step(tick):
-            target = nodes.get(recipient)
-            if target is not None:
-                target.on_message(message, tick)
+        deliver(tick)
         for node_id in sorted(nodes):
             nodes[node_id].on_tick(tick)
         last_tick = tick
@@ -216,10 +219,7 @@ def run_height_ticked(validators, batch, network, max_rounds, *, height=0, trace
 
     while net.pending > 0 and tick <= horizon:
         tick += 1
-        for message, recipient in net.step(tick):
-            target = nodes.get(recipient)
-            if target is not None:
-                target.on_message(message, tick)
+        deliver(tick)
 
     return _finish_height(ctx, last_tick)
 

@@ -18,6 +18,15 @@ from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 
 
+def flat(entries):
+    """``GossipNetwork.step``'s (message, recipients) entries as (message, recipient) pairs.
+
+    Each entry must name at least one recipient, in id order.
+    """
+    assert all(group and list(group) == sorted(set(group)) for _, group in entries)
+    return [(message, recipient) for message, group in entries for recipient in group]
+
+
 def make_validators(behaviors, stakes=None, latency=1):
     stakes = stakes or [10.0] * len(behaviors)
     return [ValidatorDescriptor(id=f"v{i}", stake=stakes[i], behavior=b,
@@ -71,11 +80,13 @@ def gossip_runs(draw):
     ids = [f"v{i}" for i in range(n)]
     validators = [ValidatorDescriptor(id=vid, stake=1.0, region_latency=draw(st.integers(0, 3)))
                   for vid in ids]
+    # Up to three windows that may overlap, start before the first delivery
+    # or end after the last.
     partitions = tuple(
         PartitionSpec(start, start + length, frozenset(members))
         for start, length, members in draw(st.lists(
-            st.tuples(st.integers(0, 20), st.integers(1, 20),
-                      st.sets(st.sampled_from(ids), min_size=1)), max_size=2)))
+            st.tuples(st.integers(-5, 60), st.integers(1, 40),
+                      st.sets(st.sampled_from(ids), min_size=1)), max_size=3)))
     model = NetworkModel(drop_probability=draw(st.just(0.0) | st.floats(0.0, 0.5)),
                          latency_jitter=draw(st.integers(0, 3)),
                          rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
@@ -86,14 +97,14 @@ def gossip_runs(draw):
     return validators, model, draw(st.lists(broadcast | step, max_size=40))
 
 
-def fixed_gossip_run(latency_jitter, drop_probability):
+def fixed_gossip_run(latency_jitter, drop_probability, partition_schedule=()):
     """Eight validators and 200 seeded calls over a network with the given draws."""
     rng = random.Random(7)
     ids = [f"v{i}" for i in range(8)]
     validators = [ValidatorDescriptor(id=vid, stake=1.0, region_latency=rng.randint(0, 3))
                   for vid in ids]
     model = NetworkModel(drop_probability=drop_probability, latency_jitter=latency_jitter,
-                         rng_seed=11)
+                         rng_seed=11, partition_schedule=partition_schedule)
     calls = [("broadcast", rng.choice(ids),
               None if rng.random() < 0.7 else rng.sample(ids, rng.randint(0, 8)))
              if rng.random() < 0.6 else ("step", rng.randint(0, 3), None)
@@ -109,6 +120,12 @@ class TestGossip:
     @example(run=fixed_gossip_run(latency_jitter=0, drop_probability=0.3))
     @example(run=fixed_gossip_run(latency_jitter=2, drop_probability=0.0))
     @example(run=fixed_gossip_run(latency_jitter=0, drop_probability=0.0))
+    # Three overlapping windows, the first open before tick 0: a recipient
+    # must be on the sender's side of every window in force.
+    @example(run=fixed_gossip_run(latency_jitter=1, drop_probability=0.1, partition_schedule=(
+        PartitionSpec(-3, 40, frozenset({"v0", "v1", "v2"})),
+        PartitionSpec(20, 90, frozenset({"v1", "v3"})),
+        PartitionSpec(30, 35, frozenset({"v4"})))))
     def test_matches_per_recipient_oracle(self, run):
         validators, model, calls = run
         net, oracle = GossipNetwork(model, validators), PerRecipientGossip(model, validators)
@@ -120,7 +137,7 @@ class TestGossip:
                 oracle.broadcast(message, recipients)
             else:
                 tick += arg
-                assert net.step(tick) == oracle.step(tick)
+                assert flat(net.step(tick)) == oracle.step(tick)
             assert net.pending == oracle.pending
             assert net.next_tick == oracle.next_tick
         assert net.pending == 0
@@ -133,7 +150,8 @@ class TestGossip:
         net.broadcast(msg)
         assert net.next_tick == 6
         assert net.step(5) == []
-        assert net.step(6) == [(msg, "v1"), (msg, "v2")]
+        assert [(message, list(group)) for message, group in net.step(6)] == [
+            (msg, ["v1", "v2"])]
         assert net.next_tick is None
         assert net.step(7) == []
 
@@ -151,9 +169,9 @@ class TestGossip:
             log = []
             for tick in range(3):
                 net.broadcast(TraceEvent(tick, "prevote", 0, 0, f"v{tick}", "d"))
-                log.extend((recipient, tick) for _, recipient in net.step(tick))
+                log.extend((recipient, tick) for _, recipient in flat(net.step(tick)))
             for tick in range(3, 12):
-                log.extend((recipient, tick) for _, recipient in net.step(tick))
+                log.extend((recipient, tick) for _, recipient in flat(net.step(tick)))
             traces.append(log)
         assert traces[0] == traces[1]
 
@@ -167,7 +185,7 @@ class TestGossip:
         net.broadcast(TraceEvent(0, "prevote", 0, 0, "v1", "d"))
         delivered = []
         for tick in range(4):
-            delivered.extend(net.step(tick))
+            delivered.extend(flat(net.step(tick)))
         pairs = {(message.sender, recipient) for message, recipient in delivered}
         assert ("v0", "v1") not in pairs and ("v0", "v2") not in pairs
         assert ("v1", "v2") in pairs and ("v1", "v0") not in pairs
@@ -414,12 +432,13 @@ def heights(draw):
     validators = [ValidatorDescriptor(id=f"v{i}", stake=draw(st.floats(0.01, 50.0)),
                                       behavior=b, region_latency=draw(st.integers(0, 3)))
                   for i, b in enumerate(behaviors)]
-    partitions = ()
-    if draw(st.booleans()):
-        start = draw(st.integers(0, 40))
-        members = draw(st.sets(st.sampled_from([v.id for v in validators]), min_size=1))
-        partitions = (PartitionSpec(start, start + draw(st.integers(1, 80)),
-                                    frozenset(members)),)
+    # Up to three windows that may overlap and open or close mid-height.
+    partitions = tuple(
+        PartitionSpec(start, start + length, frozenset(members))
+        for start, length, members in draw(st.lists(
+            st.tuples(st.integers(-10, 60), st.integers(1, 80),
+                      st.sets(st.sampled_from([v.id for v in validators]), min_size=1)),
+            max_size=3)))
     model = NetworkModel(drop_probability=draw(st.floats(0.0, 0.3)),
                          latency_jitter=draw(st.integers(0, 2)),
                          rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
@@ -515,7 +534,7 @@ class TestEventAdvance:
         with recorded(GossipNetwork, "step") as steps:
             run_height(validators, ["a", "b"], model, max_rounds)
         heard = [(recipient, message.sender, message.kind, message.round)
-                 for _, _, delivered in steps for message, recipient in delivered]
+                 for _, _, delivered in steps for message, recipient in flat(delivered)]
         assert len(heard) == len(set(heard))
 
     def test_zero_latency_message_arrives_next_tick(self):
@@ -574,10 +593,22 @@ def edge_roster(stakes, silent_stake):
 
 
 def tally_node(validators):
-    """The first validator's node in a height over ``validators``, to call ``_vote`` on."""
+    """The first validator's node in a height over ``validators``, to tally votes at."""
     ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
                                    1, 0, EventTrace())
     return consensus._HonestNode(validators[0], ctx)
+
+
+def tally(node, voter):
+    """Tally ``voter``'s round-0 prevote for "d" at ``node`` alone, with no evaluation.
+
+    True if that vote brought the key into ``node.quorums``.
+    """
+    key = ("prevote", 0, "d")
+    before = key in node.quorums
+    consensus._HonestNode.receive(node.ctx, TraceEvent(0, "prevote", 0, 0, voter, "d"),
+                                  (node,))
+    return not before and key in node.quorums
 
 
 class TestTallyShortcuts:
@@ -622,7 +653,7 @@ class TestTallyShortcuts:
         naive = 0.0
         for i, v in enumerate(validators[:voting]):
             naive += v.stake
-            node._vote(("prevote", 0, "d"), v.id)
+            tally(node, v.id)
             if naive < ctx.quorum_floor:
                 assert not stake_quorum(math.fsum(stakes[:i + 1]), ctx.total_stake)
         assert ((("prevote", 0, "d") in node.quorums)
@@ -639,7 +670,7 @@ class TestTallyShortcuts:
         naive, added = 0.0, []
         for v in validators[:-1]:
             naive += v.stake
-            added.append(node._vote(("prevote", 0, "d"), v.id))
+            added.append(tally(node, v.id))
         assert stake_quorum(math.fsum(stakes), ctx.total_stake) == fsum_quorum
         assert stake_quorum(naive, ctx.total_stake) != fsum_quorum
         assert (("prevote", 0, "d") in node.quorums) == fsum_quorum

@@ -117,9 +117,10 @@ FAILURE_HEAVY = {
 # A UTF-16 byte-order mark: not UTF-8 text.
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
-WRONG_KIND = {"number": "1.0", "amount": "1.0", "fraction": "0.5", "gain": "x",
-              "integer": 1.5, "count": 1.5, "positive": 1.5, "string": 7, "scenario": 7,
-              "behavior": 7, "list": "x", "items": "x", "object": ["x"]}
+WRONG_KIND = {"number": "1.0", "amount": "1.0", "fraction": "0.5", "probability": "0.5",
+              "interior": "0.5", "gain": "x", "integer": 1.5, "count": 1.5,
+              "positive": 1.5, "rounds": 1.5, "string": 7, "scenario": 7, "behavior": 7,
+              "list": "x", "items": "x", "object": ["x"]}
 
 # A JSON integer literal of 401 digits: too large for a float.
 BIG = 10 ** 400
@@ -130,8 +131,12 @@ BIG = 10 ** 400
 BOUNDS = {
     "amount": ([0, sys.float_info.max], [-5e-324, math.inf, math.nan, BIG]),
     "fraction": ([0, 1], [-5e-324, 1.0000000000000002, math.nan]),
+    "probability": ([0, 0.9999999999999999], [-5e-324, 1, math.nan]),
+    "interior": ([5e-324, 0.9999999999999999], [0, 1, math.nan]),
+    "gain": ([0, sys.float_info.max], [-5e-324, math.inf, math.nan, BIG]),
     "count": ([0], [-1]),
     "positive": ([1], [0]),
+    "rounds": ([1, 64], [0, 65, BIG]),
     "string": ([], [""]),
     "scenario": (["sequencer", "payment"], ["auction"]),
     "behavior": ([b.value for b in Behavior], ["sneaky"]),
@@ -423,7 +428,15 @@ class TestLoadConfig:
             (("operators", 0, "payment", "stages"), [{"error_rate": 2.0}] * 2,
              "operators[0].payment.stages[0].error_rate"),
             (("operators", 0, "payment", "stages", 0, "error_rate"), float("nan")),
-            (("operators", 0, "payment", "stages", 0, "latency"), -0.4)]])
+            (("operators", 0, "payment", "stages", 0, "latency"), -0.4),
+            # Numbers that a domain class checks too are named by their row.
+            (("max_rounds",), BIG),
+            (("network", "drop_probability"), 2),
+            (("incentives", "smoothing"), 2),
+            (("weights", "consensus"), -1),
+            (("tasks", 0, "cost_rate"), -1),
+            (("tasks", 0, "consensus_gain", "b"), -1, "tasks[0].consensus_gain[b]"),
+            (("operators", 0, "payment", "fee"), -1)]])
     def test_out_of_range_value_names_the_field(self, path, value, field):
         with pytest.raises(ConfigError) as exc:
             load_config(_full_with(path, value))
