@@ -144,19 +144,22 @@ class ReferenceNode(_HonestNode):
     """
 
     @staticmethod
-    def receive(ctx, message, group, tick=None):
+    def receive(ctx, message, group, tick):
         for node in group:
             if message.kind == "proposal":
                 if message.sender == ctx.proposer(message.round).id:
                     node.proposals.setdefault(message.round, message.digest)
             else:
-                key = (message.kind, message.round, message.digest)
-                voters = node.votes.setdefault(key, {})
-                voters[message.sender] = ctx.stakes[message.sender]
-                if stake_quorum(math.fsum(voters.values()), ctx.total_stake):
-                    node.quorums.add(key)
-            if tick is not None and not node.done:
+                node._tally((message.kind, message.round, message.digest), message.sender,
+                            ctx.stakes[message.sender])
+            if not node.done:
                 node._evaluate(tick)
+
+    def _tally(self, key, voter, stake):
+        voters = self.votes.setdefault(key, {})
+        voters[voter] = stake
+        if stake_quorum(math.fsum(voters.values()), self.ctx.total_stake):
+            self.quorums.add(key)
 
 
 def summed_timeouts(max_rounds: int) -> int:

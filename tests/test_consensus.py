@@ -1,9 +1,13 @@
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -419,15 +423,25 @@ def recorded(cls, method):
 
 
 def recomputed_quorums(node):
-    """(kind, round, digest) keys with quorum, re-summed from a node's vote tally."""
-    return {key for key, voters in node.votes.items()
+    """(kind, round, digest) keys with quorum, re-summed from a node's whole view.
+
+    A node's view of a key is its private tally plus the height's shared one.
+    """
+    shared = node.ctx.shared
+    views = {key: {**shared.get(key, {}), **node.votes.get(key, {})}
+             for key in node.votes.keys() | shared.keys()}
+    return {key for key, voters in views.items()
             if stake_quorum(math.fsum(node.ctx.stakes[v] for v in voters),
                             node.ctx.total_stake)}
 
 
 @st.composite
 def heights(draw):
-    n = draw(st.integers(1, 9))
+    """A roster of 1 to 16, a network that is lossless about half the time, and max_rounds.
+
+    Lossless heights of 9 or more validators share tallies (see run_height).
+    """
+    n = draw(st.integers(1, 16))
     behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=n, max_size=n))
     validators = [ValidatorDescriptor(id=f"v{i}", stake=draw(st.floats(0.01, 50.0)),
                                       behavior=b, region_latency=draw(st.integers(0, 3)))
@@ -439,11 +453,44 @@ def heights(draw):
             st.tuples(st.integers(-10, 60), st.integers(1, 80),
                       st.sets(st.sampled_from([v.id for v in validators]), min_size=1)),
             max_size=3)))
-    model = NetworkModel(drop_probability=draw(st.floats(0.0, 0.3)),
-                         latency_jitter=draw(st.integers(0, 2)),
+    lossless = draw(st.booleans())
+    model = NetworkModel(drop_probability=0.0 if lossless else draw(st.floats(0.0, 0.3)),
+                         latency_jitter=0 if lossless else draw(st.integers(0, 2)),
                          rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
                          partition_schedule=partitions)
     return validators, model, draw(st.integers(1, 5))
+
+
+def late_quorum_roster():
+    """Nine validators whose prevote quorum lands at the tick their prevote timers fire.
+
+    v3 to v8 are four ticks away, so their prevotes reach the others at
+    tick 5, when every timer set at tick 1 is due: a node must time out at
+    the first of those entries, before the later ones bring it a quorum.
+    """
+    validators = make_validators(["honest"] * 9)
+    for v in validators[3:]:
+        v.region_latency = 4
+    return validators
+
+
+def shared_roster():
+    """Twelve validators, so a lossless height shares: two equivocate, one is silent.
+
+    Unequal stakes and latencies, and the partition below, leave nodes with
+    private votes of keys that are not yet a quorum in the shared tally.
+    """
+    behaviors = ["honest"] * 12
+    behaviors[3] = behaviors[8] = "equivocating"
+    behaviors[10] = "silent"
+    validators = make_validators(behaviors, stakes=[float(30 - 2 * i) for i in range(12)])
+    for i, v in enumerate(validators):
+        v.region_latency = i % 3
+    return validators
+
+
+SHARED_PARTITION = NetworkModel(rng_seed=1, partition_schedule=(
+    PartitionSpec(0, 6, frozenset({"v1", "v5", "v6"})),))
 
 
 class TestEventAdvance:
@@ -453,6 +500,8 @@ class TestEventAdvance:
                      LOSSLESS, 3))
     @example(height=(make_validators(["honest"] * 3 + ["silent"], latency=0),
                      LOSSLESS, 2))
+    @example(height=(shared_roster(), SHARED_PARTITION, 3))
+    @example(height=(late_quorum_roster(), LOSSLESS, 2))
     def test_matches_tick_by_tick_oracle(self, height):
         validators, model, max_rounds = height
         trace, expected_trace = EventTrace(), EventTrace()
@@ -604,11 +653,30 @@ def tally(node, voter):
 
     True if that vote brought the key into ``node.quorums``.
     """
-    key = ("prevote", 0, "d")
-    before = key in node.quorums
-    consensus._HonestNode.receive(node.ctx, TraceEvent(0, "prevote", 0, 0, voter, "d"),
-                                  (node,))
-    return not before and key in node.quorums
+    return node._tally(("prevote", 0, "d"), voter, node.ctx.stakes[voter])
+
+
+def assert_matches_reference_node(height):
+    """``run_height`` gives the trace, outcome and quorums of ``ReferenceNode`` validators."""
+    validators, model, max_rounds = height
+    trace, expected_trace = EventTrace(), EventTrace()
+    with recorded(consensus._HonestNode, "start") as started:
+        outcome = run_height(validators, ["a", "b"], model, max_rounds,
+                             height=7, trace=trace)
+        expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
+                                     height=7, trace=expected_trace,
+                                     honest=ReferenceNode)
+    assert outcome == expected
+    assert trace.to_lines() == expected_trace.to_lines()
+    assert trace.faults == expected_trace.faults
+    assert trace.decisions == expected_trace.decisions
+    if outcome.committed:
+        assert outcome.signature.signer_set == expected.signature.signer_set
+    nodes = [node for node, _, _ in started if not isinstance(node, ReferenceNode)]
+    reference = {node.d.id: node for node, _, _ in started if isinstance(node, ReferenceNode)}
+    assert len(nodes) == len(reference)
+    for node in nodes:
+        assert node.quorums == reference[node.d.id].quorums
 
 
 class TestTallyShortcuts:
@@ -620,26 +688,23 @@ class TestTallyShortcuts:
     @example(height=(edge_roster(*NAIVE_ABOVE), LOSSLESS, 2))
     @example(height=(make_validators(["honest", "equivocating", "honest", "invalid-proposer"]),
                      NetworkModel(drop_probability=0.2, latency_jitter=2, rng_seed=5), 4))
+    @example(height=(shared_roster(), SHARED_PARTITION, 3))
+    # v8 alone is cut off at first: the others' votes reach all but v8,
+    # which is not every other validator, so v8 must not count them.
+    @example(height=(make_validators(["honest"] * 9), NetworkModel(rng_seed=1, partition_schedule=(
+        PartitionSpec(0, 30, frozenset({"v8"})),)), 2))
     def test_matches_reference_node(self, height):
-        validators, model, max_rounds = height
-        trace, expected_trace = EventTrace(), EventTrace()
-        with recorded(consensus._HonestNode, "start") as started:
-            outcome = run_height(validators, ["a", "b"], model, max_rounds,
-                                 height=7, trace=trace)
-            expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
-                                         height=7, trace=expected_trace,
-                                         honest=ReferenceNode)
-        assert outcome == expected
-        assert trace.to_lines() == expected_trace.to_lines()
-        assert trace.faults == expected_trace.faults
-        assert trace.decisions == expected_trace.decisions
-        if outcome.committed:
-            assert outcome.signature.signer_set == expected.signature.signer_set
-        nodes = [node for node, _, _ in started if not isinstance(node, ReferenceNode)]
-        reference = {node.d.id: node for node, _, _ in started if isinstance(node, ReferenceNode)}
-        assert len(nodes) == len(reference)
-        for node in nodes:
-            assert node.quorums == reference[node.d.id].quorums
+        assert_matches_reference_node(height)
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=heights())
+    @example(height=(make_validators(["equivocating", "honest"]), LOSSLESS, 2))
+    def test_sharing_at_any_roster_size_matches_reference_node(self, height):
+        # With the cut-off at 1, every lossless height shares, down to one
+        # validator, and a two-validator equivocator's half is a full entry.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "SHARED_TALLY_MIN_VALIDATORS", 1)
+            assert_matches_reference_node(height)
 
     @settings(max_examples=300, deadline=None)
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
@@ -683,6 +748,117 @@ class TestTallyShortcuts:
         if fsum_quorum:
             assert outcome.signature.valid
             assert outcome.signature.signer_set == {v.id for v in validators[:-1]}
+
+
+def sharing_context(validators):
+    """A height context over ``validators`` that shares tallies, as ``run_height`` sets one up."""
+    ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                   1, 0, EventTrace())
+    ctx.private_bounds = {}
+    return ctx
+
+
+class TestSharedTally:
+    """A lossless height of 9 or more validators tallies full entries once per key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
+                           min_size=2, max_size=12),
+           shared=st.lists(st.booleans(), min_size=11, max_size=11))
+    def test_split_tally_follows_fsum(self, stakes, shared):
+        # Each voter tallies its own vote, then sends it to every node
+        # (shared) or to v0 alone (private): every node's quorums follow the
+        # fsum of its view, whatever the shared and private naive sums read.
+        validators = make_validators(["honest"] * len(stakes), stakes)
+        ctx = sharing_context(validators)
+        nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
+        key = ("prevote", 0, "d")
+        views = {vid: [] for vid in nodes}
+        for v, is_shared in zip(validators[1:], shared):
+            nodes[v.id]._tally(key, v.id, v.stake)
+            views[v.id].append(v.stake)
+            if is_shared:
+                consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, v.id, "d"),
+                                             nodes, 0, [])
+                for vid in views.keys() - {v.id}:
+                    views[vid].append(v.stake)
+            else:
+                nodes["v0"]._tally(key, v.id, v.stake)
+                views["v0"].append(v.stake)
+            for vid, node in nodes.items():
+                assert ((key in node.quorums)
+                        == stake_quorum(math.fsum(views[vid]), ctx.total_stake)), vid
+                assert node.quorums == recomputed_quorums(node)
+
+    def test_only_recipients_evaluate(self):
+        # Every node's timer is due at tick 4, when v0's own prevote lands:
+        # the others evaluate and time out, but v0 received nothing.
+        validators = make_validators(["honest"] * 3)
+        ctx = sharing_context(validators)
+        nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
+        nodes["v0"]._tally(("prevote", 0, "d"), "v0", 10.0)
+        consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, "v0", "d"), nodes, 4,
+                                     list(nodes.values()))
+        assert [node.phase for node in nodes.values()] == ["propose", "prevote", "prevote"]
+
+    def test_in_flight_precommit_drained_at_its_tick(self):
+        # As the unshared test of that name, on a roster wide enough to
+        # share: v11's prevote and precommit land at ticks 21 and 22, in the
+        # shared tally, and the certificate still covers v11.
+        validators = make_validators(["honest"] * 12)
+        validators[11].region_latency = 20
+        with recorded(GossipNetwork, "step") as steps, \
+                recorded(consensus._HonestNode, "start") as started:
+            outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
+        assert outcome.ticks_elapsed == 3
+        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
+        assert outcome.signature.signer_set == {v.id for v in validators}
+        ctx = started[0][0].ctx
+        assert "v11" in ctx.shared["precommit", 0, batch_digest(["tx"])]
+
+    def test_no_private_tally_holds_another_validators_vote(self):
+        # Every vote of a lossless 64-validator height reaches every other
+        # validator in one entry, so it is tallied once, in the shared
+        # tally; a node's own vote moves there when its entry lands.
+        validators = make_validators(["honest"] * 64, stakes=[80.0 + i % 41 for i in range(64)])
+        for i, v in enumerate(validators):
+            v.region_latency = 1 + i % 3
+        with recorded(consensus._HonestNode, "start") as started:
+            outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2)
+        assert outcome.committed
+        nodes = [node for node, _, _ in started]
+        assert len(nodes) == 64
+        for node in nodes:
+            assert all(set(voters) <= {node.d.id} for voters in node.votes.values())
+            assert not any(node.votes.values())
+            assert node.quorums == recomputed_quorums(node)
+            # A running sum is kept only while its key is not a quorum.
+            assert not node.sums.keys() & node.quorums
+
+    def test_wide_height_independent_of_the_hash_seed(self):
+        # The shipped configs are too small or lossy to share, so the CI
+        # hash-seed step never reaches this path.
+        script = """
+from opsim import EventTrace, NetworkModel, PartitionSpec, ValidatorDescriptor, run_height
+behaviors = {3: "equivocating", 8: "equivocating", 10: "silent"}
+validators = [ValidatorDescriptor(f"v{i}", 40.0 - 1.5 * i, behaviors.get(i, "honest"), i % 3)
+              for i in range(16)]
+model = NetworkModel(rng_seed=1, partition_schedule=(
+    PartitionSpec(0, 6, frozenset({"v1", "v5", "v6", "v12"})),))
+for max_rounds in (1, 3):
+    trace = EventTrace()
+    outcome = run_height(validators, ["a", "b"], model, max_rounds, trace=trace)
+    print("\\n".join(trace.to_lines()))
+    if outcome.committed:
+        print(sorted(outcome.signature.signer_set), repr(outcome.signature.signed_stake))
+"""
+        src = str(Path(consensus.__file__).parents[1])
+        outputs = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                                  "PYTHONPATH": src}).stdout
+                   for seed in ("1", "2")]
+        assert ",commit," in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestCommitCertificate:
