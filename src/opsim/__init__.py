@@ -10,12 +10,10 @@ payment validation) expose throughput, latency, fault-tolerance, and
 economic metrics.
 """
 
-from .agents import (AllocationVector, Deviation, EquilibriumResult, OperatorState,
-                     ScenarioWeights, TaskSpec, check_equilibrium, compute_utility,
+from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
 from .allocation import (ConvergenceReport, StabilityReport, StabilityVerdict,
-                         check_convergence, hessian_stability, lagrangian_gradient,
-                         solve_allocation, stability_report, welfare)
+                         hessian_stability, solve_allocation)
 from .consensus import (AggregatedSignature, Behavior, EventTrace, GossipNetwork,
                         NetworkModel, PartitionSpec, RoundOutcome, TraceEvent,
                         ValidatorDescriptor, batch_digest, quorum_met, run_height)
@@ -26,11 +24,11 @@ from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,
 from .incentives import (AggregationReport, EntryKind, EventKind, LedgerEntry,
                          ReputationParams, SettlementEvent,
                          aggregate_results, feedback_iterate, make_aggregation_report,
-                         settle, update_reputation, update_trust)
+                         settle, update_trust)
 from .scenarios import (PaymentMetrics, PaymentNodeParams, PaymentWindowLog,
                         SequencerMetrics, SequencerRunLog, failure_probability,
-                        optimize_throughput, payment_convergence_check, payment_metrics,
-                        payment_utility, sequencer_metrics)
+                        optimize_throughput, payment_metrics, payment_utility,
+                        sequencer_metrics)
 from .scheduling import (Schedule, SubmissionWindow, apply_fallback, assign_windows,
                          on_window_miss)
 

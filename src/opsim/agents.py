@@ -23,9 +23,6 @@ from .errors import DomainError
 # Slack allowed when checking per-task resource caps.
 CAP_SLACK = 1e-6
 
-# Default comparison tolerance for the equilibrium check.
-EQUILIBRIUM_TOL = 1e-9
-
 
 @dataclass
 class OperatorState:
@@ -136,9 +133,6 @@ class AllocationVector:
         """Entries in deterministic (operator id, task id) order."""
         return sorted(self._entries.items())
 
-    def copy(self) -> "AllocationVector":
-        return AllocationVector(self._entries)
-
     def validate(self, tasks: Iterable[TaskSpec], slack: float = CAP_SLACK) -> None:
         """Raise :class:`DomainError` unless all caps are respected."""
         for task in tasks:
@@ -169,68 +163,3 @@ def evaluate_scores(agent: OperatorState, task: TaskSpec, units: float) -> tuple
     log_term = math.log1p(units)
     return c * log_term, s * log_term
 
-
-def compute_utility(agent: OperatorState, task: TaskSpec, weights: ScenarioWeights,
-                    units: float) -> float:
-    """Utility of ``agent`` on ``task`` at ``units`` allocation.
-
-    w1 * C(x) + w2 * S(x) - cost_rate * x - corruption_rate * x, which is
-    zero at x = 0.
-    """
-    consensus, performance = evaluate_scores(agent, task, units)
-    return (weights.w1 * consensus + weights.w2 * performance
-            - task.cost_rate * units - task.corruption_rate * units)
-
-
-@dataclass(frozen=True)
-class Deviation:
-    """A task switch that would strictly improve one operator's utility."""
-
-    operator_id: str
-    task_id: str
-    utility_gain: float
-
-
-@dataclass(frozen=True)
-class EquilibriumResult:
-    is_equilibrium: bool
-    deviations: tuple[Deviation, ...]
-
-
-def check_equilibrium(agents: Iterable[OperatorState], tasks: list[TaskSpec],
-                      weights: ScenarioWeights, allocation: AllocationVector,
-                      tol: float = EQUILIBRIUM_TOL) -> EquilibriumResult:
-    """Test whether no operator can gain by moving its allocation elsewhere.
-
-    For every operator and every task it currently works on, the check
-    compares utility against every alternative task at the same allocation
-    magnitude. A deviation counts only when the alternative task has
-    residual cap room for the moved units (the mover's existing allocation
-    on the alternative task stays in place) and improves utility by more
-    than ``tol``.
-    """
-    if not tasks:
-        raise DomainError("equilibrium check requires at least one task")
-    allocation.validate(tasks, slack=max(tol, CAP_SLACK))
-    totals = {task.id: allocation.task_total(task.id) for task in tasks}
-
-    best_gain: dict[tuple[str, str], float] = {}
-    for agent in sorted(agents, key=lambda a: a.id):
-        for task in tasks:
-            units = allocation.get(agent.id, task.id)
-            if units <= 0:
-                continue
-            u_here = compute_utility(agent, task, weights, units)
-            for alt in tasks:
-                if alt.id == task.id:
-                    continue
-                if totals[alt.id] + units > alt.resource_cap + tol:
-                    continue
-                gain = compute_utility(agent, alt, weights, units) - u_here
-                if gain > tol:
-                    key = (agent.id, alt.id)
-                    if gain > best_gain.get(key, -math.inf):
-                        best_gain[key] = gain
-
-    deviations = tuple(Deviation(op, t, g) for (op, t), g in sorted(best_gain.items()))
-    return EquilibriumResult(is_equilibrium=not deviations, deviations=deviations)

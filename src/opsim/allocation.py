@@ -12,16 +12,12 @@ projected gradient ascent converges to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 from .agents import AllocationVector, OperatorState, ScenarioWeights, TaskSpec
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Spectrum classification band around zero.
 SPECTRUM_TOL = 1e-9
@@ -59,45 +55,6 @@ def entry_order(agents: Sequence[OperatorState],
                 tasks: Sequence[TaskSpec]) -> list[tuple[str, str]]:
     """Deterministic (operator id, task id) ordering of decision variables."""
     return [(a, t) for a in sorted(x.id for x in agents) for t in sorted(x.id for x in tasks)]
-
-
-def welfare(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
-            weights: ScenarioWeights, allocation: AllocationVector) -> float:
-    """Summed utility over every (operator, task) pair."""
-    from .agents import compute_utility
-
-    by_agent = {a.id: a for a in agents}
-    by_task = {t.id: t for t in tasks}
-    return math.fsum(
-        compute_utility(by_agent[a], by_task[t], weights, allocation.get(a, t))
-        for a, t in entry_order(agents, tasks))
-
-
-def lagrangian_gradient(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
-                        weights: ScenarioWeights, allocation: AllocationVector,
-                        multipliers: Mapping[str, float] | None = None,
-                        ) -> dict[tuple[str, str], float]:
-    """Gradient of the cap-relaxed objective at ``allocation``.
-
-    Entry (i, t) is (w1*c + w2*s) / (1 + x) - cost_rate - corruption_rate
-    - multipliers[t], the marginal utility of one more allocation unit net
-    of the task's shadow price. Missing multipliers read as zero.
-    """
-    multipliers = multipliers or {}
-    for task_id, lam in multipliers.items():
-        if not math.isfinite(lam) or lam < 0:
-            raise DomainError(f"multiplier for task {task_id} must be finite and >= 0")
-    allocation.validate(tasks)
-    by_task = {t.id: t for t in tasks}
-    grad: dict[tuple[str, str], float] = {}
-    for a_id, t_id in entry_order(agents, tasks):
-        task = by_task[t_id]
-        c, s = task.gains_for(a_id)
-        lam = multipliers.get(t_id, 0.0)
-        grad[(a_id, t_id)] = ((weights.w1 * c + weights.w2 * s)
-                              / (1.0 + allocation.get(a_id, t_id))
-                              - task.cost_rate - task.corruption_rate - lam)
-    return grad
 
 
 def _water_fill(gains: list[float], cost: float, cap: float) -> tuple[list[float], float]:
@@ -170,28 +127,6 @@ def _classify(low: float, high: float) -> StabilityReport:
     return StabilityReport(eigen_extremes=(low, high), verdict=verdict)
 
 
-def stability_report(hessian: Sequence[Sequence[float]] | np.ndarray) -> StabilityReport:
-    """Classify a symmetric matrix by its eigenvalue extremes, as ``_classify``.
-
-    The only function in the package that imports numpy; it does so on
-    call, so a simulation run never loads it.
-    """
-    import numpy as np
-
-    matrix = np.asarray(hessian, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"hessian must be square, got shape {matrix.shape}")
-    if matrix.size == 0:
-        raise DomainError("hessian must be non-empty")
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError("hessian entries must be finite")
-    if np.max(np.abs(matrix - matrix.T)) > SPECTRUM_TOL:
-        raise DomainError("hessian must be symmetric")
-
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return _classify(float(eigenvalues[0]), float(eigenvalues[-1]))
-
-
 def hessian_stability(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
                       weights: ScenarioWeights,
                       allocation: AllocationVector) -> StabilityReport:
@@ -213,14 +148,3 @@ def hessian_stability(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec]
         raise DomainError("hessian must be non-empty")
     return _classify(min(diag), max(diag))
 
-
-def check_convergence(prev: AllocationVector, nxt: AllocationVector,
-                      tolerance: float) -> bool:
-    """True iff the Euclidean displacement is strictly below ``tolerance``."""
-    prev_keys = [entry for entry, _ in prev.items()]
-    next_keys = [entry for entry, _ in nxt.items()]
-    if prev_keys != next_keys:
-        raise DomainError("allocation vectors index different (operator, task) sets")
-    displacement = math.sqrt(math.fsum(
-        (nxt.get(*entry) - prev.get(*entry)) ** 2 for entry in prev_keys))
-    return displacement < tolerance

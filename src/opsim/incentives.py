@@ -139,16 +139,6 @@ def update_trust(outcomes: Iterable[float], params: ReputationParams,
     return min(1.0, max(0.0, trust))
 
 
-def update_reputation(history: Mapping[str, Sequence[float]], params: ReputationParams,
-                      starts: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Per-operator trust from each operator's outcome sequence."""
-    starts = starts or {}
-    return {
-        op: update_trust(history[op], params, starts.get(op))
-        for op in sorted(history)
-    }
-
-
 def aggregate_results(values: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted mean of reported values: sum(w * v) / sum(w)."""
     if len(values) != len(weights):

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .allocation import StabilityReport, _classify, check_convergence
-from .agents import AllocationVector
 from .errors import ConstraintViolationError, DomainError
 
 # Default constant of the trust-driven failure model.
@@ -267,27 +265,3 @@ def _payment_sections(nodes: Mapping[str, PaymentNodeParams]) -> tuple[dict, dic
     first = dict(vars(payment_metrics([log])))
     return first, dict(first, revenue_growth=payment_metrics([log, log]).revenue_growth)
 
-
-def payment_convergence_check(history: Sequence[AllocationVector], tolerance: float,
-                              cost_coeff: float, fee_variable: bool = True,
-                              ) -> tuple[bool, StabilityReport]:
-    """Convergence of an allocation history plus the utility's stability.
-
-    Convergence applies the displacement rule to the last two allocations.
-    The stability verdict classifies the utility Hessian in (transactions,
-    fee): [[-v, 1], [1, 0]] when the fee is treated as a variable, [[-v]]
-    when it is fixed. Its eigenvalues are computed in closed form: -v, or
-    the roots of l^2 + v*l - 1 = 0. Those roots multiply to -1, so with
-    t = v + sign(v) * sqrt(v^2 + 4) they are -t/2 and 2/t, neither of
-    which cancels.
-    """
-    if len(history) < 2:
-        raise DomainError("convergence check needs at least two allocations")
-    converged = check_convergence(history[-2], history[-1], tolerance)
-    if not math.isfinite(cost_coeff):
-        raise DomainError("cost_coeff must be finite")
-    if not fee_variable:
-        return converged, _classify(-cost_coeff, -cost_coeff)
-    t = cost_coeff + math.copysign(math.hypot(cost_coeff, 2.0), cost_coeff)
-    low, high = sorted((-t / 2.0, 2.0 / t))
-    return converged, _classify(low, high)

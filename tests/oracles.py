@@ -9,6 +9,15 @@ consensus height advances one tick at a time and hands each message to one
 recipient at a time, a reference validator re-evaluates after every message
 and re-sums every tally with ``fsum``, and gossip queues one delivery per
 recipient with ``randint`` jitter.
+
+It also holds the checkers that tests hold ``solve_allocation`` and
+``hessian_stability`` to, which no simulation run calls: ``compute_utility``
+and ``welfare`` (one operator's and the summed utility),
+``lagrangian_gradient`` (the gradient of the cap-relaxed objective, for the
+KKT conditions), ``check_equilibrium`` (no operator gains by moving its
+units to another task, with ``Deviation``, ``EquilibriumResult`` and
+``EQUILIBRIUM_TOL``) and ``stability_report`` (a dense symmetric matrix
+classified by numpy's ``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -16,12 +25,141 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
-from opsim import DomainError
+import numpy as np
+
+from opsim import (AllocationVector, DomainError, OperatorState, ScenarioWeights,
+                   StabilityReport, TaskSpec, evaluate_scores)
+from opsim.agents import CAP_SLACK
+from opsim.allocation import SPECTRUM_TOL, _classify, entry_order
 from opsim.consensus import (Behavior, EventTrace, GossipNetwork, _EquivocatingNode,
                              _finish_height, _HeightContext, _HonestNode, batch_digest,
                              phase_timeout)
 
+
+# Default comparison tolerance for the equilibrium check.
+EQUILIBRIUM_TOL = 1e-9
+
+
+def compute_utility(agent: OperatorState, task: TaskSpec, weights: ScenarioWeights,
+                    units: float) -> float:
+    """Utility of ``agent`` on ``task`` at ``units`` allocation.
+
+    w1 * C(x) + w2 * S(x) - cost_rate * x - corruption_rate * x, which is
+    zero at x = 0.
+    """
+    consensus, performance = evaluate_scores(agent, task, units)
+    return (weights.w1 * consensus + weights.w2 * performance
+            - task.cost_rate * units - task.corruption_rate * units)
+
+
+@dataclass(frozen=True)
+class Deviation:
+    """A task switch that would strictly improve one operator's utility."""
+
+    operator_id: str
+    task_id: str
+    utility_gain: float
+
+
+@dataclass(frozen=True)
+class EquilibriumResult:
+    is_equilibrium: bool
+    deviations: tuple[Deviation, ...]
+
+
+def check_equilibrium(agents: Iterable[OperatorState], tasks: list[TaskSpec],
+                      weights: ScenarioWeights, allocation: AllocationVector,
+                      tol: float = EQUILIBRIUM_TOL) -> EquilibriumResult:
+    """Test whether no operator can gain by moving its allocation elsewhere.
+
+    For every operator and every task it currently works on, the check
+    compares utility against every alternative task at the same allocation
+    magnitude. A deviation counts only when the alternative task has
+    residual cap room for the moved units (the mover's existing allocation
+    on the alternative task stays in place) and improves utility by more
+    than ``tol``.
+    """
+    if not tasks:
+        raise DomainError("equilibrium check requires at least one task")
+    allocation.validate(tasks, slack=max(tol, CAP_SLACK))
+    totals = {task.id: allocation.task_total(task.id) for task in tasks}
+
+    best_gain: dict[tuple[str, str], float] = {}
+    for agent in sorted(agents, key=lambda a: a.id):
+        for task in tasks:
+            units = allocation.get(agent.id, task.id)
+            if units <= 0:
+                continue
+            u_here = compute_utility(agent, task, weights, units)
+            for alt in tasks:
+                if alt.id == task.id:
+                    continue
+                if totals[alt.id] + units > alt.resource_cap + tol:
+                    continue
+                gain = compute_utility(agent, alt, weights, units) - u_here
+                if gain > tol:
+                    key = (agent.id, alt.id)
+                    if gain > best_gain.get(key, -math.inf):
+                        best_gain[key] = gain
+
+    deviations = tuple(Deviation(op, t, g) for (op, t), g in sorted(best_gain.items()))
+    return EquilibriumResult(is_equilibrium=not deviations, deviations=deviations)
+
+
+def welfare(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
+            weights: ScenarioWeights, allocation: AllocationVector) -> float:
+    """Summed utility over every (operator, task) pair."""
+    by_agent = {a.id: a for a in agents}
+    by_task = {t.id: t for t in tasks}
+    return math.fsum(
+        compute_utility(by_agent[a], by_task[t], weights, allocation.get(a, t))
+        for a, t in entry_order(agents, tasks))
+
+
+def lagrangian_gradient(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
+                        weights: ScenarioWeights, allocation: AllocationVector,
+                        multipliers: Mapping[str, float] | None = None,
+                        ) -> dict[tuple[str, str], float]:
+    """Gradient of the cap-relaxed objective at ``allocation``.
+
+    Entry (i, t) is (w1*c + w2*s) / (1 + x) - cost_rate - corruption_rate
+    - multipliers[t], the marginal utility of one more allocation unit net
+    of the task's shadow price. Missing multipliers read as zero.
+    """
+    multipliers = multipliers or {}
+    for task_id, lam in multipliers.items():
+        if not math.isfinite(lam) or lam < 0:
+            raise DomainError(f"multiplier for task {task_id} must be finite and >= 0")
+    allocation.validate(tasks)
+    by_task = {t.id: t for t in tasks}
+    grad: dict[tuple[str, str], float] = {}
+    for a_id, t_id in entry_order(agents, tasks):
+        task = by_task[t_id]
+        c, s = task.gains_for(a_id)
+        lam = multipliers.get(t_id, 0.0)
+        grad[(a_id, t_id)] = ((weights.w1 * c + weights.w2 * s)
+                              / (1.0 + allocation.get(a_id, t_id))
+                              - task.cost_rate - task.corruption_rate - lam)
+    return grad
+
+
+def stability_report(hessian) -> StabilityReport:
+    """Verdict of a dense symmetric matrix, by ``_classify`` of its ``eigvalsh`` extremes."""
+    matrix = np.asarray(hessian, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DomainError(f"hessian must be square, got shape {matrix.shape}")
+    if matrix.size == 0:
+        raise DomainError("hessian must be non-empty")
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError("hessian entries must be finite")
+    if np.max(np.abs(matrix - matrix.T)) > SPECTRUM_TOL:
+        raise DomainError("hessian must be symmetric")
+
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    return _classify(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 def log_utility(value: float, cost: float, x: float) -> float:
     return value * math.log1p(x) - cost * x

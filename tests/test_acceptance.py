@@ -15,13 +15,14 @@ import numpy as np
 from opsim import (AggregatedSignature, AllocationVector, EventTrace, NetworkModel,
                    OperatorState, PaymentNodeParams, ScenarioWeights, SequencerRunLog,
                    StabilityVerdict, TaskSpec, ValidatorDescriptor, aggregate_results,
-                   assign_windows, failure_probability, hessian_stability, lagrangian_gradient,
-                   load_config, on_window_miss, optimize_throughput, payment_metrics,
-                   payment_utility, quorum_met, run_height, run_simulation,
-                   sequencer_metrics, solve_allocation, stability_report, welfare)
+                   assign_windows, failure_probability, hessian_stability, load_config,
+                   on_window_miss, optimize_throughput, payment_metrics, payment_utility,
+                   quorum_met, run_height, run_simulation, sequencer_metrics,
+                   solve_allocation)
 from opsim.consensus import Behavior
 from opsim.scenarios import PaymentWindowLog
-from oracles import finite_difference_gradient, grid_welfare, scan_throughput, stake_quorum
+from oracles import (finite_difference_gradient, grid_welfare, lagrangian_gradient,
+                     scan_throughput, stability_report, stake_quorum, welfare)
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opsim import (AllocationVector, DomainError, OperatorState, ScenarioWeights,
-                   TaskSpec, check_equilibrium, compute_utility, evaluate_scores)
+                   TaskSpec, evaluate_scores)
+from oracles import check_equilibrium, compute_utility
 
 
 def make_agent(op_id="op-1", stake=100.0):

@@ -1,17 +1,21 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opsim import (AllocationVector, DomainError, OperatorState, ScenarioWeights,
-                   StabilityVerdict, TaskSpec, check_convergence, check_equilibrium,
-                   hessian_stability, lagrangian_gradient, solve_allocation,
-                   stability_report, welfare)
+                   StabilityVerdict, TaskSpec, harness, hessian_stability, load_config,
+                   run_simulation, solve_allocation)
 from opsim.agents import CAP_SLACK
-from oracles import (exhaustive_grid_welfare, finite_difference_gradient, grid_welfare,
-                     projected_gradient_ascent)
+from oracles import (check_equilibrium, exhaustive_grid_welfare, finite_difference_gradient,
+                     grid_welfare, lagrangian_gradient, projected_gradient_ascent,
+                     stability_report, welfare)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def instance(gains, costs, cap, weights=(1.0, 1.0)):
@@ -247,24 +251,6 @@ class TestClosedFormStability:
             hessian_stability([], tasks, weights, AllocationVector())
 
 
-class TestConvergenceRule:
-    def test_identical_vectors_converged(self):
-        v = AllocationVector({("a", "t"): 1.0})
-        assert check_convergence(v, v.copy(), 1e-12)
-
-    def test_norm_between_tolerances(self):
-        prev = AllocationVector({("a", "t"): 0.0, ("b", "t"): 0.0})
-        nxt = AllocationVector({("a", "t"): 3e-7, ("b", "t"): 4e-7})
-        assert check_convergence(prev, nxt, 1e-6)
-        assert not check_convergence(prev, nxt, 1e-7)
-
-    def test_mismatched_index_sets_rejected(self):
-        a = AllocationVector({("a", "t"): 1.0})
-        b = AllocationVector({("b", "t"): 1.0})
-        with pytest.raises(DomainError):
-            check_convergence(a, b, 1e-6)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_random_instances_stay_feasible(seed):
@@ -310,6 +296,18 @@ def kkt_instances(draw):
 def test_solution_satisfies_kkt(problem):
     agents, tasks, weights = problem
     alloc, report = solve_allocation(agents, tasks, weights)
+    assert_kkt(agents, tasks, weights, alloc, report)
+
+
+def assert_kkt(agents, tasks, weights, alloc, report):
+    """Assert that ``alloc`` and ``report.multipliers`` meet the KKT conditions.
+
+    Per task: the multiplier is finite and >= 0, the cap holds, the
+    Lagrangian gradient is zero on every allocated entry and <= 0 on every
+    idle one (stationarity), and a positive multiplier means a binding cap
+    (complementary slackness). A zero cap allocates nothing, and its
+    multiplier is the largest net gain, or 0.
+    """
     grad = lagrangian_gradient(agents, tasks, weights, alloc, report.multipliers)
     for task in tasks:
         lam = report.multipliers[task.id]
@@ -331,3 +329,40 @@ def test_solution_satisfies_kkt(problem):
             assert all(alloc.get(a.id, task.id) == 0 for a in agents)
             cost = task.cost_rate + task.corruption_rate
             assert lam == pytest.approx(max(0.0, max(gains) - cost))
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded by path under its own module name."""
+    spec = importlib.util.spec_from_file_location("opsim_bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+RUNS = ([pytest.param(ROOT / "configs" / name, id=name)
+         for name in ("sequencer.json", "payment.json")]
+        + [pytest.param(WORKLOADS.config_text(workload, seed), id=f"{workload}-{seed}")
+           for workload in WORKLOADS.WORKLOADS for seed in range(3)])
+
+
+@pytest.mark.parametrize("source", RUNS)
+def test_every_epoch_of_a_run_is_an_equilibrium(source, monkeypatch):
+    # The paper's claim, checked on the allocations runs actually make:
+    # each epoch's solve, on its trust-scaled gains, leaves no operator a
+    # better task and meets the KKT conditions.
+    solves = []
+
+    def recording_solve(agents, tasks, weights):
+        allocation, report = solve_allocation(agents, tasks, weights)
+        solves.append((agents, tasks, weights, allocation, report))
+        return allocation, report
+
+    monkeypatch.setattr(harness, "solve_allocation", recording_solve)
+    config = load_config(source)
+    run_simulation(config)
+    assert len(solves) == config.epochs
+    for agents, tasks, weights, allocation, report in solves:
+        assert check_equilibrium(agents, tasks, weights, allocation).is_equilibrium
+        assert_kkt(agents, tasks, weights, allocation, report)

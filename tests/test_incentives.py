@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from opsim import (DomainError, EntryKind, EventKind,
                    OperatorState, ReputationParams, SettlementEvent,
                    aggregate_results, feedback_iterate, make_aggregation_report,
-                   settle, update_reputation, update_trust)
+                   settle, update_trust)
 
 PARAMS = ReputationParams(smoothing=0.9, initial_trust=0.5, slash_fraction=0.05)
 
@@ -113,12 +113,6 @@ class TestReputation:
             ReputationParams(smoothing=1.0)
         with pytest.raises(DomainError):
             ReputationParams(smoothing=0.0)
-
-    def test_batch_update(self):
-        history = {"a": [1.0, 1.0], "b": [0.0]}
-        trusts = update_reputation(history, PARAMS, starts={"a": 0.5, "b": 0.5})
-        assert trusts["a"] == pytest.approx(0.9 * 0.55 + 0.1)
-        assert trusts["b"] == pytest.approx(0.45)
 
     @given(outcomes=st.lists(st.floats(0.0, 1.0), max_size=50),
            start=st.floats(0.0, 1.0))

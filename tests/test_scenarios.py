@@ -4,11 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from opsim import (AllocationVector, ConstraintViolationError, DomainError,
-                   PaymentNodeParams, PaymentWindowLog, SequencerRunLog,
-                   StabilityVerdict, failure_probability, optimize_throughput,
-                   payment_convergence_check, payment_metrics, payment_utility,
-                   sequencer_metrics, stability_report)
+from opsim import (ConstraintViolationError, DomainError, PaymentNodeParams,
+                   PaymentWindowLog, SequencerRunLog, failure_probability,
+                   optimize_throughput, payment_metrics, payment_utility,
+                   sequencer_metrics)
 from oracles import scan_throughput
 
 
@@ -277,71 +276,3 @@ class TestPaymentMetrics:
         growth = payment_metrics([w1, w2]).revenue_growth
         assert (growth > 0) == (profits[1] > profits[0]) or profits[0] == profits[1]
 
-
-class TestPaymentConvergence:
-    def test_static_history_converged(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        converged, report = payment_convergence_check([alloc, alloc.copy()],
-                                                      1e-6, cost_coeff=0.01)
-        assert converged
-        assert report.verdict is StabilityVerdict.INDEFINITE
-
-    def test_hessian_eigenvalues_with_fee_variable(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        _, report = payment_convergence_check([alloc, alloc], 1e-6,
-                                              cost_coeff=0.01)
-        low, high = report.eigen_extremes
-        # roots of l^2 + v*l - 1 = 0 with v = 0.01
-        assert low == pytest.approx((-0.01 - math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
-        assert high == pytest.approx((-0.01 + math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
-
-    def test_huge_cost_keeps_the_small_root(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        # eigvalsh rounds the high eigenvalue of [[-1e300, 1], [1, 0]] to 0.0.
-        _, report = payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=1e300)
-        assert report.eigen_extremes == (-1e300, 1e-300)
-
-    def test_fixed_fee_tiny_cost_is_exact(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        _, report = payment_convergence_check([alloc, alloc], 1e-6,
-                                              cost_coeff=1e-300, fee_variable=False)
-        assert report.eigen_extremes == (-1e-300, -1e-300)
-
-    @given(v=st.floats(-1e6, 1e6), fee_variable=st.booleans())
-    def test_closed_form_matches_eigvalsh(self, v, fee_variable):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        _, report = payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=v,
-                                              fee_variable=fee_variable)
-        matrix = [[-v, 1.0], [1.0, 0.0]] if fee_variable else [[-v]]
-        dense = stability_report(matrix)
-        assert report.eigen_extremes == pytest.approx(dense.eigen_extremes,
-                                                      rel=1e-12, abs=1e-12)
-        assert report.verdict is dense.verdict
-
-    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
-    def test_non_finite_cost_rejected(self, v):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        with pytest.raises(DomainError):
-            payment_convergence_check([alloc, alloc], 1e-6, cost_coeff=v)
-
-    def test_fixed_fee_zero_cost_is_boundary(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        _, report = payment_convergence_check([alloc, alloc], 1e-6,
-                                              cost_coeff=0.0, fee_variable=False)
-        assert report.verdict is StabilityVerdict.BOUNDARY
-
-    def test_fixed_fee_positive_cost_is_concave_stable(self):
-        alloc = AllocationVector({("a", "t"): 1.0})
-        _, report = payment_convergence_check([alloc, alloc], 1e-6,
-                                              cost_coeff=0.05, fee_variable=False)
-        assert report.verdict is StabilityVerdict.CONCAVE_STABLE
-
-    def test_moving_history_not_converged(self):
-        a = AllocationVector({("a", "t"): 1.0})
-        b = AllocationVector({("a", "t"): 1.5})
-        converged, _ = payment_convergence_check([a, b], 1e-6, cost_coeff=0.01)
-        assert not converged
-
-    def test_short_history_rejected(self):
-        with pytest.raises(DomainError):
-            payment_convergence_check([AllocationVector()], 1e-6, cost_coeff=0.01)
