@@ -395,9 +395,9 @@ class _HonestNode:
         fixed point of those three. Done nodes keep tallying, so the commit
         certificate covers precommits still in flight at decision time.
         The loop stays inlined because sending each delivery through ``_tally``
-        was slower: over 6 alternating 5 s ``bench/run.py`` pairs at seed 0
-        on a 2-vCPU VM, ``run_s`` rose from 0.1491 to 0.1573 s (+5.5%) on byzantine-lossy and
-        from 0.01537 to 0.01596 s (+3.8%) on payment-econ.
+        was slower: over 6 alternating 5 s ``bench/run.py`` pairs at seed 0 on
+        a 2-vCPU VM, ``run_s`` rose from 0.1491 to 0.1573 s (+5.5%) on
+        byzantine-lossy and from 0.01537 to 0.01596 s (+3.8%) on payment-econ.
         """
         round_ = message.round
         if message.kind == "proposal":
