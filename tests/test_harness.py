@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -916,3 +917,19 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: {module}" for module in modules
                         if module.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_run_path_never_imports_numpy():
+    # numpy is a test-only dependency: both shipped configs run with it
+    # made unimportable, and nothing else loads it behind the import.
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import opsim\n"
+              "for path in sys.argv[2:]:\n"
+              "    opsim.run_simulation(opsim.load_config(path))\n"
+              "assert sys.modules['numpy'] is None, 'the run path replaced numpy'\n")
+    configs = [str(ROOT / "configs" / name) for name in ("sequencer.json", "payment.json")]
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

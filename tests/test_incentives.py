@@ -114,6 +114,14 @@ class TestReputation:
         with pytest.raises(DomainError):
             ReputationParams(smoothing=0.0)
 
+    def test_batch_update(self):
+        # One operator's history at a time, each from its own starting trust.
+        history = {"a": [1.0, 1.0], "b": [0.0]}
+        trusts = {op: update_trust(outcomes, PARAMS, start=0.5)
+                  for op, outcomes in history.items()}
+        assert trusts["a"] == pytest.approx(0.9 * 0.55 + 0.1)
+        assert trusts["b"] == pytest.approx(0.45)
+
     @given(outcomes=st.lists(st.floats(0.0, 1.0), max_size=50),
            start=st.floats(0.0, 1.0))
     def test_trust_stays_in_unit_interval(self, outcomes, start):

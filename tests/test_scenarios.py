@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 from opsim import (ConstraintViolationError, DomainError, PaymentNodeParams,
                    PaymentWindowLog, SequencerRunLog, failure_probability,
                    optimize_throughput, payment_metrics, payment_utility,
-                   sequencer_metrics)
-from oracles import scan_throughput
+                   StabilityVerdict, sequencer_metrics)
+from oracles import scan_throughput, stability_report
 
 
 def make_log(outputs, cs, ss, failures=0, costs=None, resources=10.0):
@@ -276,3 +277,63 @@ class TestPaymentMetrics:
         growth = payment_metrics([w1, w2]).revenue_growth
         assert (growth > 0) == (profits[1] > profits[0]) or profits[0] == profits[1]
 
+
+def payment_hessian(params, transactions, fee_variable=True, step=1.0):
+    """Hessian of ``payment_utility`` in (transactions, fee) by central differences.
+
+    Without a deadline penalty the utility is quadratic in the transaction
+    count and bilinear in (transactions, fee), so the differences are exact
+    up to rounding at any step; ``fee_variable=False`` keeps the 1x1 block.
+    """
+    def utility(dt, df):
+        shifted = dataclasses.replace(params, fee=params.fee + df * step)
+        return payment_utility(shifted, transactions + dt * step)
+
+    h2 = step * step
+    d_tt = (utility(1, 0) - 2.0 * utility(0, 0) + utility(-1, 0)) / h2
+    if not fee_variable:
+        return [[d_tt]]
+    d_tf = (utility(1, 1) - utility(1, -1) - utility(-1, 1) + utility(-1, -1)) / (4.0 * h2)
+    d_ff = (utility(0, 1) - 2.0 * utility(0, 0) + utility(0, -1)) / h2
+    return [[d_tt, d_tf], [d_tf, d_ff]]
+
+
+class TestPaymentConvergence:
+    """The stability half of the payment node's convergence analysis.
+
+    The node's utility has the Hessian [[-v, 1], [1, 0]] in (transactions,
+    fee), or [[-v]] at a fixed fee, read here from ``payment_utility`` itself
+    and classified as ``hessian_stability`` classifies.
+    """
+
+    def test_hessian_eigenvalues_with_fee_variable(self):
+        params = PaymentNodeParams(fee=1.0, validation_cost_coeff=0.01, capacity=10.0)
+        report = stability_report(payment_hessian(params, 1.0))
+        low, high = report.eigen_extremes
+        # roots of l^2 + v*l - 1 = 0 with v = 0.01
+        assert low == pytest.approx((-0.01 - math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
+        assert high == pytest.approx((-0.01 + math.sqrt(0.01 ** 2 + 4)) / 2, abs=1e-12)
+        assert report.verdict is StabilityVerdict.INDEFINITE
+
+    def test_fixed_fee_tiny_cost_is_exact(self):
+        # At a zero fee the utility is -v T^2 / 2, whose second difference
+        # at T = 1 is exactly -v even for v = 1e-300.
+        params = PaymentNodeParams(fee=0.0, validation_cost_coeff=1e-300, capacity=10.0)
+        report = stability_report(payment_hessian(params, 1.0, fee_variable=False))
+        assert report.eigen_extremes == (-1e-300, -1e-300)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, v):
+        with pytest.raises(DomainError):
+            PaymentNodeParams(fee=1.0, validation_cost_coeff=v, capacity=10.0)
+
+    def test_fixed_fee_zero_cost_is_boundary(self):
+        params = PaymentNodeParams(fee=1.0, validation_cost_coeff=0.0, capacity=10.0)
+        report = stability_report(payment_hessian(params, 1.0, fee_variable=False))
+        assert report.verdict is StabilityVerdict.BOUNDARY
+
+    def test_fixed_fee_positive_cost_is_concave_stable(self):
+        params = PaymentNodeParams(fee=1.0, validation_cost_coeff=0.05, capacity=10.0)
+        report = stability_report(payment_hessian(params, 1.0, fee_variable=False))
+        assert report.eigen_extremes == pytest.approx((-0.05, -0.05), abs=1e-12)
+        assert report.verdict is StabilityVerdict.CONCAVE_STABLE
