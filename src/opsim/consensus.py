@@ -25,7 +25,6 @@ them, so such a height costs tally work per vote, not per delivery.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
@@ -35,6 +34,17 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import DomainError
+
+# SHA-256 from CPython's built-in module where there is one: ``hashlib``
+# loads the OpenSSL backend, which costs a run about 4 MB of RSS and 4 ms of
+# import for the one hash opsim uses. The digest is the same either way.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Base per-phase timeout in ticks; doubles every round.
 BASE_PHASE_TIMEOUT = 4
@@ -130,11 +140,7 @@ def quorum_met(signed_stake: float, total_stake: float) -> bool:
 
 def batch_digest(batch: Sequence[str]) -> str:
     """Stable digest of a transaction batch."""
-    h = hashlib.sha256()
-    for tx in batch:
-        h.update(str(tx).encode())
-        h.update(b"\x00")
-    return h.hexdigest()[:16]
+    return sha256(b"".join(str(tx).encode() + b"\x00" for tx in batch)).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -211,6 +217,8 @@ class GossipNetwork:
         self._latency = {v.id: v.region_latency for v in validators}
         self._ids = tuple(sorted(self._latency))
         self._index = {vid: i for i, vid in enumerate(self._ids)}
+        # Sender -> every other id in id order, built at its first broadcast.
+        self._others: dict[str, tuple[str, ...]] = {}
         self._rng = random.Random(model.rng_seed)
         self._draws = model.latency_jitter > 0 or model.drop_probability > 0
         # (deliver tick, seq, message, recipients in id order)
@@ -226,7 +234,9 @@ class GossipNetwork:
         if index is None:
             raise DomainError(f"unknown sender {sender}")
         if recipients is None:
-            targets: Sequence[str] = self._ids[:index] + self._ids[index + 1:]
+            targets: Sequence[str] | None = self._others.get(sender)
+            if targets is None:
+                targets = self._others[sender] = self._ids[:index] + self._ids[index + 1:]
         else:
             targets = sorted(set(recipients))
             for recipient in targets:

@@ -10,8 +10,6 @@ the run seed, so a (config, seed) pair fully determines the report.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 import math
@@ -25,7 +23,7 @@ from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
 from .allocation import hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
-                        ValidatorDescriptor, run_height)
+                        ValidatorDescriptor, run_height, sha256)
 from .errors import ConfigError, DomainError
 from .incentives import (EntryKind, EventKind, ReputationParams, SettlementEvent,
                          feedback_iterate, make_aggregation_report, settle, update_trust)
@@ -387,7 +385,7 @@ def load_config(source: str | Path) -> RunConfig:
 
 def fork_seed(seed: int, label: str) -> int:
     """Derive an independent 64-bit child seed for one purpose label."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -430,7 +428,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
 
     # The trace digest covers every line emitted, joined by "\n".
-    trace_hash = hashlib.sha256()
+    trace_hash = sha256()
     separator = b""
 
     def emit(line: str) -> None:
@@ -543,8 +541,10 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
         net = replace(config.network, rng_seed=fork_seed(config.seed, f"net:{epoch}:{index}"))
         outcome = run_height(validators, batch, net, config.max_rounds,
                              height=height, trace=height_trace)
-        for line in height_trace.to_lines():
-            emit(line)
+        # One update per height: the bytes equal one emit per line.
+        lines = height_trace.to_lines()
+        if lines:
+            emit("\n".join(lines))
         height_records.append({
             "height": height,
             "window_index": index,
@@ -638,6 +638,8 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
     scenario = report.config["scenario"]
     section_type = SequencerMetrics if scenario == "sequencer" else PaymentMetrics
     names = [f.name for f in fields(section_type)]
+    import csv  # Only a CSV report needs it; a run does not.
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epoch", "metric", "value"])

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -114,6 +115,33 @@ def fixed_gossip_run(latency_jitter, drop_probability, partition_schedule=()):
              if rng.random() < 0.6 else ("step", rng.randint(0, 3), None)
              for _ in range(200)]
     return validators, model, calls
+
+
+class TestDigests:
+    """opsim's SHA-256 (a built-in module where there is one) is hashlib's."""
+
+    @pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * 4097],
+                             ids=["empty", "short", "over-1MiB"])
+    def test_sha256_matches_hashlib(self, data):
+        assert consensus.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        assert consensus.sha256(data).digest() == hashlib.sha256(data).digest()
+
+    def test_sha256_stream_matches_hashlib(self):
+        ours, reference = consensus.sha256(), hashlib.sha256()
+        for i in range(5000):
+            chunk = f"{i},prevote,{i % 7},0,v{i % 13},{i:x}\n".encode() * (i % 5)
+            ours.update(chunk)
+            reference.update(chunk)
+        assert ours.hexdigest() == reference.hexdigest()
+
+    @pytest.mark.parametrize("batch", [[], ["tx"], ["tx:0:0:0", "tx:0:0:1", ""],
+                                       [f"tx:{j}" for j in range(1000)], [7, "é"]])
+    def test_batch_digest_matches_hashlib_reference(self, batch):
+        reference = hashlib.sha256()
+        for tx in batch:
+            reference.update(str(tx).encode())
+            reference.update(b"\x00")
+        assert batch_digest(batch) == reference.hexdigest()[:16]
 
 
 class TestGossip:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import shutil
@@ -621,6 +622,12 @@ class TestRunSimulation:
         assert fork_seed(1, "net:0:0") != fork_seed(1, "net:0:1")
         assert fork_seed(1, "net:0:0") != fork_seed(2, "net:0:0")
 
+    @pytest.mark.parametrize("seed, label", [(0, "failures"), (1, "net:0:0"),
+                                             (2**63, "net:15:3"), (-5, "é")])
+    def test_fork_seed_matches_hashlib_reference(self, seed, label):
+        digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+        assert fork_seed(seed, label) == int.from_bytes(digest[:8], "big")
+
 
 class TestReports:
     def test_json_roundtrip(self, tmp_path):
@@ -900,6 +907,38 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(example, "README.md", "exec"), {})
 
 
+# CPython's built-in SHA-256 module is _sha2 from 3.12 and _sha256 before,
+# so each name is missing from sys.stdlib_module_names on some version.
+BUILTIN_SHA256 = ("_sha2", "_sha256")
+
+
+def _builtin_sha256_imports(tree):
+    """Imports of a built-in SHA-256 module that fall back to ``hashlib``.
+
+    Only ``from _sha2 import sha256`` or ``from _sha256 import sha256`` in a
+    ``try`` body count, and only when an ``except ImportError`` of that
+    ``try`` imports ``sha256`` from ``hashlib``, itself or in a nested ``try``.
+    """
+    def hashlib_fallback(node):
+        return isinstance(node, ast.ImportFrom) and node.level == 0 \
+            and node.module == "hashlib" and [a.name for a in node.names] == ["sha256"]
+
+    excused = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Try):
+            continue
+        if not any(isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+                   and any(hashlib_fallback(inner) for statement in handler.body
+                           for inner in ast.walk(statement))
+                   for handler in node.handlers):
+            continue
+        excused.update(statement for statement in node.body
+                       if isinstance(statement, ast.ImportFrom) and statement.level == 0
+                       and statement.module in BUILTIN_SHA256
+                       and [a.name for a in statement.names] == ["sha256"])
+    return excused
+
+
 def test_package_imports_only_the_standard_library():
     # Read from the source, so an import in a function body that no test
     # runs counts too: opsim has no runtime dependency.
@@ -907,16 +946,40 @@ def test_package_imports_only_the_standard_library():
     assert paths
     outside = []
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        excused = _builtin_sha256_imports(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules = [node.module]
             else:
                 continue
+            if node in excused:
+                continue
             outside += [f"{path.name}:{node.lineno}: {module}" for module in modules
                         if module.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_builtin_sha256_import_needs_the_hashlib_fallback():
+    guarded = ("try:\n"
+               "    from _sha2 import sha256\n"
+               "except ImportError:\n"
+               "    try:\n"
+               "        from _sha256 import sha256\n"
+               "    except ImportError:\n"
+               "        from hashlib import sha256\n")
+    assert len(_builtin_sha256_imports(ast.parse(guarded))) == 2
+    for source in ("from _sha2 import sha256\n",
+                   "try:\n    from _sha256 import sha256\nexcept ImportError:\n    pass\n",
+                   "try:\n    from _sha256 import sha256\n"
+                   "except OSError:\n    from hashlib import sha256\n",
+                   "try:\n    from _sha256 import sha1\n"
+                   "except ImportError:\n    from hashlib import sha256\n",
+                   "try:\n    from _md5 import sha256\n"
+                   "except ImportError:\n    from hashlib import sha256\n"):
+        assert _builtin_sha256_imports(ast.parse(source)) == set(), source
 
 
 def test_run_path_never_imports_numpy():
@@ -933,3 +996,26 @@ def test_run_path_never_imports_numpy():
     result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_run_path_never_loads_openssl():
+    # SHA-256 comes from CPython's built-in module where there is one, so
+    # neither importing opsim nor running both shipped configs loads the
+    # OpenSSL backend of hashlib.
+    script = ("import importlib.util, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import opsim\n"
+              "for path in sys.argv[2:]:\n"
+              "    opsim.run_simulation(opsim.load_config(path))\n"
+              "loaded = '_hashlib' in sys.modules\n"
+              "builtin = [name for name in ('_sha2', '_sha256')\n"
+              "           if importlib.util.find_spec(name) is not None]\n"
+              "print(builtin, loaded)\n")
+    configs = [str(ROOT / "configs" / name) for name in ("sequencer.json", "payment.json")]
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    builtin, _, loaded = result.stdout.strip().rpartition(" ")
+    if builtin == "[]":
+        pytest.skip("this Python has no built-in SHA-256 module")
+    assert loaded == "False", f"_hashlib loaded although {builtin} can be imported"
