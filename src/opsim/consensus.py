@@ -215,10 +215,9 @@ class GossipNetwork:
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
         self._model = model
         self._latency = {v.id: v.region_latency for v in validators}
-        self._ids = tuple(sorted(self._latency))
-        self._index = {vid: i for i, vid in enumerate(self._ids)}
-        # Sender -> every other id in id order, built at its first broadcast.
-        self._others: dict[str, tuple[str, ...]] = {}
+        ids = tuple(sorted(self._latency))
+        # Validator -> every other id in id order: a broadcast's default recipients.
+        self._others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
         self._rng = random.Random(model.rng_seed)
         self._draws = model.latency_jitter > 0 or model.drop_probability > 0
         # (deliver tick, seq, message, recipients in id order)
@@ -230,17 +229,15 @@ class GossipNetwork:
     def broadcast(self, message: TraceEvent,
                   recipients: Iterable[str] | None = None) -> None:
         sender = message.sender
-        index = self._index.get(sender)
-        if index is None:
+        everyone_else = self._others.get(sender)
+        if everyone_else is None:
             raise DomainError(f"unknown sender {sender}")
         if recipients is None:
-            targets: Sequence[str] | None = self._others.get(sender)
-            if targets is None:
-                targets = self._others[sender] = self._ids[:index] + self._ids[index + 1:]
+            targets: Sequence[str] = everyone_else
         else:
             targets = sorted(set(recipients))
             for recipient in targets:
-                if recipient not in self._index:
+                if recipient not in self._others:
                     raise DomainError(f"unknown recipient {recipient}")
             targets = [r for r in targets if r != sender]
         send_tick = message.tick + self._latency[sender]
