@@ -15,7 +15,7 @@ from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
 from .allocation import (ConvergenceReport, StabilityReport, StabilityVerdict,
                          hessian_stability, solve_allocation)
 from .consensus import (AggregatedSignature, Behavior, EventTrace, GossipNetwork,
-                        NetworkModel, PartitionSpec, RoundOutcome, TraceEvent,
+                        NetworkModel, PartitionSpec, Roster, RoundOutcome, TraceEvent,
                         ValidatorDescriptor, batch_digest, quorum_met, run_height)
 from .errors import ConfigError, ConstraintViolationError, DomainError, OpsimError
 from .harness import (IncentiveParams, OperatorConfig, RunConfig, RunReport,

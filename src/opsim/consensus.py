@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -84,6 +84,43 @@ class ValidatorDescriptor:
         if not _is_tick_count(self.region_latency):
             raise DomainError(f"validator {self.id}: region_latency must be an integer "
                               f">= 0, got {self.region_latency!r}")
+
+
+class Roster(tuple):
+    """A tuple of validators plus what every height derives from them, computed once.
+
+    Stakes change only at settlement, so a run builds one roster per epoch.
+    ``Roster(roster)`` is ``roster``. The descriptors must not change while
+    the roster is in use.
+    """
+
+    def __new__(cls, validators: Iterable[ValidatorDescriptor]) -> Roster:
+        if isinstance(validators, Roster):
+            return validators
+        roster = super().__new__(cls, validators)
+        if not roster:
+            raise DomainError("run_height requires at least one validator")
+        # Id -> stake; the total is their exactly rounded sum.
+        roster.stakes = {v.id: v.stake for v in roster}
+        if len(roster.stakes) != len(roster):
+            raise DomainError("validator ids must be unique")
+        roster.total_stake = math.fsum(roster.stakes.values())
+        if roster.total_stake <= 0:
+            raise DomainError("total stake must be > 0")
+        # A tally whose naive running sum is below this cannot reach quorum
+        # (see _HonestNode._tally).
+        roster.quorum_floor = roster.total_stake * ((2.0 - (len(roster) + 3) * 2.0 ** -51) / 3.0)
+        # The validators in id order, and in proposer order: descending
+        # stake, then id.
+        roster.by_id = tuple(sorted(roster, key=lambda v: v.id))
+        roster.by_stake = tuple(sorted(roster.by_id, key=lambda v: -v.stake))
+        # Id -> region latency, and the largest one.
+        roster.latency = {v.id: v.region_latency for v in roster}
+        roster.max_latency = max(roster.latency.values())
+        # Id -> every other id in id order: a broadcast's default recipients.
+        ids = tuple(sorted(roster.stakes))
+        roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
+        return roster
 
 
 @dataclass(frozen=True)
@@ -143,14 +180,7 @@ def batch_digest(batch: Sequence[str]) -> str:
     return sha256(b"".join(str(tx).encode() + b"\x00" for tx in batch)).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One protocol event; a sent message is its own event.
-
-    Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
-    ``digest`` of None marks a nil vote.
-    """
-
+class _TraceFields(NamedTuple):
     tick: int
     kind: str
     height: int
@@ -158,11 +188,24 @@ class TraceEvent:
     sender: str
     digest: str | None
 
-    def __post_init__(self) -> None:
-        if self.height < 0 or self.round < 0:
+
+# A tuple, not a frozen dataclass, because one is built per message sent and
+# a frozen dataclass sets each field through object.__setattr__.
+class TraceEvent(_TraceFields):
+    """One protocol event; a sent message is its own event.
+
+    Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
+    ``digest`` of None marks a nil vote.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tick, kind, height, round, sender, digest):
+        if height < 0 or round < 0:
             raise DomainError("height and round must be >= 0")
-        if self.kind == "proposal" and self.digest is None:
+        if kind == "proposal" and digest is None:
             raise DomainError("proposals must carry a digest")
+        return tuple.__new__(cls, (tick, kind, height, round, sender, digest))
 
 
 class EventTrace:
@@ -208,18 +251,18 @@ class GossipNetwork:
     entry that lists them in id order, and entries are numbered in
     deliver-tick order, so ``step`` hands out (message, recipients) entries
     in (deliver tick, broadcast) order. A lossless, jitter-free network
-    delivers every recipient at the same tick and draws nothing. Identical
-    seed and call sequence yield an identical delivery trace.
+    delivers every recipient at the same tick, draws nothing and has no
+    generator. Identical seed and call sequence yield an identical delivery
+    trace.
     """
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
+        roster = Roster(validators)
         self._model = model
-        self._latency = {v.id: v.region_latency for v in validators}
-        ids = tuple(sorted(self._latency))
-        # Validator -> every other id in id order: a broadcast's default recipients.
-        self._others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
-        self._rng = random.Random(model.rng_seed)
+        self._latency = roster.latency
+        self._others = roster.others
         self._draws = model.latency_jitter > 0 or model.drop_probability > 0
+        self._rng = random.Random(model.rng_seed) if self._draws else None
         # (deliver tick, seq, message, recipients in id order)
         self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
         self._seq = 0
@@ -319,18 +362,14 @@ def timeout_total(max_rounds: int) -> int:
 
 
 class _HeightContext:
-    """Shared state of one height: roster, stakes, digest, network, first decision."""
+    """Shared state of one height: roster, digest, network, first decision."""
 
     def __init__(self, validators: Sequence[ValidatorDescriptor], digest: str,
                  network: GossipNetwork, max_rounds: int, height: int,
                  trace: EventTrace):
-        self.roster = sorted(validators, key=lambda v: (-v.stake, v.id))
-        self.stakes = {v.id: v.stake for v in validators}
-        self.total_stake = math.fsum(self.stakes.values())
-        # A tally whose naive running sum is below this cannot reach quorum;
-        # see _HonestNode.receive.
-        self.quorum_floor = self.total_stake * ((2.0 - (len(validators) + 3) * 2.0 ** -51)
-                                                / 3.0)
+        self.roster = roster = Roster(validators)
+        self.stakes, self.total_stake = roster.stakes, roster.total_stake
+        self.quorum_floor = roster.quorum_floor
         self.digest = digest
         self.network = network
         self.max_rounds = max_rounds
@@ -357,14 +396,13 @@ class _HeightContext:
         self.unfinished = 0
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
-        return self.roster[round_ % len(self.roster)]
+        return self.roster.by_stake[round_ % len(self.roster)]
 
     def send(self, tick: int, kind: str, round_: int, sender: str, digest: str | None,
-             recipients: Iterable[str] | None = None) -> TraceEvent:
-        """Record a message as a trace event, broadcast that event and return it."""
+             recipients: Iterable[str] | None = None) -> None:
+        """Record a message as a trace event and broadcast that event."""
         message = self.trace.record(tick, kind, self.height, round_, sender, digest)
         self.network.broadcast(message, recipients)
-        return message
 
 
 class _HonestNode:
@@ -668,10 +706,9 @@ class _EquivocatingNode:
         self.round = 0
         self.entered = 0
         self.stage = "enter"
-        others = sorted(v.id for v in ctx.roster if v.id != descriptor.id)
+        others = ctx.roster.others[descriptor.id]
         split = (len(others) + 1) // 2
-        self.first_half = others[:split]
-        self.second_half = others[split:]
+        self.first_half, self.second_half = others[:split], others[split:]
         self.faulted = False
         self.done = False
 
@@ -720,35 +757,17 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     validator; the simulation still runs until every such validator has
     decided or exhausted its rounds, so the trace captures all decisions.
     """
-    if not validators:
-        raise DomainError("run_height requires at least one validator")
-    ids = [v.id for v in validators]
-    if len(set(ids)) != len(ids):
-        raise DomainError("validator ids must be unique")
+    roster = Roster(validators)
     if not batch:
         raise DomainError("batch must be non-empty")
     if max_rounds < 1:
         raise DomainError("max_rounds must be >= 1")
 
     trace = trace if trace is not None else EventTrace()
-    digest = batch_digest(batch)
-    net = GossipNetwork(network, validators)
-    ctx = _HeightContext(validators, digest, net, max_rounds, height, trace)
-    if ctx.total_stake <= 0:
-        raise DomainError("total stake must be > 0")
-
-    # A lossless, jitter-free network delivers each broadcast to every
-    # other validator in one entry, so those votes can be tallied once per
-    # key instead of once per node. A shared entry has a fixed cost: on
-    # lossless heights, sharing took 1.22x the unshared time at 3
-    # validators, 1.01x at 8, 0.97x at 9, 0.87x at 12 and 0.58x at 32 (a
-    # 2-vCPU VM, CPython 3.11), hence the cut-off.
-    shares = (len(validators) >= SHARED_TALLY_MIN_VALIDATORS
-              and network.drop_probability == 0 and network.latency_jitter == 0)
-    if shares:
-        ctx.private_bounds = {}
+    net = GossipNetwork(network, roster)
+    ctx = _HeightContext(roster, batch_digest(batch), net, max_rounds, height, trace)
     nodes: dict[str, _HonestNode | _EquivocatingNode] = {}
-    for v in sorted(validators, key=lambda v: v.id):
+    for v in roster.by_id:
         if v.behavior in (Behavior.HONEST, Behavior.INVALID_PROPOSER):
             nodes[v.id] = _HonestNode(v, ctx)
         elif v.behavior is Behavior.EQUIVOCATING:
@@ -756,14 +775,20 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             heapq.heappush(ctx.timers, (nodes[v.id].next_due, v.id))
         # Silent validators receive but never act.
 
-    max_latency = max(v.region_latency for v in validators)
     horizon = (timeout_total(max_rounds)
-               + (max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
+               + (roster.max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
     listening = {vid: node for vid, node in nodes.items() if isinstance(node, _HonestNode)}
 
-    if shares:
-        everyone_else = len(validators) - 1
+    # A lossless, jitter-free network delivers each broadcast to every
+    # other validator in one entry, so those votes can be tallied once per
+    # key instead of once per node. A shared entry has a fixed cost: on
+    # lossless heights, sharing took 1.22x the unshared time at 3
+    # validators, 1.01x at 8, 0.97x at 9, 0.87x at 12 and 0.58x at 32 (a
+    # 2-vCPU VM, CPython 3.11), hence the cut-off.
+    if len(roster) >= SHARED_TALLY_MIN_VALIDATORS and not net._draws:
+        ctx.private_bounds = {}
+        everyone_else = len(roster) - 1
 
         def deliver(tick: int) -> None:
             entries = net.step(tick)
@@ -846,7 +871,7 @@ def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
     round and the batch digest, shared and private, read after the drain so
     it covers precommits that were still in flight when quorum crossed.
     """
-    for v in sorted(ctx.roster, key=lambda v: v.id):
+    for v in ctx.roster.by_id:
         if v.behavior is Behavior.SILENT:
             ctx.trace.record(last_tick, "fault:non-participation", ctx.height, 0, v.id, None)
 

@@ -23,7 +23,7 @@ from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
 from .allocation import hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
-                        ValidatorDescriptor, run_height, sha256)
+                        Roster, ValidatorDescriptor, run_height, sha256)
 from .errors import ConfigError, DomainError
 from .incentives import (EntryKind, EventKind, ReputationParams, SettlementEvent,
                          feedback_iterate, make_aggregation_report, settle, update_trust)
@@ -513,12 +513,11 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                  events: list[SettlementEvent]) -> tuple[list[dict], list[dict]]:
     """Each window's consensus height and submission draws; their events join ``events``."""
     # Stakes change only at settlement, so one roster serves the epoch.
-    validators = [
+    validators = Roster(
         ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
                             behavior=Behavior(op.behavior),
                             region_latency=op.region_latency)
-        for op in operators
-    ]
+        for op in operators)
     epoch_base_tick = epoch * schedule.horizon_ticks
     window_records: list[dict] = []
     height_records: list[dict] = []
