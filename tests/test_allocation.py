@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import random
 from pathlib import Path
@@ -11,6 +10,7 @@ from opsim import (AllocationVector, DomainError, OperatorState, ScenarioWeights
                    StabilityVerdict, TaskSpec, harness, hessian_stability, load_config,
                    run_simulation, solve_allocation)
 from opsim.agents import CAP_SLACK
+from bench_inputs import WORKLOADS
 from oracles import (check_equilibrium, exhaustive_grid_welfare, finite_difference_gradient,
                      grid_welfare, lagrangian_gradient, projected_gradient_ascent,
                      stability_report, welfare)
@@ -331,16 +331,6 @@ def assert_kkt(agents, tasks, weights, alloc, report):
             assert lam == pytest.approx(max(0.0, max(gains) - cost))
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, loaded by path under its own module name."""
-    spec = importlib.util.spec_from_file_location("opsim_bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _bench_workloads()
 RUNS = ([pytest.param(ROOT / "configs" / name, id=name)
          for name in ("sequencer.json", "payment.json")]
         + [pytest.param(WORKLOADS.config_text(workload, seed), id=f"{workload}-{seed}")

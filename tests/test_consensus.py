@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, GossipNetwork,
-                   NetworkModel, PartitionSpec, TraceEvent, ValidatorDescriptor,
+                   NetworkModel, PartitionSpec, Roster, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
-from opsim import consensus
+from opsim import consensus, harness, load_config, run_simulation
 from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum,
                      summed_timeouts)
 
@@ -56,6 +57,29 @@ class TestTypes:
     def test_negative_height_or_round_rejected(self, height, round_):
         with pytest.raises(DomainError):
             TraceEvent(0, "prevote", height, round_, "v", "d")
+
+    def test_keyword_construction_is_checked(self):
+        with pytest.raises(DomainError, match="proposals must carry a digest"):
+            TraceEvent(tick=0, kind="proposal", height=0, round=0, sender="v", digest=None)
+        event = TraceEvent(tick=4, kind="proposal", height=1, round=2, sender="v", digest="d")
+        assert (event.tick, event.kind, event.height, event.round, event.sender,
+                event.digest) == (4, "proposal", 1, 2, "v", "d")
+
+    def test_event_cannot_be_assigned_to(self):
+        event = TraceEvent(0, "prevote", 0, 0, "v", "d")
+        with pytest.raises(AttributeError):
+            event.digest = None
+        with pytest.raises(AttributeError):
+            event.note = "added"
+        assert event.digest == "d"
+
+    def test_event_is_hashable_and_equal_by_value(self):
+        first = TraceEvent(3, "precommit", 1, 2, "v", None)
+        second = TraceEvent(3, "precommit", 1, 2, "v", None)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != TraceEvent(3, "precommit", 1, 2, "v", "d")
 
     def test_network_model_bounds(self):
         with pytest.raises(DomainError):
@@ -234,6 +258,27 @@ class TestGossip:
         net.step(5)
         with pytest.raises(DomainError):
             net.step(4)
+
+    def test_draw_free_network_builds_no_generator(self, monkeypatch):
+        seeds = []
+
+        def generator(seed):
+            seeds.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(consensus, "random", types.SimpleNamespace(Random=generator))
+        validators = make_validators(["honest"] * 10 + ["equivocating", "silent"])
+        partitioned = NetworkModel(rng_seed=5, partition_schedule=(
+            PartitionSpec(0, 9, frozenset({"v0", "v1"})),))
+        for model in (LOSSLESS, partitioned):
+            net = GossipNetwork(model, validators)
+            net.broadcast(TraceEvent(0, "prevote", 0, 0, "v2", "d"))
+            assert run_height(validators, ["tx"], model, max_rounds=3).committed
+        assert seeds == []
+        # The patch is live: a network that draws builds its generator.
+        GossipNetwork(NetworkModel(latency_jitter=1, rng_seed=8), validators)
+        GossipNetwork(NetworkModel(drop_probability=0.1, rng_seed=9), validators)
+        assert seeds == [8, 9]
 
 
 class TestAggregateSignature:
@@ -916,3 +961,90 @@ class TestCommitCertificate:
         precommitted = {e.sender for e in trace.events if e.kind == "precommit"
                         and e.round == decided_round and e.digest == digest}
         assert signature.signer_set <= precommitted
+
+
+class TestRoster:
+    """An epoch's roster: run_height's input checks and its per-height derivations, done once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(height=heights())
+    def test_run_height_same_from_a_list_or_a_roster(self, height):
+        validators, model, max_rounds = height
+        expected_trace = EventTrace()
+        expected = run_height(list(validators), ["a", "b"], model, max_rounds, height=2,
+                              trace=expected_trace)
+        # One roster serves several heights, as it serves an epoch.
+        roster = Roster(validators)
+        for _ in range(2):
+            trace = EventTrace()
+            assert run_height(roster, ["a", "b"], model, max_rounds, height=2,
+                              trace=trace) == expected
+            assert trace.to_lines() == expected_trace.to_lines()
+
+    @settings(max_examples=100, deadline=None)
+    @given(height=heights())
+    @example(height=([ValidatorDescriptor(id=vid, stake=stake, region_latency=latency)
+                      for vid, stake, latency in (("d", 2.0, 1), ("b", 5.0, 0),
+                                                  ("c", 2.0, 3), ("a", 5.0, 2))],
+                     LOSSLESS, 1))
+    def test_fields_equal_a_per_height_derivation(self, height):
+        validators = height[0]
+        roster = Roster(validators)
+        stakes = {v.id: v.stake for v in validators}
+        total = math.fsum(stakes.values())
+        ids = sorted(stakes)
+        assert list(roster) == validators
+        assert roster.by_id == tuple(sorted(validators, key=lambda v: v.id))
+        assert roster.by_stake == tuple(sorted(validators, key=lambda v: (-v.stake, v.id)))
+        assert roster.stakes == stakes
+        assert roster.total_stake == total
+        assert roster.quorum_floor == total * ((2.0 - (len(validators) + 3) * 2.0 ** -51) / 3.0)
+        assert roster.latency == {v.id: v.region_latency for v in validators}
+        assert roster.max_latency == max(v.region_latency for v in validators)
+        assert roster.others == {vid: tuple(i for i in ids if i != vid) for vid in ids}
+        assert Roster(roster) is roster
+
+    @pytest.mark.parametrize("build", [
+        Roster,
+        lambda validators: run_height(validators, ["tx"], LOSSLESS, 5),
+        lambda validators: GossipNetwork(LOSSLESS, validators),
+    ], ids=["roster", "run_height", "network"])
+    def test_bad_rosters_keep_their_errors(self, build):
+        with pytest.raises(DomainError, match="^run_height requires at least one validator$"):
+            build([])
+        with pytest.raises(DomainError, match="^validator ids must be unique$"):
+            build([ValidatorDescriptor("v", 1.0), ValidatorDescriptor("v", 2.0)])
+        # A descriptor checks its stake when made; a roster checks the total.
+        zeroed = ValidatorDescriptor("v", 1.0)
+        zeroed.stake = 0.0
+        with pytest.raises(DomainError, match="^total stake must be > 0$"):
+            build([zeroed])
+
+    def test_context_and_network_accept_a_list(self):
+        validators = make_validators(["honest"] * 3, stakes=[1.0, 3.0, 2.0])
+        net = GossipNetwork(LOSSLESS, validators)
+        ctx = consensus._HeightContext(validators, "d", net, 1, 0, EventTrace())
+        assert isinstance(ctx.roster, Roster) and list(ctx.roster) == validators
+        assert ctx.stakes == {"v0": 1.0, "v1": 3.0, "v2": 2.0} and ctx.total_stake == 6.0
+        assert [ctx.proposer(r).id for r in range(4)] == ["v1", "v2", "v0", "v1"]
+        message = TraceEvent(0, "prevote", 0, 0, "v1", "d")
+        net.broadcast(message)
+        assert [(m, list(group)) for m, group in net.step(1)] == [(message, ["v0", "v2"])]
+
+    def test_harness_builds_one_roster_per_epoch(self, monkeypatch):
+        rosters = []
+
+        def recording_run_height(validators, *args, **kwargs):
+            rosters.append(validators)
+            return run_height(validators, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_height", recording_run_height)
+        config = load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                                 / "sequencer.json"))
+        run_simulation(config)
+        per_epoch = config.schedule.windows_per_epoch
+        assert len(rosters) == config.epochs * per_epoch
+        assert all(isinstance(roster, Roster) for roster in rosters)
+        epochs = [rosters[i:i + per_epoch] for i in range(0, len(rosters), per_epoch)]
+        assert all(roster is epoch[0] for epoch in epochs for roster in epoch)
+        assert len({id(epoch[0]) for epoch in epochs}) == len(epochs)

@@ -7,6 +7,9 @@ it cover what the report derives from the trace: metrics, ledger, stakes,
 trusts, aggregation, allocation and windows. The written JSON and CSV
 reports are pinned byte for byte, so a change that moves any of those
 numbers re-pins them on purpose too.
+
+The benchmark's workloads are pinned too: ``bench/digests.json`` holds the
+trace digest of each of them at seeds 0 to 19, and every one is rerun here.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from bench_inputs import PINS, WORKLOADS
 from opsim import load_config, run_simulation, write_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,3 +69,17 @@ def test_report_bytes_are_pinned(shipped, fmt, tmp_path):
     path = tmp_path / f"report.{fmt}"
     write_report(report, fmt, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[name][fmt]
+
+
+def test_every_workload_is_pinned_at_twenty_seeds():
+    assert sorted(PINS) == sorted(WORKLOADS.WORKLOADS)
+    for seeds in PINS.values():
+        assert sorted(map(int, seeds)) == list(range(20))
+
+
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(workload, seed, id=f"{workload}-{seed}")
+    for workload in sorted(PINS) for seed in sorted(PINS[workload], key=int)])
+def test_benchmark_digest_is_pinned(workload, seed):
+    report = run_simulation(load_config(WORKLOADS.config_text(workload, int(seed))))
+    assert report.trace_digest == PINS[workload][seed]
