@@ -15,66 +15,75 @@ the weighted gain is positive, so first-order conditions are well posed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 
 # Slack allowed when checking per-task resource caps.
 CAP_SLACK = 1e-6
 
 
-@dataclass
-class OperatorState:
-    """An agent: identity, stake, trust, and working budgets."""
-
+class _OperatorFields(NamedTuple):
     id: str
     stake: float
-    trust: float = 0.5
-    capacity: float = 0.0
-    resources: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.stake) or self.stake < 0:
-            raise DomainError(f"operator {self.id}: stake must be finite and >= 0")
-        if not math.isfinite(self.trust) or not 0.0 <= self.trust <= 1.0:
-            raise DomainError(f"operator {self.id}: trust must lie in [0, 1]")
-        if not math.isfinite(self.capacity) or self.capacity < 0:
-            raise DomainError(f"operator {self.id}: capacity must be finite and >= 0")
-        if not math.isfinite(self.resources) or self.resources < 0:
-            raise DomainError(f"operator {self.id}: resources must be finite and >= 0")
+    trust: float
+    capacity: float
+    resources: float
 
 
-@dataclass
-class TaskSpec:
+class OperatorState(CheckedRecord, _OperatorFields):
+    """An agent: identity, stake, trust, and working budgets."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, stake, trust=0.5, capacity=0.0, resources=0.0):
+        if not math.isfinite(stake) or stake < 0:
+            raise DomainError(f"operator {id}: stake must be finite and >= 0")
+        if not math.isfinite(trust) or not 0.0 <= trust <= 1.0:
+            raise DomainError(f"operator {id}: trust must lie in [0, 1]")
+        if not math.isfinite(capacity) or capacity < 0:
+            raise DomainError(f"operator {id}: capacity must be finite and >= 0")
+        if not math.isfinite(resources) or resources < 0:
+            raise DomainError(f"operator {id}: resources must be finite and >= 0")
+        return tuple.__new__(cls, (id, stake, trust, capacity, resources))
+
+
+class _TaskFields(NamedTuple):
+    id: str
+    cost_rate: float
+    corruption_rate: float
+    resource_cap: float
+    consensus_gain: dict[str, float]
+    performance_gain: dict[str, float]
+    value: float
+
+
+class TaskSpec(CheckedRecord, _TaskFields):
     """A task: cost rates, resource cap, reward pool, per-operator gains.
 
     ``consensus_gain`` and ``performance_gain`` map operator ids to the
     multipliers of the two score terms; every operator that may work on
-    the task needs an entry.
+    the task needs an entry. A table left out starts as a new empty dict.
     """
 
-    id: str
-    cost_rate: float = 0.0
-    corruption_rate: float = 0.0
-    resource_cap: float = 0.0
-    consensus_gain: dict[str, float] = field(default_factory=dict)
-    performance_gain: dict[str, float] = field(default_factory=dict)
-    value: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, v in (("cost_rate", self.cost_rate),
-                        ("corruption_rate", self.corruption_rate),
-                        ("resource_cap", self.resource_cap),
-                        ("value", self.value)):
+    def __new__(cls, id, cost_rate=0.0, corruption_rate=0.0, resource_cap=0.0,
+                consensus_gain=None, performance_gain=None, value=0.0):
+        consensus_gain = {} if consensus_gain is None else consensus_gain
+        performance_gain = {} if performance_gain is None else performance_gain
+        for name, v in (("cost_rate", cost_rate), ("corruption_rate", corruption_rate),
+                        ("resource_cap", resource_cap), ("value", value)):
             if not math.isfinite(v) or v < 0:
-                raise DomainError(f"task {self.id}: {name} must be finite and >= 0")
-        for table_name, table in (("consensus_gain", self.consensus_gain),
-                                  ("performance_gain", self.performance_gain)):
+                raise DomainError(f"task {id}: {name} must be finite and >= 0")
+        for table_name, table in (("consensus_gain", consensus_gain),
+                                  ("performance_gain", performance_gain)):
             for op_id, g in table.items():
                 if not math.isfinite(g) or g < 0:
                     raise DomainError(
-                        f"task {self.id}: {table_name}[{op_id}] must be finite and >= 0")
+                        f"task {id}: {table_name}[{op_id}] must be finite and >= 0")
+        return tuple.__new__(cls, (id, cost_rate, corruption_rate, resource_cap,
+                                   consensus_gain, performance_gain, value))
 
     def gains_for(self, operator_id: str) -> tuple[float, float]:
         """Return (consensus gain, performance gain) for one operator."""
@@ -85,20 +94,24 @@ class TaskSpec:
                 f"task {self.id} has no gain entry for operator {operator_id}") from None
 
 
-@dataclass(frozen=True)
-class ScenarioWeights:
+class _WeightFields(NamedTuple):
+    w1: float
+    w2: float
+
+
+class ScenarioWeights(CheckedRecord, _WeightFields):
     """Weights of the consensus and performance score terms."""
 
-    w1: float = 1.0
-    w2: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+    def __new__(cls, w1=1.0, w2=1.0):
+        if not (math.isfinite(w1) and math.isfinite(w2)):
             raise DomainError("weights must be finite")
-        if self.w1 < 0 or self.w2 < 0:
+        if w1 < 0 or w2 < 0:
             raise DomainError("weights must be >= 0")
-        if self.w1 + self.w2 <= 0:
+        if w1 + w2 <= 0:
             raise DomainError("weights must satisfy w1 + w2 > 0")
+        return tuple.__new__(cls, (w1, w2))
 
 
 class AllocationVector:

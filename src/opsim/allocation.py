@@ -12,31 +12,39 @@ projected gradient ascent converges to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .agents import AllocationVector, OperatorState, ScenarioWeights, TaskSpec
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 
 # Spectrum classification band around zero.
 SPECTRUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of one allocation solve.
-
-    The water-filling solve is exact, so ``converged``, ``iterations`` and
-    ``step_norm`` are always True, 1 and 0.0; the report keeps them as
-    fields of its ``convergence`` section.
-    """
-
+class _ConvergenceFields(NamedTuple):
     converged: bool
     iterations: int
     step_norm: float
     constraint_violation: float
-    multipliers: dict[str, float] = field(default_factory=dict)
+    multipliers: dict[str, float]
+
+
+class ConvergenceReport(CheckedRecord, _ConvergenceFields):
+    """Outcome of one allocation solve.
+
+    The water-filling solve is exact, so ``converged``, ``iterations`` and
+    ``step_norm`` are always True, 1 and 0.0; the report keeps them as
+    fields of its ``convergence`` section. ``multipliers`` left out starts
+    as a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, converged, iterations, step_norm, constraint_violation,
+                multipliers=None):
+        return tuple.__new__(cls, (converged, iterations, step_norm, constraint_violation,
+                                   {} if multipliers is None else multipliers))
 
 
 class StabilityVerdict(Enum):
@@ -45,8 +53,7 @@ class StabilityVerdict(Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     eigen_extremes: tuple[float, float]
     verdict: StabilityVerdict
 

@@ -29,11 +29,10 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 
 # SHA-256 from CPython's built-in module where there is one: ``hashlib``
 # loads the OpenSSL backend, which costs a run about 4 MB of RSS and 4 ms of
@@ -67,23 +66,30 @@ class Behavior(Enum):
     INVALID_PROPOSER = "invalid-proposer"
 
 
-@dataclass
-class ValidatorDescriptor:
-    """A staked validator with a fixed behavior for the run."""
-
+class _ValidatorFields(NamedTuple):
     id: str
     stake: float
-    behavior: Behavior = Behavior.HONEST
-    region_latency: int = 1
+    behavior: Behavior
+    region_latency: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.behavior, str):
-            self.behavior = Behavior(self.behavior)
-        if not math.isfinite(self.stake) or self.stake <= 0:
-            raise DomainError(f"validator {self.id}: stake must be finite and > 0")
-        if not _is_tick_count(self.region_latency):
-            raise DomainError(f"validator {self.id}: region_latency must be an integer "
-                              f">= 0, got {self.region_latency!r}")
+
+class ValidatorDescriptor(CheckedRecord, _ValidatorFields):
+    """A staked validator with a fixed behavior for the run.
+
+    A behavior given as its string value is converted to the ``Behavior``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id, stake, behavior=Behavior.HONEST, region_latency=1):
+        if isinstance(behavior, str):
+            behavior = Behavior(behavior)
+        if not math.isfinite(stake) or stake <= 0:
+            raise DomainError(f"validator {id}: stake must be finite and > 0")
+        if not _is_tick_count(region_latency):
+            raise DomainError(f"validator {id}: region_latency must be an integer "
+                              f">= 0, got {region_latency!r}")
+        return tuple.__new__(cls, (id, stake, behavior, region_latency))
 
 
 class Roster(tuple):
@@ -123,8 +129,7 @@ class Roster(tuple):
         return roster
 
 
-@dataclass(frozen=True)
-class AggregatedSignature:
+class AggregatedSignature(NamedTuple):
     """Signer set over one digest with its stake tally."""
 
     batch_digest: str
@@ -137,8 +142,7 @@ class AggregatedSignature:
         return quorum_met(self.signed_stake, self.total_stake)
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     committed: bool
     batch_digest: str | None
     signature: AggregatedSignature | None
@@ -146,8 +150,7 @@ class RoundOutcome:
     ticks_elapsed: int
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     """Validators in ``members`` are cut off from the rest during the range."""
 
     start_tick: int
@@ -155,19 +158,29 @@ class PartitionSpec:
     members: frozenset[str]
 
 
-@dataclass(frozen=True)
-class NetworkModel:
-    drop_probability: float = 0.0
-    latency_jitter: int = 0
-    rng_seed: int = 0
-    partition_schedule: tuple[PartitionSpec, ...] = ()
+class _NetworkFields(NamedTuple):
+    drop_probability: float
+    latency_jitter: int
+    rng_seed: int
+    partition_schedule: tuple[PartitionSpec, ...]
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_probability < 1.0:
+
+class NetworkModel(CheckedRecord, _NetworkFields):
+    __slots__ = ()
+
+    def __new__(cls, drop_probability=0.0, latency_jitter=0, rng_seed=0,
+                partition_schedule=()):
+        if not 0.0 <= drop_probability < 1.0:
             raise DomainError("drop_probability must lie in [0, 1)")
-        if not _is_tick_count(self.latency_jitter):
-            raise DomainError("latency_jitter must be an integer >= 0, "
-                              f"got {self.latency_jitter!r}")
+        if not _is_tick_count(latency_jitter):
+            raise DomainError(f"latency_jitter must be an integer >= 0, got {latency_jitter!r}")
+        return tuple.__new__(cls, (drop_probability, latency_jitter, rng_seed,
+                                   partition_schedule))
+
+    @property
+    def draws(self) -> bool:
+        """True when delivery draws from ``rng_seed``: messages drop or jitter."""
+        return self.drop_probability > 0 or self.latency_jitter > 0
 
 
 def quorum_met(signed_stake: float, total_stake: float) -> bool:
@@ -189,9 +202,7 @@ class _TraceFields(NamedTuple):
     digest: str | None
 
 
-# A tuple, not a frozen dataclass, because one is built per message sent and
-# a frozen dataclass sets each field through object.__setattr__.
-class TraceEvent(_TraceFields):
+class TraceEvent(CheckedRecord, _TraceFields):
     """One protocol event; a sent message is its own event.
 
     Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
@@ -261,7 +272,8 @@ class GossipNetwork:
         self._model = model
         self._latency = roster.latency
         self._others = roster.others
-        self._draws = model.latency_jitter > 0 or model.drop_probability > 0
+        self._draws = model.draws
+        self._partitions = model.partition_schedule
         self._rng = random.Random(model.rng_seed) if self._draws else None
         # (deliver tick, seq, message, recipients in id order)
         self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
@@ -314,10 +326,10 @@ class GossipNetwork:
 
     def _push(self, deliver_tick: int, message: TraceEvent, group: Sequence[str]) -> None:
         # Only recipients on the sender's side of every partition in force stay.
-        for spec in self._model.partition_schedule:
-            if spec.start_tick <= deliver_tick < spec.end_tick:
-                side = message.sender in spec.members
-                group = [r for r in group if (r in spec.members) == side]
+        for start, end, members in self._partitions:
+            if start <= deliver_tick < end:
+                side = message.sender in members
+                group = [r for r in group if (r in members) == side]
         if group:
             heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
             self._seq += 1
@@ -410,6 +422,8 @@ class _HonestNode:
 
     def __init__(self, descriptor: ValidatorDescriptor, ctx: _HeightContext):
         self.d = descriptor
+        # Read on every cast: an attribute is faster to read than a named tuple field.
+        self.id, self.stake = descriptor.id, descriptor.stake
         self.ctx = ctx
         self.round = 0
         self.phase = "propose"
@@ -604,8 +618,8 @@ class _HonestNode:
                                and running + node.sums[key] >= floor and node._joins(key)]
         if not (changed or due):
             return
-        woken = {node.d.id: node for node in due if node.next_due <= tick}
-        woken.update((node.d.id, node) for node in changed)
+        woken = {node.id: node for node in due if node.next_due <= tick}
+        woken.update((node.id, node) for node in changed)
         woken.pop(voter, None)
         for vid in sorted(woken):
             node = woken[vid]
@@ -619,7 +633,7 @@ class _HonestNode:
     def _set_timer(self, due: int) -> None:
         """Fire the phase timer at tick ``due``; ``next_due`` is meaningless once done."""
         self.next_due = due
-        heapq.heappush(self.ctx.timers, (due, self.d.id))
+        heapq.heappush(self.ctx.timers, (due, self.id))
 
     def _finish(self) -> None:
         self.phase = "done"
@@ -627,15 +641,15 @@ class _HonestNode:
         self.ctx.unfinished -= 1
 
     def _maybe_propose(self, tick: int) -> None:
-        if self.ctx.proposer(self.round).id != self.d.id:
+        if self.ctx.proposer(self.round).id != self.id:
             return
         digest = self.ctx.digest
         if self.d.behavior is Behavior.INVALID_PROPOSER:
             digest = f"{self.ctx.digest}!invalid"
             self.ctx.trace.record(tick, "fault:invalid-proposal", self.ctx.height,
-                                  self.round, self.d.id, None)
+                                  self.round, self.id, None)
         self.proposals.setdefault(self.round, digest)
-        self.ctx.send(tick, "proposal", self.round, self.d.id, digest)
+        self.ctx.send(tick, "proposal", self.round, self.id, digest)
 
     def _evaluate(self, tick: int) -> None:
         while True:
@@ -674,8 +688,8 @@ class _HonestNode:
         """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
         self.phase = kind
         self._set_timer(tick + phase_timeout(self.round))
-        self.ctx.send(tick, kind, self.round, self.d.id, digest)
-        self._tally((kind, self.round, digest), self.d.id, self.d.stake)
+        self.ctx.send(tick, kind, self.round, self.id, digest)
+        self._tally((kind, self.round, digest), self.id, self.stake)
 
     def _decide(self, tick: int) -> None:
         self._finish()
@@ -683,7 +697,7 @@ class _HonestNode:
             self.ctx.first_decision = (tick, self.round,
                                        self.votes[("precommit", self.round, self.ctx.digest)])
         self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
-                              self.d.id, self.ctx.digest)
+                              self.id, self.ctx.digest)
 
     def _advance(self, tick: int) -> None:
         self.round += 1
@@ -693,7 +707,7 @@ class _HonestNode:
         self.phase = "propose"
         self._set_timer(tick + phase_timeout(self.round))
         self.ctx.trace.record(tick, "round-start", self.ctx.height, self.round,
-                              self.d.id, None)
+                              self.id, None)
         self._maybe_propose(tick)
 
 
@@ -786,7 +800,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     # lossless heights, sharing took 1.22x the unshared time at 3
     # validators, 1.01x at 8, 0.97x at 9, 0.87x at 12 and 0.58x at 32 (a
     # 2-vCPU VM, CPython 3.11), hence the cut-off.
-    if len(roster) >= SHARED_TALLY_MIN_VALIDATORS and not net._draws:
+    if len(roster) >= SHARED_TALLY_MIN_VALIDATORS and not network.draws:
         ctx.private_bounds = {}
         everyone_else = len(roster) - 1
 

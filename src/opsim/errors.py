@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of checked records, shared across the package."""
 
 
 class OpsimError(Exception):
@@ -26,3 +26,17 @@ class ConfigError(OpsimError, ValueError):
         self.field = field
         self.line = line
         self.column = column
+
+
+class CheckedRecord:
+    """Base of a named-tuple record whose ``__new__`` checks its fields.
+
+    Listed before the fields class, it makes ``_make``, and so ``_replace``,
+    build through ``__new__``, which re-runs the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -38,8 +37,7 @@ SCENARIOS = ("sequencer", "payment")
 # --- Configuration -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
+class OperatorConfig(NamedTuple):
     id: str
     stake: float
     behavior: str
@@ -50,22 +48,19 @@ class OperatorConfig:
     payment: PaymentNodeParams | None
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
+class ScheduleParams(NamedTuple):
     window_length: int
     windows_per_epoch: int
     grace_length: int
 
 
-@dataclass(frozen=True)
-class IncentiveParams:
+class IncentiveParams(NamedTuple):
     reputation: ReputationParams
     submit_fee: float
 
 
 # Built only by load_config; the _Row tables below declare every default.
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: str
     operators: tuple[OperatorConfig, ...]
     tasks: tuple[TaskSpec, ...]
@@ -389,8 +384,7 @@ def fork_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """A run's report; ``to_dict()`` is the document ``read_report`` returns."""
 
     config: dict[str, Any]
@@ -399,15 +393,15 @@ class RunReport:
     trace_digest: str
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(vars(self), epochs=list(self.epochs))
+        return dict(self._asdict(), epochs=list(self.epochs))
 
 
 def _scaled_tasks(tasks: Sequence[TaskSpec], scale: Mapping[str, float]) -> list[TaskSpec]:
     return [
-        replace(t, consensus_gain={op: g * scale.get(op, 1.0)
+        t._replace(consensus_gain={op: g * scale.get(op, 1.0)
                                    for op, g in t.consensus_gain.items()},
-                performance_gain={op: g * scale.get(op, 1.0)
-                                  for op, g in t.performance_gain.items()})
+                   performance_gain={op: g * scale.get(op, 1.0)
+                                     for op, g in t.performance_gain.items()})
         for t in tasks
     ]
 
@@ -483,15 +477,14 @@ def run_simulation(config: RunConfig) -> RunReport:
             if epoch == 0:  # not before: an epoch-free run must not need them
                 payment_sections = _payment_sections({op.id: op.payment for op in operators})
             metrics = {"payment": dict(payment_sections[epoch > 0])}
-        # ``vars`` copies no nested value, unlike ``asdict``.
         epoch_reports.append({
             "epoch": epoch,
             "metrics": metrics,
-            "convergence": dict(vars(convergence)),
+            "convergence": convergence._asdict(),
             "stability": {"verdict": stability.verdict.value,
                           "eigen_min": stability.eigen_extremes[0],
                           "eigen_max": stability.eigen_extremes[1]},
-            "aggregation": dict(vars(aggregation)),
+            "aggregation": aggregation._asdict(),
             "ledger": [{"operator": e.operator_id, "tick": e.tick, "kind": e.kind.value,
                         "amount": e.amount, "reason": e.reason} for e in ledger],
             "stakes": dict(sorted(stakes.items())),
@@ -537,7 +530,9 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
         height = epoch * config.schedule.windows_per_epoch + window_slot
         batch = [f"tx:{epoch}:{index}:{j}" for j in range(len(config.operators))]
         height_trace = EventTrace()
-        net = replace(config.network, rng_seed=fork_seed(config.seed, f"net:{epoch}:{index}"))
+        net = config.network
+        if net.draws:
+            net = net._replace(rng_seed=fork_seed(config.seed, f"net:{epoch}:{index}"))
         outcome = run_height(validators, batch, net, config.max_rounds,
                              height=height, trace=height_trace)
         # One update per height: the bytes equal one emit per line.
@@ -613,7 +608,7 @@ def _sequencer_metrics(agents: Sequence[OperatorState], outputs: Mapping[str, fl
         failures=len(missed.intersection(active)),
         costs={a: work[a][2] for a in active},
         total_resources=math.fsum(a.resources for a in agents))
-    return {"sequencer": dict(vars(sequencer_metrics(log)))}
+    return {"sequencer": sequencer_metrics(log)._asdict()}
 
 
 # --- Report output ------------------------------------------------------------
@@ -636,7 +631,7 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
         return
     scenario = report.config["scenario"]
     section_type = SequencerMetrics if scenario == "sequencer" else PaymentMetrics
-    names = [f.name for f in fields(section_type)]
+    names = section_type._fields
     import csv  # Only a CSV report needs it; a run does not.
 
     buffer = io.StringIO()

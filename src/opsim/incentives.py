@@ -12,12 +12,11 @@ trust; the same weights scale the gains of the next allocation solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .agents import OperatorState
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 
 
 class EventKind(Enum):
@@ -33,8 +32,7 @@ class EntryKind(Enum):
     SLASH = "slash"
 
 
-@dataclass(frozen=True)
-class SettlementEvent:
+class SettlementEvent(NamedTuple):
     kind: EventKind
     operator_id: str
     tick: int
@@ -42,32 +40,40 @@ class SettlementEvent:
     score: float = 0.0
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class _LedgerFields(NamedTuple):
     operator_id: str
     tick: int
     kind: EntryKind
     amount: float
     reason: str
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.amount) or self.amount < 0:
+
+class LedgerEntry(CheckedRecord, _LedgerFields):
+    __slots__ = ()
+
+    def __new__(cls, operator_id, tick, kind, amount, reason):
+        if not math.isfinite(amount) or amount < 0:
             raise DomainError("ledger amounts must be finite and >= 0")
+        return tuple.__new__(cls, (operator_id, tick, kind, amount, reason))
 
 
-@dataclass(frozen=True)
-class ReputationParams:
-    smoothing: float = 0.9
-    initial_trust: float = 0.5
-    slash_fraction: float = 0.05
+class _ReputationFields(NamedTuple):
+    smoothing: float
+    initial_trust: float
+    slash_fraction: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.smoothing < 1.0:
+
+class ReputationParams(CheckedRecord, _ReputationFields):
+    __slots__ = ()
+
+    def __new__(cls, smoothing=0.9, initial_trust=0.5, slash_fraction=0.05):
+        if not 0.0 < smoothing < 1.0:
             raise DomainError("smoothing must lie in (0, 1)")
-        if not 0.0 <= self.initial_trust <= 1.0:
+        if not 0.0 <= initial_trust <= 1.0:
             raise DomainError("initial_trust must lie in [0, 1]")
-        if not 0.0 < self.slash_fraction < 1.0:
+        if not 0.0 < slash_fraction < 1.0:
             raise DomainError("slash_fraction must lie in (0, 1)")
+        return tuple.__new__(cls, (smoothing, initial_trust, slash_fraction))
 
 
 def settle(events: Sequence[SettlementEvent], operators: Sequence[OperatorState],
@@ -151,8 +157,7 @@ def aggregate_results(values: Sequence[float], weights: Sequence[float]) -> floa
     return math.fsum(w * v for w, v in zip(weights, values)) / weight_total
 
 
-@dataclass(frozen=True)
-class AggregationReport:
+class AggregationReport(NamedTuple):
     tick: int
     values: dict[str, float]
     weights: dict[str, float]

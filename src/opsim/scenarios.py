@@ -10,23 +10,15 @@ optimal throughput and the aggregate payment metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ConstraintViolationError, DomainError
+from .errors import CheckedRecord, ConstraintViolationError, DomainError
 
 # Default constant of the trust-driven failure model.
 FAILURE_RATE_CONSTANT = 0.05
 
 
-@dataclass(frozen=True)
-class SequencerRunLog:
-    """Per-node observations of one sequencer run window.
-
-    All mappings must cover the same node set; ``failures`` counts nodes
-    that failed during the window.
-    """
-
+class _SequencerLogFields(NamedTuple):
     outputs: dict[str, float]
     consensus_scores: dict[str, float]
     performance_scores: dict[str, float]
@@ -34,31 +26,42 @@ class SequencerRunLog:
     costs: dict[str, float]
     total_resources: float
 
-    def __post_init__(self) -> None:
-        nodes = set(self.outputs)
+
+class SequencerRunLog(CheckedRecord, _SequencerLogFields):
+    """Per-node observations of one sequencer run window.
+
+    All mappings must cover the same node set; ``failures`` counts nodes
+    that failed during the window.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, outputs, consensus_scores, performance_scores, failures, costs,
+                total_resources):
+        nodes = set(outputs)
         if not nodes:
             raise DomainError("run log needs at least one node")
-        for name, table in (("consensus_scores", self.consensus_scores),
-                            ("performance_scores", self.performance_scores),
-                            ("costs", self.costs)):
+        for name, table in (("consensus_scores", consensus_scores),
+                            ("performance_scores", performance_scores),
+                            ("costs", costs)):
             if set(table) != nodes:
                 raise DomainError(f"{name} must cover the same nodes as outputs")
-        if any(v < 0 for v in self.outputs.values()):
+        if any(v < 0 for v in outputs.values()):
             raise DomainError("outputs must be >= 0")
-        if self.failures < 0 or self.failures > len(nodes):
+        if failures < 0 or failures > len(nodes):
             raise DomainError("failures must lie in [0, node count]")
+        return tuple.__new__(cls, (outputs, consensus_scores, performance_scores, failures,
+                                   costs, total_resources))
 
 
-@dataclass(frozen=True)
-class SequencerMetrics:
+class SequencerMetrics(NamedTuple):
     throughput: float
     latency: float
     fault_tolerance: float
     efficiency: float
 
 
-@dataclass(frozen=True)
-class PaymentMetrics:
+class PaymentMetrics(NamedTuple):
     total_transactions: float
     validation_efficiency: float | None
     error_rate: float | None
@@ -105,8 +108,19 @@ def failure_probability(trust: float, kappa: float = FAILURE_RATE_CONSTANT) -> f
     return min(1.0, kappa / trust)
 
 
-@dataclass(frozen=True)
-class PaymentNodeParams:
+class _PaymentNodeFields(NamedTuple):
+    fee: float
+    validation_cost_coeff: float
+    capacity: float
+    penalty_coeff: float
+    error_cost_coeff: float
+    error_rate: float
+    deadline: float
+    validation_time: float
+    validation_cost_cap: float | None
+
+
+class PaymentNodeParams(CheckedRecord, _PaymentNodeFields):
     """Economics of one payment-validation node.
 
     ``validation_cost_coeff`` shapes the quadratic validation cost
@@ -115,33 +129,30 @@ class PaymentNodeParams:
     the deadline. ``validation_cost_cap`` of None means uncapped.
     """
 
-    fee: float
-    validation_cost_coeff: float
-    capacity: float
-    penalty_coeff: float = 0.0
-    error_cost_coeff: float = 0.0
-    error_rate: float = 0.0
-    deadline: float = math.inf
-    validation_time: float = 0.0
-    validation_cost_cap: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, v in (("fee", self.fee),
-                        ("validation_cost_coeff", self.validation_cost_coeff),
-                        ("capacity", self.capacity),
-                        ("penalty_coeff", self.penalty_coeff),
-                        ("error_cost_coeff", self.error_cost_coeff),
-                        ("validation_time", self.validation_time)):
+    def __new__(cls, fee, validation_cost_coeff, capacity, penalty_coeff=0.0,
+                error_cost_coeff=0.0, error_rate=0.0, deadline=math.inf,
+                validation_time=0.0, validation_cost_cap=None):
+        for name, v in (("fee", fee),
+                        ("validation_cost_coeff", validation_cost_coeff),
+                        ("capacity", capacity),
+                        ("penalty_coeff", penalty_coeff),
+                        ("error_cost_coeff", error_cost_coeff),
+                        ("validation_time", validation_time)):
             if not math.isfinite(v) and not (name == "capacity" and v == math.inf):
                 raise DomainError(f"payment params: {name} must be finite")
             if v < 0:
                 raise DomainError(f"payment params: {name} must be >= 0")
-        if not 0.0 <= self.error_rate <= 1.0:
+        if not 0.0 <= error_rate <= 1.0:
             raise DomainError("payment params: error_rate must lie in [0, 1]")
-        if not self.deadline >= 0:  # NaN fails too
+        if not deadline >= 0:  # NaN fails too
             raise DomainError("payment params: deadline must be >= 0")
-        if self.validation_cost_cap is not None and not self.validation_cost_cap >= 0:
+        if validation_cost_cap is not None and not validation_cost_cap >= 0:
             raise DomainError("payment params: validation_cost_cap must be >= 0")
+        return tuple.__new__(cls, (fee, validation_cost_coeff, capacity, penalty_coeff,
+                                   error_cost_coeff, error_rate, deadline, validation_time,
+                                   validation_cost_cap))
 
     def validation_cost(self, transactions: float) -> float:
         return self.validation_cost_coeff * transactions ** 2 / 2.0
@@ -194,25 +205,29 @@ def optimize_throughput(params: PaymentNodeParams) -> float:
     return upper if slope > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class PaymentWindowLog:
-    """Per-node payment observations for one window."""
-
+class _PaymentLogFields(NamedTuple):
     transactions: dict[str, float]
     validation_costs: dict[str, float]
     errors: dict[str, float]
     penalties: dict[str, float]
     profit: float
 
-    def __post_init__(self) -> None:
-        nodes = set(self.transactions)
+
+class PaymentWindowLog(CheckedRecord, _PaymentLogFields):
+    """Per-node payment observations for one window."""
+
+    __slots__ = ()
+
+    def __new__(cls, transactions, validation_costs, errors, penalties, profit):
+        nodes = set(transactions)
         if not nodes:
             raise DomainError("payment log needs at least one node")
-        for name, table in (("validation_costs", self.validation_costs),
-                            ("errors", self.errors),
-                            ("penalties", self.penalties)):
+        for name, table in (("validation_costs", validation_costs),
+                            ("errors", errors),
+                            ("penalties", penalties)):
             if set(table) != nodes:
                 raise DomainError(f"{name} must cover the same nodes as transactions")
+        return tuple.__new__(cls, (transactions, validation_costs, errors, penalties, profit))
 
 
 def payment_metrics(logs: Sequence[PaymentWindowLog]) -> PaymentMetrics:
@@ -262,6 +277,6 @@ def _payment_sections(nodes: Mapping[str, PaymentNodeParams]) -> tuple[dict, dic
         profit += payment_utility(params, best)
     log = PaymentWindowLog(transactions=transactions, validation_costs=validation_costs,
                            errors=errors, penalties=penalties, profit=profit)
-    first = dict(vars(payment_metrics([log])))
+    first = payment_metrics([log])._asdict()
     return first, dict(first, revenue_growth=payment_metrics([log, log]).revenue_growth)
 

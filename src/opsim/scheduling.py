@@ -10,32 +10,35 @@ the fallback is applied, keeping all windows pairwise disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 
 
-@dataclass(frozen=True)
-class SubmissionWindow:
+class _WindowFields(NamedTuple):
     operator_id: str
     start_tick: int
     end_tick: int
     window_index: int
-    is_fallback: bool = False
-    covers_window: int | None = None
+    is_fallback: bool
+    covers_window: int | None
 
-    def __post_init__(self) -> None:
-        if self.start_tick >= self.end_tick:
-            raise DomainError(
-                f"window {self.window_index}: start_tick must precede end_tick")
+
+class SubmissionWindow(CheckedRecord, _WindowFields):
+    __slots__ = ()
+
+    def __new__(cls, operator_id, start_tick, end_tick, window_index,
+                is_fallback=False, covers_window=None):
+        if start_tick >= end_tick:
+            raise DomainError(f"window {window_index}: start_tick must precede end_tick")
+        return tuple.__new__(cls, (operator_id, start_tick, end_tick, window_index,
+                                   is_fallback, covers_window))
 
     def overlaps(self, other: "SubmissionWindow") -> bool:
         return self.start_tick < other.end_tick and other.start_tick < self.end_tick
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     horizon_ticks: int
     window_length: int
     windows: tuple[SubmissionWindow, ...]
@@ -115,7 +118,7 @@ def apply_fallback(schedule: Schedule, fallback: SubmissionWindow) -> Schedule:
     adjusted = []
     for w in schedule.windows:
         if w.overlaps(fallback):
-            adjusted.append(replace(w, start_tick=fallback.end_tick))
+            adjusted.append(w._replace(start_tick=fallback.end_tick))
         else:
             adjusted.append(w)
-    return replace(schedule, windows=tuple(adjusted))
+    return schedule._replace(windows=tuple(adjusted))

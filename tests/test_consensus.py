@@ -542,9 +542,7 @@ def late_quorum_roster():
     the first of those entries, before the later ones bring it a quorum.
     """
     validators = make_validators(["honest"] * 9)
-    for v in validators[3:]:
-        v.region_latency = 4
-    return validators
+    return validators[:3] + [v._replace(region_latency=4) for v in validators[3:]]
 
 
 def shared_roster():
@@ -557,9 +555,7 @@ def shared_roster():
     behaviors[3] = behaviors[8] = "equivocating"
     behaviors[10] = "silent"
     validators = make_validators(behaviors, stakes=[float(30 - 2 * i) for i in range(12)])
-    for i, v in enumerate(validators):
-        v.region_latency = i % 3
-    return validators
+    return [v._replace(region_latency=i % 3) for i, v in enumerate(validators)]
 
 
 SHARED_PARTITION = NetworkModel(rng_seed=1, partition_schedule=(
@@ -688,7 +684,7 @@ class TestEventAdvance:
         # others only at ticks 21 and 22: the drain jumps to exactly those
         # ticks, and the signature covers v3.
         validators = make_validators(["honest"] * 4)
-        validators[3].region_latency = 20
+        validators[3] = validators[3]._replace(region_latency=20)
         with recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
@@ -879,7 +875,7 @@ class TestSharedTally:
         # share: v11's prevote and precommit land at ticks 21 and 22, in the
         # shared tally, and the certificate still covers v11.
         validators = make_validators(["honest"] * 12)
-        validators[11].region_latency = 20
+        validators[11] = validators[11]._replace(region_latency=20)
         with recorded(GossipNetwork, "step") as steps, \
                 recorded(consensus._HonestNode, "start") as started:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
@@ -893,9 +889,8 @@ class TestSharedTally:
         # Every vote of a lossless 64-validator height reaches every other
         # validator in one entry, so it is tallied once, in the shared
         # tally; a node's own vote moves there when its entry lands.
-        validators = make_validators(["honest"] * 64, stakes=[80.0 + i % 41 for i in range(64)])
-        for i, v in enumerate(validators):
-            v.region_latency = 1 + i % 3
+        validators = [v._replace(region_latency=1 + i % 3) for i, v in enumerate(
+            make_validators(["honest"] * 64, stakes=[80.0 + i % 41 for i in range(64)]))]
         with recorded(consensus._HonestNode, "start") as started:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2)
         assert outcome.committed
@@ -1014,9 +1009,9 @@ class TestRoster:
             build([])
         with pytest.raises(DomainError, match="^validator ids must be unique$"):
             build([ValidatorDescriptor("v", 1.0), ValidatorDescriptor("v", 2.0)])
-        # A descriptor checks its stake when made; a roster checks the total.
-        zeroed = ValidatorDescriptor("v", 1.0)
-        zeroed.stake = 0.0
+        # A descriptor checks its stake when made; a roster checks the total,
+        # here of a descriptor built past those checks.
+        zeroed = tuple.__new__(ValidatorDescriptor, ("v", 0.0, Behavior.HONEST, 1))
         with pytest.raises(DomainError, match="^total stake must be > 0$"):
             build([zeroed])
 

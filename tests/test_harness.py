@@ -1019,3 +1019,22 @@ def test_run_path_never_loads_openssl():
     if builtin == "[]":
         pytest.skip("this Python has no built-in SHA-256 module")
     assert loaded == "False", f"_hashlib loaded although {builtin} can be imported"
+
+
+def test_run_path_never_loads_dataclasses_or_inspect():
+    # The records are named tuples, so importing opsim generates no
+    # dataclass methods: neither the import nor a run of both shipped
+    # configs newly loads dataclasses or inspect, whose import chain
+    # (ast, dis, tokenize) would add to every run's set-up.
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import opsim\n"
+              "for path in sys.argv[2:]:\n"
+              "    opsim.run_simulation(opsim.load_config(path))\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
+    configs = [str(ROOT / "configs" / name) for name in ("sequencer.json", "payment.json")]
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *configs],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

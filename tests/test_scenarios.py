@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -286,7 +285,7 @@ def payment_hessian(params, transactions, fee_variable=True, step=1.0):
     up to rounding at any step; ``fee_variable=False`` keeps the 1x1 block.
     """
     def utility(dt, df):
-        shifted = dataclasses.replace(params, fee=params.fee + df * step)
+        shifted = params._replace(fee=params.fee + df * step)
         return payment_utility(shifted, transactions + dt * step)
 
     h2 = step * step
