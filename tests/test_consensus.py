@@ -271,13 +271,16 @@ class TestGossip:
         partitioned = NetworkModel(rng_seed=5, partition_schedule=(
             PartitionSpec(0, 9, frozenset({"v0", "v1"})),))
         for model in (LOSSLESS, partitioned):
+            assert not model.draws
             net = GossipNetwork(model, validators)
             net.broadcast(TraceEvent(0, "prevote", 0, 0, "v2", "d"))
             assert run_height(validators, ["tx"], model, max_rounds=3).committed
         assert seeds == []
         # The patch is live: a network that draws builds its generator.
-        GossipNetwork(NetworkModel(latency_jitter=1, rng_seed=8), validators)
-        GossipNetwork(NetworkModel(drop_probability=0.1, rng_seed=9), validators)
+        for model in (NetworkModel(latency_jitter=1, rng_seed=8),
+                      NetworkModel(drop_probability=0.1, rng_seed=9)):
+            assert model.draws
+            GossipNetwork(model, validators)
         assert seeds == [8, 9]
 
 
@@ -1043,3 +1046,31 @@ class TestRoster:
         epochs = [rosters[i:i + per_epoch] for i in range(0, len(rosters), per_epoch)]
         assert all(roster is epoch[0] for epoch in epochs for roster in epoch)
         assert len({id(epoch[0]) for epoch in epochs}) == len(epochs)
+
+    @pytest.mark.parametrize("name, draws", [("payment.json", False), ("sequencer.json", True)])
+    def test_harness_seeds_only_networks_that_draw(self, monkeypatch, name, draws):
+        # A draw-free network never reads its seed, so every height reuses
+        # the config's model and derives none; a drawing one gets its own.
+        networks, labels = [], []
+        fork_seed = harness.fork_seed
+
+        def recording_run_height(validators, batch, network, *args, **kwargs):
+            networks.append(network)
+            return run_height(validators, batch, network, *args, **kwargs)
+
+        def recording_fork_seed(seed, label):
+            labels.append(label)
+            return fork_seed(seed, label)
+
+        monkeypatch.setattr(harness, "run_height", recording_run_height)
+        monkeypatch.setattr(harness, "fork_seed", recording_fork_seed)
+        config = load_config(str(Path(__file__).resolve().parent.parent / "configs" / name))
+        run_simulation(config)
+        assert config.network.draws is draws and networks
+        derived = [label for label in labels if label.startswith("net:")]
+        if draws:
+            assert len(derived) == len(networks) == len({n.rng_seed for n in networks})
+            assert {n._replace(rng_seed=0) for n in networks} == {
+                config.network._replace(rng_seed=0)}
+        else:
+            assert derived == [] and all(n is config.network for n in networks)
