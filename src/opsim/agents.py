@@ -139,9 +139,6 @@ class AllocationVector:
     def task_total(self, task_id: str) -> float:
         return math.fsum(x for (_, t), x in self._entries.items() if t == task_id)
 
-    def operator_total(self, operator_id: str) -> float:
-        return math.fsum(x for (o, _), x in self._entries.items() if o == operator_id)
-
     def items(self) -> list[tuple[tuple[str, str], float]]:
         """Entries in deterministic (operator id, task id) order."""
         return sorted(self._entries.items())

@@ -21,12 +21,16 @@ loop tallies it at every recipient in id order. On a lossless, jitter-free
 height of at least ``SHARED_TALLY_MIN_VALIDATORS`` validators, a vote that
 reaches every other validator is instead tallied once per key for all of
 them, so such a height costs tally work per vote, not per delivery.
+
+Tallies add stakes as exact integer counts of a unit, the finest last bit
+among the roster's stakes, and compare the count with the epoch's quorum
+threshold in those units. A count reaches the threshold exactly when the
+correctly rounded sum of its stakes meets ``quorum_met``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from enum import Enum
@@ -113,9 +117,13 @@ class Roster(tuple):
         roster.total_stake = math.fsum(roster.stakes.values())
         if roster.total_stake <= 0:
             raise DomainError("total stake must be > 0")
-        # A tally whose naive running sum is below this cannot reach quorum
-        # (see _HonestNode._tally).
-        roster.quorum_floor = roster.total_stake * ((2.0 - (len(roster) + 3) * 2.0 ** -51) / 3.0)
+        # Id -> stake in units of 1 / scale, exact: each denominator is a
+        # power of two, so the largest is a multiple of every other.
+        ratios = [v.stake.as_integer_ratio() for v in roster]
+        scale = max(d for _, d in ratios)
+        roster.units = {v.id: n * (scale // d) for v, (n, d) in zip(roster, ratios)}
+        roster.quorum_units = _quorum_units(sum(roster.units.values()), scale,
+                                            roster.total_stake)
         # The validators in id order, and in proposer order: descending
         # stake, then id.
         roster.by_id = tuple(sorted(roster, key=lambda v: v.id))
@@ -127,6 +135,30 @@ class Roster(tuple):
         ids = tuple(sorted(roster.stakes))
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
         return roster
+
+
+def _quorum_units(units: int, scale: int, total: float) -> int:
+    """The least count c of ``1 / scale`` units that passes ``quorum_met`` against ``total``.
+
+    ``units`` is the whole roster's count, ``total`` its correctly rounded
+    value. ``c / scale`` rounds correctly, as ``math.fsum`` does, so a tally
+    of c units is a quorum exactly when c reaches the result. The rule
+    grows with c, so a bisection finds the least; three roundings of at
+    most 2**-53 each (the total, ``c / scale`` and ``3 * s``) keep it within
+    ``units * 2**-50`` of ``2 * units / 3``. If ``2 * total`` overflows, no
+    tally is a quorum and the result is past ``units``.
+    """
+    if math.isinf(2.0 * total):
+        return units + 1
+    slack = (units >> 50) + 1
+    lo, hi = 2 * units // 3 - slack, 2 * units // 3 + slack + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if quorum_met(mid / scale, total):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class AggregatedSignature(NamedTuple):
@@ -381,7 +413,7 @@ class _HeightContext:
                  trace: EventTrace):
         self.roster = roster = Roster(validators)
         self.stakes, self.total_stake = roster.stakes, roster.total_stake
-        self.quorum_floor = roster.quorum_floor
+        self.units, self.quorum_units = roster.units, roster.quorum_units
         self.digest = digest
         self.network = network
         self.max_rounds = max_rounds
@@ -392,18 +424,18 @@ class _HeightContext:
         # drained after the decision still count; _finish_height adds the
         # shared tally of the key. Holding the node instead would make a
         # node-context reference cycle that outlives the height.
-        self.first_decision: tuple[int, int, dict[str, float]] | None = None
+        self.first_decision: tuple[int, int, dict[str, int]] | None = None
         # Heap of (due tick, validator id), one entry per timer set; ids, not
         # nodes, for the same reason as first_decision.
         self.timers: list[tuple[int, str]] = []
         # Filled only on heights that share tallies (see run_height): per
         # key, the voters whose entry reached every other validator, the
-        # naive sum of their stakes until they are a quorum, and an upper
-        # bound on the naive sums of private votes that nodes hold.
-        # private_bounds is None where nothing shares.
-        self.shared: dict[Key, dict[str, float]] = {}
-        self.shared_sums: dict[Key, float] = {}
-        self.private_bounds: dict[Key, float] | None = None
+        # sum of their units until they are a quorum, and an upper bound on
+        # the unit sums of private votes that nodes hold. private_bounds is
+        # None where nothing shares.
+        self.shared: dict[Key, dict[str, int]] = {}
+        self.shared_sums: dict[Key, int] = {}
+        self.private_bounds: dict[Key, int] | None = None
         # Protocol-following validators not yet done.
         self.unfinished = 0
 
@@ -423,7 +455,7 @@ class _HonestNode:
     def __init__(self, descriptor: ValidatorDescriptor, ctx: _HeightContext):
         self.d = descriptor
         # Read on every cast: an attribute is faster to read than a named tuple field.
-        self.id, self.stake = descriptor.id, descriptor.stake
+        self.id, self.units = descriptor.id, ctx.units[descriptor.id]
         self.ctx = ctx
         self.round = 0
         self.phase = "propose"
@@ -431,13 +463,13 @@ class _HonestNode:
         ctx.unfinished += 1
         self._set_timer(phase_timeout(0))
         self.proposals: dict[int, str] = {}
-        # votes[(kind, round, digest)][voter] = the voter's stake.
-        self.votes: dict[Key, dict[str, float]] = {}
+        # votes[(kind, round, digest)][voter] = the voter's stake in units.
+        self.votes: dict[Key, dict[str, int]] = {}
         self.quorums: set[Key] = set()
-        # Naive running stake sum of the private votes of each key not (yet)
-        # in quorums, so on a height that shares, the keys the node may
-        # still cross before the shared tally does.
-        self.sums: dict[Key, float] = {}
+        # Unit sum of the private votes of each key not (yet) in quorums, so
+        # on a height that shares, the keys the node may still cross before
+        # the shared tally does.
+        self.sums: dict[Key, int] = {}
 
     def start(self, tick: int) -> None:
         self._maybe_propose(tick)
@@ -470,18 +502,17 @@ class _HonestNode:
             return
         voter = message.sender
         key = (message.kind, round_, message.digest)
-        stake = ctx.stakes[voter]
-        floor, total = ctx.quorum_floor, ctx.total_stake
+        units, quorum = ctx.units[voter], ctx.quorum_units
         for node in group:
             changed = False
             voters = node.votes.get(key)
             if voters is None:
                 voters = node.votes[key] = {}
-                node.sums[key] = 0.0
-            voters[voter] = stake
+                node.sums[key] = 0
+            voters[voter] = units
             if key not in node.quorums:
-                running = node.sums[key] + stake
-                if running < floor or not quorum_met(math.fsum(voters.values()), total):
+                running = node.sums[key] + units
+                if running < quorum:
                     node.sums[key] = running
                 else:
                     del node.sums[key]
@@ -490,42 +521,15 @@ class _HonestNode:
             if not node.done and (changed or tick >= node.next_due):
                 node._evaluate(tick)
 
-    def _tally(self, key: Key, voter: str, stake: float) -> bool:
+    def _tally(self, key: Key, voter: str, units: int) -> bool:
         """Count ``voter``'s vote in this node's tally of ``key``; True if the key joined quorums.
 
-        A key joins ``quorums`` when the vote brings its voters' stake fsum
-        over quorum. Votes only accumulate, so a key never leaves
-        ``quorums``; fsum is exactly rounded, so membership does not depend
-        on the order votes arrived in.
-
-        fsum is called only when a naive sum ``s`` of the key's k stakes
-        cannot rule quorum out, that is when ``s >= quorum_floor``. Here
-        ``s`` is the running sum of the private votes plus that of the
-        shared ones (see ``share``), and what stays private is summed anew
-        when the node's own vote moves to the shared tally. Either way,
-        ``s`` adds the k stakes in some order with every addition rounded
-        to nearest. With u = 2**-53, n validators (k <= n), S the exact sum
-        of the k stakes and T the total stake:
-
-        * a sum of k positive terms in any order of additions gives
-          (1 - g) S <= s with g = gamma_{k-1} = (k-1)u / (1 - (k-1)u)
-          <= 2(n-1)u (Higham, *Accuracy and Stability of Numerical
-          Algorithms*, 2nd ed., 4.2);
-        * F = fsum = fl(S) <= S(1 + u), and quorum_met rounds 3F to at most
-          3F(1 + u);
-        * the floor is fl(T c), c = fl(fl(2 - (n+3) 2**-51) / 3), so it is
-          at most T (2/3)(1 - (2n+6)u)(1 + u)**3.
-
-        So s < floor gives fl(3F) < 2T (1 + u)**5 (1 - (2n+6)u) / (1 - 2(n-1)u)
-        <= 2T, as (1 + u)**5 <= 1 + 6u, and quorum_met(F, T) is false:
-        skipping fsum loses no quorum. A sum of floats, or 3F, is exact
-        whenever it is subnormal, so only fl(T c) can break a bound by
-        underflowing; then T and every partial sum lie below 2**-1021, where
-        floats are 2**-1074 apart, so s = S = F and s < floor gives 3F < 2T
-        directly. If 2T overflows, no tally is a quorum. This is the static
-        error filter of Shewchuk's adaptive predicates (DCG 1997); fsum
-        still decides every quorum. A key's running sum is dropped once the
-        key joins ``quorums``.
+        A key joins ``quorums`` when the vote brings the unit sum of the
+        node's view of it, its private tally plus the shared one (see
+        ``share``), to ``quorum_units``. Votes only accumulate, so a key
+        never leaves ``quorums``, and integer sums are exact, so membership
+        does not depend on the order votes arrived in. A key's sum is
+        dropped once the key joins ``quorums``.
 
         This counts each sender's first vote of a kind per round, as the
         protocol asks, without a per-sender check: a node hears each sender
@@ -536,27 +540,16 @@ class _HonestNode:
         voters = self.votes.get(key)
         if voters is None:
             voters = self.votes[key] = {}
-            self.sums[key] = 0.0
-        voters[voter] = stake
+            self.sums[key] = 0
+        voters[voter] = units
         if key in self.quorums:
             return False
         ctx = self.ctx
-        running = self.sums[key] = self.sums[key] + stake
+        running = self.sums[key] = self.sums[key] + units
         bounds = ctx.private_bounds
-        if bounds is not None and running > bounds.get(key, 0.0):
+        if bounds is not None and running > bounds.get(key, 0):
             bounds[key] = running
-        return running + ctx.shared_sums.get(key, 0.0) >= ctx.quorum_floor and self._joins(key)
-
-    def _joins(self, key: Key) -> bool:
-        """Add ``key`` to ``quorums`` if this node's view of it is a quorum.
-
-        The view is the node's private tally of the key and the shared one;
-        the caller has found the naive sum of the view at or above
-        ``quorum_floor``.
-        """
-        ctx = self.ctx
-        view = itertools.chain(ctx.shared.get(key, {}).values(), self.votes[key].values())
-        if not quorum_met(math.fsum(view), ctx.total_stake):
+        if running + ctx.shared_sums.get(key, 0) < ctx.quorum_units:
             return False
         del self.sums[key]
         self.quorums.add(key)
@@ -574,48 +567,43 @@ class _HonestNode:
         the sender's stays as it was. If the shared tally becomes a quorum,
         the key joins every node's ``quorums``. Until then only nodes that
         hold private votes of the key can cross, and while the shared sum
-        plus the bound on their private sums is below ``quorum_floor``, so
-        is the sum for each of them, as ``fl(a + b)`` grows with ``b``; the
-        nodes are scanned only once it is not. Then, in id order, each
-        recipient that is not done evaluates if its quorums changed or its
-        timer is due, as in ``receive``; one node's evaluation never touches
-        another's state, so tallying first changes nothing.
+        plus the bound on their private sums is below ``quorum_units``, so
+        is the sum for each of them; the nodes are scanned only once it is
+        not. Then, in id order, each recipient that is not done evaluates if
+        its quorums changed or its timer is due, as in ``receive``; one
+        node's evaluation never touches another's state, so tallying first
+        changes nothing.
         """
         key = (message.kind, message.round, message.digest)
         voter = message.sender
-        stake = ctx.stakes[voter]
+        units = ctx.units[voter]
         voters = ctx.shared.get(key)
         if voters is None:
             voters = ctx.shared[key] = {}
-            ctx.shared_sums[key] = 0.0
-        voters[voter] = stake
+            ctx.shared_sums[key] = 0
+        voters[voter] = units
         sender = nodes.get(voter)
         if sender is not None:
-            private = sender.votes[key]
-            del private[voter]
+            del sender.votes[key][voter]
             if key in sender.sums:
-                # A naive sum of what stays private; it is at most the sum
-                # it replaces, so the bound still holds.
-                rest = 0.0
-                for value in private.values():
-                    rest += value
-                sender.sums[key] = rest
+                # What stays private is less than before, so the bound holds.
+                sender.sums[key] -= units
         changed: list[_HonestNode] = []
         running = ctx.shared_sums.get(key)
-        floor = ctx.quorum_floor
+        quorum = ctx.quorum_units
         if running is not None:
-            running += stake
-            if running >= floor and quorum_met(math.fsum(voters.values()), ctx.total_stake):
+            running += units
+            if running >= quorum:
                 del ctx.shared_sums[key]
                 changed = [node for node in nodes.values() if key not in node.quorums]
-                for node in changed:
-                    node.quorums.add(key)
-                    node.sums.pop(key, None)
             else:
                 ctx.shared_sums[key] = running
-                if running + ctx.private_bounds.get(key, 0.0) >= floor:
+                if running + ctx.private_bounds.get(key, 0) >= quorum:
                     changed = [node for node in nodes.values() if key in node.sums
-                               and running + node.sums[key] >= floor and node._joins(key)]
+                               and running + node.sums[key] >= quorum]
+            for node in changed:
+                node.quorums.add(key)
+                node.sums.pop(key, None)
         if not (changed or due):
             return
         woken = {node.id: node for node in due if node.next_due <= tick}
@@ -689,7 +677,7 @@ class _HonestNode:
         self.phase = kind
         self._set_timer(tick + phase_timeout(self.round))
         self.ctx.send(tick, kind, self.round, self.id, digest)
-        self._tally((kind, self.round, digest), self.id, self.stake)
+        self._tally((kind, self.round, digest), self.id, self.units)
 
     def _decide(self, tick: int) -> None:
         self._finish()
@@ -817,8 +805,9 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
                     _HonestNode.receive(ctx, message, group, tick)
                 else:
                     key = (message.kind, message.round, message.digest)
+                    units = ctx.units[message.sender]
                     for node in group:
-                        changed = node._tally(key, message.sender, ctx.stakes[message.sender])
+                        changed = node._tally(key, message.sender, units)
                         if not node.done and (changed or tick >= node.next_due):
                             node._evaluate(tick)
     else:
@@ -893,7 +882,7 @@ def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
         decide_tick, decided_round, private = ctx.first_decision
         voters = {**ctx.shared.get(("precommit", decided_round, ctx.digest), {}), **private}
         signature = AggregatedSignature(ctx.digest, frozenset(voters),
-                                        math.fsum(voters.values()), ctx.total_stake)
+                                        math.fsum(map(ctx.stakes.get, voters)), ctx.total_stake)
         return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
                             rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
     ctx.trace.record(last_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import random
+from collections import Counter, defaultdict
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -276,12 +277,13 @@ def _reject_if(condition: bool, name: str, rule: str) -> None:
         raise ConfigError(f"{name} {rule}", field=name)
 
 
-def _gain_table(gain: Any, name: str, operator_ids: list[str]) -> dict[str, float]:
-    """A number is every operator's gain; a table must cover the roster."""
+def _gain_table(gain: Any, name: str, operator_ids: list[str],
+                known: set[str]) -> dict[str, float]:
+    """A number is every operator's gain; a table must cover the roster, ``known`` as a set."""
     if not isinstance(gain, dict):
         return dict.fromkeys(operator_ids, gain)
     for op in gain:
-        _reject_if(op not in operator_ids, name, f"references unknown operator '{op}'")
+        _reject_if(op not in known, name, f"references unknown operator '{op}'")
     missing = [op for op in operator_ids if op not in gain]
     _reject_if(bool(missing), name, f"missing operators {missing}")
     return gain
@@ -332,6 +334,7 @@ def load_config(source: str | Path) -> RunConfig:
             op["payment"] = _payment(op["payment"], f"operators[{i}].payment")
         operators.append(OperatorConfig(**op))
     op_ids = [op.id for op in operators]
+    known = set(op_ids)
     if doc["scenario"] == "payment":
         missing = [op.id for op in operators if op.payment is None]
         _reject_if(bool(missing), "operators",
@@ -340,17 +343,17 @@ def load_config(source: str | Path) -> RunConfig:
     tasks: list[TaskSpec] = []
     for i, task in enumerate(doc["tasks"]):
         for table in ("consensus_gain", "performance_gain"):
-            task[table] = _gain_table(task[table], f"tasks[{i}].{table}", op_ids)
+            task[table] = _gain_table(task[table], f"tasks[{i}].{table}", op_ids, known)
         tasks.append(_build(TaskSpec, f"tasks[{i}]", task))
     for name, ids in (("operators", op_ids), ("tasks", [t.id for t in tasks])):
-        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        duplicates = sorted(i for i, count in Counter(ids).items() if count > 1)
         _reject_if(bool(duplicates), name, f"have duplicate ids: {duplicates}")
 
     partitions = doc["network"]["partition_schedule"]
     for i, part in enumerate(partitions):
         # A partition must cut a link: split the roster, over some tick >= 0.
         members = f"network.partitions[{i}].members"
-        unknown = [member for member in part["members"] if member not in op_ids]
+        unknown = [member for member in part["members"] if member not in known]
         _reject_if(bool(unknown), members, f"references unknown operators {unknown}")
         _reject_if(not 0 < len(set(part["members"])) < len(op_ids), members,
                    "must name some operators but not all")
@@ -459,14 +462,17 @@ def run_simulation(config: RunConfig) -> RunReport:
 
         # Trust folds each operator's outcomes in event order: 1 for a
         # submission, 0 for a miss or a consensus fault.
-        updated = {
-            op: update_trust([float(e.kind is EventKind.SUBMIT_SUCCESS) for e in events
-                              if e.operator_id == op
-                              and e.kind is not EventKind.TASK_COMPLETE],
-                             reputation, start=trusts[op])
-            for op in sorted(trusts)
-        }
-        outputs = {a.id: allocation.operator_total(a.id) for a in agents}
+        outcomes = defaultdict(list)
+        for e in events:
+            if e.kind is not EventKind.TASK_COMPLETE:
+                outcomes[e.operator_id].append(float(e.kind is EventKind.SUBMIT_SUCCESS))
+        updated = {op: update_trust(outcomes[op], reputation, start=trusts[op])
+                   for op in sorted(trusts)}
+        # Each operator's output: fsum is exactly rounded, so grouping moves no bit.
+        entries = defaultdict(list)
+        for (op, _), x in allocation.items():
+            entries[op].append(x)
+        outputs = {a.id: math.fsum(entries[a.id]) for a in agents}
         aggregation = make_aggregation_report(epoch_end_tick, outputs, trusts)
         trusts = feedback_iterate(updated, trusts)
 

@@ -274,11 +274,12 @@ def stake_quorum(signed: float, total: float) -> bool:
 
 
 class ReferenceNode(_HonestNode):
-    """``_HonestNode`` with no evaluation gate, no ``fsum`` filter and no group loop.
+    """``_HonestNode`` with no evaluation gate, no integer tally and no group loop.
 
     It hears a message one node at a time, re-evaluates its phase after
-    every message, and re-sums a tally with ``fsum`` on every vote, its own
-    included. Phase logic, sends and decisions are ``_HonestNode``'s own.
+    every message, and re-sums a tally of float stakes with ``fsum`` on
+    every vote, its own included. Phase logic, sends and decisions are
+    ``_HonestNode``'s own.
     """
 
     @staticmethod
@@ -288,14 +289,15 @@ class ReferenceNode(_HonestNode):
                 if message.sender == ctx.proposer(message.round).id:
                     node.proposals.setdefault(message.round, message.digest)
             else:
-                node._tally((message.kind, message.round, message.digest), message.sender,
-                            ctx.stakes[message.sender])
+                node._tally((message.kind, message.round, message.digest), message.sender)
             if not node.done:
                 node._evaluate(tick)
 
-    def _tally(self, key, voter, stake):
+    def _tally(self, key, voter, units=None):
+        # The units ``_HonestNode._cast`` passes are ignored: this tally
+        # sums the roster's float stakes.
         voters = self.votes.setdefault(key, {})
-        voters[voter] = stake
+        voters[voter] = self.ctx.stakes[voter]
         if stake_quorum(math.fsum(voters.values()), self.ctx.total_stake):
             self.quorums.add(key)
 

@@ -9,6 +9,7 @@ import sys
 import types
 import weakref
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -725,7 +726,7 @@ def tally(node, voter):
 
     True if that vote brought the key into ``node.quorums``.
     """
-    return node._tally(("prevote", 0, "d"), voter, node.ctx.stakes[voter])
+    return node._tally(("prevote", 0, "d"), voter, node.ctx.units[voter])
 
 
 def assert_matches_reference_node(height):
@@ -752,7 +753,7 @@ def assert_matches_reference_node(height):
 
 
 class TestTallyShortcuts:
-    """The evaluation gate and the fsum filter change no trace and no quorum."""
+    """The evaluation gate and the integer tally change no trace and no quorum."""
 
     @settings(max_examples=150, deadline=None)
     @given(height=heights())
@@ -782,19 +783,24 @@ class TestTallyShortcuts:
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
                            min_size=1, max_size=12),
            voting=st.integers(1, 12))
-    def test_floor_never_hides_a_quorum(self, stakes, voting):
-        # Subnormal to huge stakes: below quorum_floor, no prefix's fsum is a quorum.
+    def test_quorum_units_is_the_exact_boundary(self, stakes, voting):
+        # Subnormal to huge stakes: q - 1 units are short of quorum, q units
+        # reach it, and a tally of any prefix is a quorum exactly when the
+        # fsum of its stakes is.
         validators = make_validators(["honest"] * len(stakes), stakes)
         node = tally_node(validators)
-        ctx = node.ctx
-        naive = 0.0
-        for i, v in enumerate(validators[:voting]):
-            naive += v.stake
+        roster = node.ctx.roster
+        q, total = roster.quorum_units, roster.total_stake
+        scale = max(Fraction(stake).denominator for stake in stakes)
+        assert not stake_quorum(float(Fraction(q - 1, scale)), total)
+        assert stake_quorum(float(Fraction(q, scale)), total)
+        units = [roster.units[v.id] for v in validators]
+        for i in range(1, len(stakes) + 1):
+            assert (sum(units[:i]) >= q) == stake_quorum(math.fsum(stakes[:i]), total)
+        for v in validators[:voting]:
             tally(node, v.id)
-            if naive < ctx.quorum_floor:
-                assert not stake_quorum(math.fsum(stakes[:i + 1]), ctx.total_stake)
         assert ((("prevote", 0, "d") in node.quorums)
-                == stake_quorum(math.fsum(stakes[:voting]), ctx.total_stake))
+                == stake_quorum(math.fsum(stakes[:voting]), total))
 
     @pytest.mark.parametrize("stakes, silent_stake, fsum_quorum",
                              [(*NAIVE_BELOW, True), (*NAIVE_ABOVE, False)])
@@ -821,6 +827,26 @@ class TestTallyShortcuts:
             assert outcome.signature.valid
             assert outcome.signature.signer_set == {v.id for v in validators[:-1]}
 
+    @pytest.mark.parametrize("silent_stake, committed", [(1.0, False), (1.0 - 2.0 ** -51, True)])
+    def test_run_height_at_the_two_thirds_boundary(self, silent_stake, committed):
+        # Honest stake of exactly 2/3 of the total is no quorum, as the rule
+        # is strict; one ulp of silent stake less and the height commits.
+        validators = edge_roster([1.0, 1.0], silent_stake)
+        outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2)
+        assert outcome.committed == committed
+        if committed:
+            assert outcome.signature.signer_set == {"v0", "v1"}
+
+    @pytest.mark.parametrize("stakes, committed", [([5e307, 5e307], False),
+                                                   ([6e307, 2e307], True)])
+    def test_threshold_near_overflow(self, stakes, committed):
+        # Twice a total of 1e308 overflows, so no tally is a quorum and the
+        # threshold is past every tally; a total of 8e307 still commits.
+        validators = make_validators(["honest"] * len(stakes), stakes)
+        roster = Roster(validators)
+        assert (roster.quorum_units > sum(roster.units.values())) == (not committed)
+        assert run_height(roster, ["tx"], LOSSLESS, max_rounds=2).committed == committed
+
 
 def sharing_context(validators):
     """A height context over ``validators`` that shares tallies, as ``run_height`` sets one up."""
@@ -838,16 +864,16 @@ class TestSharedTally:
                            min_size=2, max_size=12),
            shared=st.lists(st.booleans(), min_size=11, max_size=11))
     def test_split_tally_follows_fsum(self, stakes, shared):
-        # Each voter tallies its own vote, then sends it to every node
-        # (shared) or to v0 alone (private): every node's quorums follow the
-        # fsum of its view, whatever the shared and private naive sums read.
+        # Each voter tallies its own units, then sends its vote to every
+        # node (shared) or to v0 alone (private): every node's quorums
+        # follow the fsum of the float stakes of its view.
         validators = make_validators(["honest"] * len(stakes), stakes)
         ctx = sharing_context(validators)
         nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
         key = ("prevote", 0, "d")
         views = {vid: [] for vid in nodes}
         for v, is_shared in zip(validators[1:], shared):
-            nodes[v.id]._tally(key, v.id, v.stake)
+            nodes[v.id]._tally(key, v.id, ctx.units[v.id])
             views[v.id].append(v.stake)
             if is_shared:
                 consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, v.id, "d"),
@@ -855,7 +881,7 @@ class TestSharedTally:
                 for vid in views.keys() - {v.id}:
                     views[vid].append(v.stake)
             else:
-                nodes["v0"]._tally(key, v.id, v.stake)
+                nodes["v0"]._tally(key, v.id, ctx.units[v.id])
                 views["v0"].append(v.stake)
             for vid, node in nodes.items():
                 assert ((key in node.quorums)
@@ -868,7 +894,7 @@ class TestSharedTally:
         validators = make_validators(["honest"] * 3)
         ctx = sharing_context(validators)
         nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
-        nodes["v0"]._tally(("prevote", 0, "d"), "v0", 10.0)
+        nodes["v0"]._tally(("prevote", 0, "d"), "v0", ctx.units["v0"])
         consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, "v0", "d"), nodes, 4,
                                      list(nodes.values()))
         assert [node.phase for node in nodes.values()] == ["propose", "prevote", "prevote"]
@@ -903,7 +929,7 @@ class TestSharedTally:
             assert all(set(voters) <= {node.d.id} for voters in node.votes.values())
             assert not any(node.votes.values())
             assert node.quorums == recomputed_quorums(node)
-            # A running sum is kept only while its key is not a quorum.
+            # A unit sum is kept only while its key is not a quorum.
             assert not node.sums.keys() & node.quorums
 
     def test_wide_height_independent_of_the_hash_seed(self):
@@ -996,7 +1022,9 @@ class TestRoster:
         assert roster.by_stake == tuple(sorted(validators, key=lambda v: (-v.stake, v.id)))
         assert roster.stakes == stakes
         assert roster.total_stake == total
-        assert roster.quorum_floor == total * ((2.0 - (len(validators) + 3) * 2.0 ** -51) / 3.0)
+        scale = max(Fraction(stake).denominator for stake in stakes.values())
+        assert {vid: Fraction(n, scale) for vid, n in roster.units.items()} == {
+            vid: Fraction(stake) for vid, stake in stakes.items()}
         assert roster.latency == {v.id: v.region_latency for v in validators}
         assert roster.max_latency == max(v.region_latency for v in validators)
         assert roster.others == {vid: tuple(i for i in ids if i != vid) for vid in ids}

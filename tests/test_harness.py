@@ -297,6 +297,21 @@ class TestLoadConfig:
             load_config(json.dumps(bad))
         assert "duplicate" in str(exc.value)
 
+    @pytest.mark.parametrize("operator_ids, task_ids, field, message", [
+        (["op-d", "op-b", "op-d", "op-b"], ["t"], "operators",
+         "operators have duplicate ids: ['op-b', 'op-d']"),
+        (["op-a"], ["t", "u", "t"], "tasks", "tasks have duplicate ids: ['t']"),
+    ])
+    def test_duplicate_ids_message_is_pinned(self, operator_ids, task_ids, field, message):
+        # Each duplicated id is named once, sorted, whatever order it came in.
+        doc = {"scenario": "sequencer",
+               "operators": [{"id": op, "stake": 1.0} for op in operator_ids],
+               "tasks": [{"id": task, "resource_cap": 1.0} for task in task_ids]}
+        with pytest.raises(ConfigError) as exc:
+            load_config(json.dumps(doc))
+        assert str(exc.value) == message
+        assert exc.value.field == field
+
     def test_unknown_field_rejected(self):
         bad = json.loads(MINIMAL)
         bad["unexpected"] = 1
