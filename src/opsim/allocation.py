@@ -48,6 +48,15 @@ class ConvergenceReport(CheckedRecord, _ConvergenceFields):
 
 
 class StabilityVerdict(Enum):
+    """Verdict on the welfare Hessian's spectrum.
+
+    A run's verdict is only ever ``concave-stable`` or ``boundary``:
+    ``TaskSpec`` and ``ScenarioWeights`` reject negative gains and weights,
+    so no Hessian diagonal entry of ``hessian_stability`` is above 0.
+    ``indefinite`` is reached only by dense matrices classified in the
+    tests, such as the payment Hessian with its fee variable.
+    """
+
     CONCAVE_STABLE = "concave-stable"
     BOUNDARY = "boundary"
     INDEFINITE = "indefinite"
@@ -142,7 +151,9 @@ def hessian_stability(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec]
     Utilities are separable per entry, so the Hessian is diagonal with
     entries -(w1*c + w2*s) / (1 + x)^2. A diagonal matrix's eigenvalues
     are its entries, so the extremes are their min and max, exactly; no
-    matrix is built.
+    matrix is built. Gains and weights are at least 0, so every entry is at
+    most 0 and the verdict is ``concave-stable`` or ``boundary``, never
+    ``indefinite``.
     """
     allocation.validate(tasks)
     by_task = {t.id: t for t in tasks}

@@ -17,10 +17,12 @@ delivery is due or a validator's timer fires, and skips the idle ticks in
 between, at which nothing could happen. Timers sit in a per-height heap, so
 at a tick the engine wakes only the validators whose timer is due. The
 network hands out each message with its whole recipient group, and one
-loop tallies it at every recipient in id order. On a lossless, jitter-free
-height of at least ``SHARED_TALLY_MIN_VALIDATORS`` validators, a vote that
-reaches every other validator is instead tallied once per key for all of
-them, so such a height costs tally work per vote, not per delivery.
+loop tallies it at every recipient in id order. A clean height has at
+least ``SHARED_TALLY_MIN_VALIDATORS`` validators, no equivocator, and a
+network that neither drops, jitters nor partitions. There every vote
+reaches every other validator in one entry, so it is instead tallied once
+per key for all of them, and the height costs tally work per vote, not per
+delivery.
 
 Tallies add stakes as exact integer counts of a unit, the finest last bit
 among the roster's stakes, and compare the count with the epoch's quorum
@@ -124,6 +126,9 @@ class Roster(tuple):
         roster.units = {v.id: n * (scale // d) for v, (n, d) in zip(roster, ratios)}
         roster.quorum_units = _quorum_units(sum(roster.units.values()), scale,
                                             roster.total_stake)
+        # The largest count: all that a node holds privately on a height
+        # that shares tallies, its own vote (see _HonestNode.share).
+        roster.max_units = max(roster.units.values())
         # The validators in id order, and in proposer order: descending
         # stake, then id.
         roster.by_id = tuple(sorted(roster, key=lambda v: v.id))
@@ -429,13 +434,10 @@ class _HeightContext:
         # nodes, for the same reason as first_decision.
         self.timers: list[tuple[int, str]] = []
         # Filled only on heights that share tallies (see run_height): per
-        # key, the voters whose entry reached every other validator, the
-        # sum of their units until they are a quorum, and an upper bound on
-        # the unit sums of private votes that nodes hold. private_bounds is
-        # None where nothing shares.
+        # key, the voters whose entry has landed, and the sum of their units
+        # until they are a quorum.
         self.shared: dict[Key, dict[str, int]] = {}
         self.shared_sums: dict[Key, int] = {}
-        self.private_bounds: dict[Key, int] | None = None
         # Protocol-following validators not yet done.
         self.unfinished = 0
 
@@ -466,9 +468,8 @@ class _HonestNode:
         # votes[(kind, round, digest)][voter] = the voter's stake in units.
         self.votes: dict[Key, dict[str, int]] = {}
         self.quorums: set[Key] = set()
-        # Unit sum of the private votes of each key not (yet) in quorums, so
-        # on a height that shares, the keys the node may still cross before
-        # the shared tally does.
+        # Unit sum of the private votes of each key not (yet) in quorums; on
+        # a height that shares, the node's own vote until its entry lands.
         self.sums: dict[Key, int] = {}
 
     def start(self, tick: int) -> None:
@@ -540,15 +541,11 @@ class _HonestNode:
         voters = self.votes.get(key)
         if voters is None:
             voters = self.votes[key] = {}
-            self.sums[key] = 0
         voters[voter] = units
         if key in self.quorums:
             return False
         ctx = self.ctx
-        running = self.sums[key] = self.sums[key] + units
-        bounds = ctx.private_bounds
-        if bounds is not None and running > bounds.get(key, 0):
-            bounds[key] = running
+        running = self.sums[key] = self.sums.get(key, 0) + units
         if running + ctx.shared_sums.get(key, 0) < ctx.quorum_units:
             return False
         del self.sums[key]
@@ -558,21 +555,22 @@ class _HonestNode:
     @staticmethod
     def share(ctx: _HeightContext, message: TraceEvent, nodes: dict[str, _HonestNode],
               tick: int, due: list[_HonestNode]) -> None:
-        """Tally a vote whose entry reached every other validator, once for all ``nodes``.
+        """Tally a vote of a clean height (see run_height) once for all ``nodes``.
 
         ``nodes`` are the listening nodes by id, in id order; ``due`` are
-        those whose timer was due at ``tick`` when its delivery began. The
-        vote joins the shared tally of its key, and the sender's own vote
-        leaves its private tally, so every node's view gains the vote but
+        those whose timer was due at ``tick`` when its delivery began. On a
+        clean height every vote reaches every other validator, so a node
+        holds privately only its own vote, from its cast until its entry
+        lands here. The vote joins the shared tally of its key and leaves
+        the sender's private tally, so every node's view gains the vote but
         the sender's stays as it was. If the shared tally becomes a quorum,
-        the key joins every node's ``quorums``. Until then only nodes that
-        hold private votes of the key can cross, and while the shared sum
-        plus the bound on their private sums is below ``quorum_units``, so
-        is the sum for each of them; the nodes are scanned only once it is
-        not. Then, in id order, each recipient that is not done evaluates if
-        its quorums changed or its timer is due, as in ``receive``; one
-        node's evaluation never touches another's state, so tallying first
-        changes nothing.
+        the key joins every node's ``quorums``. Until then only a node whose
+        own vote of the key is still private can cross, so the nodes are
+        scanned only once the shared sum plus the roster's ``max_units``
+        reaches ``quorum_units``. Then, in id order, each recipient that is
+        not done evaluates if its quorums changed or its timer is due, as
+        in ``receive``; one node's evaluation never touches another's
+        state, so tallying first changes nothing.
         """
         key = (message.kind, message.round, message.digest)
         voter = message.sender
@@ -586,7 +584,6 @@ class _HonestNode:
         if sender is not None:
             del sender.votes[key][voter]
             if key in sender.sums:
-                # What stays private is less than before, so the bound holds.
                 sender.sums[key] -= units
         changed: list[_HonestNode] = []
         running = ctx.shared_sums.get(key)
@@ -598,7 +595,7 @@ class _HonestNode:
                 changed = [node for node in nodes.values() if key not in node.quorums]
             else:
                 ctx.shared_sums[key] = running
-                if running + ctx.private_bounds.get(key, 0) >= quorum:
+                if running + ctx.roster.max_units >= quorum:
                     changed = [node for node in nodes.values() if key in node.sums
                                and running + node.sums[key] >= quorum]
             for node in changed:
@@ -704,6 +701,7 @@ class _EquivocatingNode:
 
     def __init__(self, descriptor: ValidatorDescriptor, ctx: _HeightContext):
         self.d = descriptor
+        self.id = descriptor.id
         self.ctx = ctx
         self.round = 0
         self.entered = 0
@@ -713,14 +711,11 @@ class _EquivocatingNode:
         self.first_half, self.second_half = others[:split], others[split:]
         self.faulted = False
         self.done = False
+        # A round's stages act at its entry tick, one phase timeout later and
+        # three later.
+        self._set_timer(0)
 
-    @property
-    def next_due(self) -> int:
-        """Tick at which the current stage acts; meaningless once done."""
-        if self.stage == "enter":
-            return self.entered
-        timeout = phase_timeout(self.round)
-        return self.entered + (timeout if self.stage == "precommit" else 3 * timeout)
+    _set_timer = _HonestNode._set_timer
 
     def on_tick(self, tick: int) -> None:
         if self.done or tick < self.next_due:
@@ -728,26 +723,30 @@ class _EquivocatingNode:
         if self.stage == "enter":
             if not self.faulted:
                 self.ctx.trace.record(tick, "fault:equivocation", self.ctx.height,
-                                      self.round, self.d.id, None)
+                                      self.round, self.id, None)
                 self.faulted = True
-            if self.ctx.proposer(self.round).id == self.d.id:
+            if self.ctx.proposer(self.round).id == self.id:
                 self._split_send("proposal", tick)
             self._split_send("prevote", tick)
             self.stage = "precommit"
+            self._set_timer(self.entered + phase_timeout(self.round))
         elif self.stage == "precommit":
             self._split_send("precommit", tick)
             self.stage = "advance"
+            self._set_timer(self.entered + 3 * phase_timeout(self.round))
         else:
             self.round += 1
             self.done = self.round >= self.ctx.max_rounds
             self.entered = tick
             self.stage = "enter"
+            if not self.done:
+                self._set_timer(tick)
 
     def _split_send(self, kind: str, tick: int) -> None:
-        forged = f"{self.ctx.digest}#forged:{self.d.id}:{self.round}"
+        forged = f"{self.ctx.digest}#forged:{self.id}:{self.round}"
         for digest, half in ((self.ctx.digest, self.first_half), (forged, self.second_half)):
             if half:
-                self.ctx.send(tick, kind, self.round, self.d.id, digest, half)
+                self.ctx.send(tick, kind, self.round, self.id, digest, half)
 
 
 def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
@@ -774,45 +773,34 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             nodes[v.id] = _HonestNode(v, ctx)
         elif v.behavior is Behavior.EQUIVOCATING:
             nodes[v.id] = _EquivocatingNode(v, ctx)
-            heapq.heappush(ctx.timers, (nodes[v.id].next_due, v.id))
         # Silent validators receive but never act.
 
     horizon = (timeout_total(max_rounds)
                + (roster.max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
     listening = {vid: node for vid, node in nodes.items() if isinstance(node, _HonestNode)}
+    timers = ctx.timers
 
-    # A lossless, jitter-free network delivers each broadcast to every
-    # other validator in one entry, so those votes can be tallied once per
-    # key instead of once per node. A shared entry has a fixed cost: on
+    # On a clean height (see the module docstring) every vote reaches every
+    # other validator in one entry, so it can be tallied once per key
+    # instead of once per node. A shared entry has a fixed cost: on
     # lossless heights, sharing took 1.22x the unshared time at 3
     # validators, 1.01x at 8, 0.97x at 9, 0.87x at 12 and 0.58x at 32 (a
-    # 2-vCPU VM, CPython 3.11), hence the cut-off.
-    if len(roster) >= SHARED_TALLY_MIN_VALIDATORS and not network.draws:
-        ctx.private_bounds = {}
-        everyone_else = len(roster) - 1
+    # 2-vCPU VM, CPython 3.11), hence the cut-off. Every node but an
+    # equivocator listens.
+    sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
+               and not network.draws and not network.partition_schedule)
 
-        def deliver(tick: int) -> None:
-            entries = net.step(tick)
-            due = ([node for node in listening.values() if node.next_due <= tick and not node.done]
-                   if ctx.timers and ctx.timers[0][0] <= tick else [])
-            for message, recipients in entries:
-                if message.kind != "proposal" and len(recipients) == everyone_else:
-                    _HonestNode.share(ctx, message, listening, tick, due)
-                    continue
-                group = filter(None, map(listening.get, recipients))
-                if message.kind == "proposal":
-                    _HonestNode.receive(ctx, message, group, tick)
-                else:
-                    key = (message.kind, message.round, message.digest)
-                    units = ctx.units[message.sender]
-                    for node in group:
-                        changed = node._tally(key, message.sender, units)
-                        if not node.done and (changed or tick >= node.next_due):
-                            node._evaluate(tick)
-    else:
-        def deliver(tick: int) -> None:
-            for message, recipients in net.step(tick):
+    def deliver(tick: int) -> None:
+        due = None
+        for message, recipients in net.step(tick):
+            if sharing and message.kind != "proposal":
+                if due is None:
+                    due = ([node for node in listening.values()
+                            if node.next_due <= tick and not node.done]
+                           if timers and timers[0][0] <= tick else [])
+                _HonestNode.share(ctx, message, listening, tick, due)
+            else:
                 _HonestNode.receive(ctx, message,
                                     filter(None, map(listening.get, recipients)), tick)
 
@@ -829,12 +817,10 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     # where one does, and there wake, in id order, only the nodes whose timer
     # entry is due and not stale. Deliveries come before timers within a
     # tick, and a message sent while tick t is processed arrives at t + 1 at
-    # the earliest, so one node's wake cannot make another's entry stale. An
-    # equivocator's next_due moves only in its own on_tick, so run_height
-    # pushes its entries; one may fall due at the very tick it was pushed, and is
-    # popped at the next one. Stale heads are purged before the jump, or the
-    # loop would visit their idle ticks.
-    timers = ctx.timers
+    # the earliest, so one node's wake cannot make another's entry stale. A
+    # timer set for the very tick it is set at (an equivocator's, as it
+    # enters a round) is popped at the next tick. Stale heads are purged
+    # before the jump, or the loop would visit their idle ticks.
     tick = last_tick = 0
     while tick <= horizon:
         deliver(tick)
@@ -844,10 +830,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             if not stale(*entry):
                 woken.add(entry[1])
         for vid in sorted(woken):
-            node = nodes[vid]
-            node.on_tick(tick)
-            if isinstance(node, _EquivocatingNode) and not node.done:
-                heapq.heappush(timers, (node.next_due, vid))
+            nodes[vid].on_tick(tick)
         last_tick = tick
         if not ctx.unfinished:
             break

@@ -483,9 +483,12 @@ class TestLiveness:
 
 @contextmanager
 def recorded(cls, method):
-    """Patch ``cls.method`` to also record (self, args, result); yield the records."""
+    """Patch ``cls.method`` to also record (self, args, result); yield the records.
+
+    A static method's first argument is recorded as ``self``.
+    """
     calls = []
-    original = getattr(cls, method)
+    original, raw = getattr(cls, method), cls.__dict__[method]
 
     def wrapper(self, *args):
         result = original(self, *args)
@@ -496,7 +499,7 @@ def recorded(cls, method):
     try:
         yield calls
     finally:
-        setattr(cls, method, original)
+        setattr(cls, method, raw)
 
 
 def recomputed_quorums(node):
@@ -516,7 +519,8 @@ def recomputed_quorums(node):
 def heights(draw):
     """A roster of 1 to 16, a network that is lossless about half the time, and max_rounds.
 
-    Lossless heights of 9 or more validators share tallies (see run_height).
+    Clean heights of 9 or more validators share tallies (see run_height):
+    lossless, with no partition and no equivocator.
     """
     n = draw(st.integers(1, 16))
     behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=n, max_size=n))
@@ -538,6 +542,19 @@ def heights(draw):
     return validators, model, draw(st.integers(1, 5))
 
 
+def without_equivocators(validators):
+    """``validators`` with every equivocator made honest."""
+    return [v._replace(behavior=Behavior.HONEST) if v.behavior is Behavior.EQUIVOCATING else v
+            for v in validators]
+
+
+@st.composite
+def clean_heights(draw):
+    """A height of ``heights()`` made clean: no equivocator, and a lossless, unpartitioned network."""
+    validators, model, max_rounds = draw(heights())
+    return without_equivocators(validators), NetworkModel(rng_seed=model.rng_seed), max_rounds
+
+
 def late_quorum_roster():
     """Nine validators whose prevote quorum lands at the tick their prevote timers fire.
 
@@ -550,10 +567,10 @@ def late_quorum_roster():
 
 
 def shared_roster():
-    """Twelve validators, so a lossless height shares: two equivocate, one is silent.
+    """Twelve validators, two equivocating and one silent, with unequal stakes and latencies.
 
-    Unequal stakes and latencies, and the partition below, leave nodes with
-    private votes of keys that are not yet a quorum in the shared tally.
+    The equivocators, and the partition below, keep a height over them from
+    sharing tallies; ``without_equivocators`` of it shares on a lossless one.
     """
     behaviors = ["honest"] * 12
     behaviors[3] = behaviors[8] = "equivocating"
@@ -574,6 +591,7 @@ class TestEventAdvance:
     @example(height=(make_validators(["honest"] * 3 + ["silent"], latency=0),
                      LOSSLESS, 2))
     @example(height=(shared_roster(), SHARED_PARTITION, 3))
+    @example(height=(without_equivocators(shared_roster()), LOSSLESS, 3))
     @example(height=(late_quorum_roster(), LOSSLESS, 2))
     def test_matches_tick_by_tick_oracle(self, height):
         validators, model, max_rounds = height
@@ -762,22 +780,35 @@ class TestTallyShortcuts:
     @example(height=(make_validators(["honest", "equivocating", "honest", "invalid-proposer"]),
                      NetworkModel(drop_probability=0.2, latency_jitter=2, rng_seed=5), 4))
     @example(height=(shared_roster(), SHARED_PARTITION, 3))
-    # v8 alone is cut off at first: the others' votes reach all but v8,
-    # which is not every other validator, so v8 must not count them.
+    @example(height=(without_equivocators(shared_roster()), LOSSLESS, 3))
+    # v8 alone is cut off at first: the others' votes reach all but v8, so
+    # a partition keeps the height from sharing, and v8 must not count them.
     @example(height=(make_validators(["honest"] * 9), NetworkModel(rng_seed=1, partition_schedule=(
         PartitionSpec(0, 30, frozenset({"v8"})),)), 2))
     def test_matches_reference_node(self, height):
         assert_matches_reference_node(height)
 
     @settings(max_examples=40, deadline=None)
-    @given(height=heights())
+    @given(height=heights() | clean_heights())
+    # A two-validator equivocator's half reaches every other validator, but
+    # a height with an equivocator is not clean, so it does not share.
     @example(height=(make_validators(["equivocating", "honest"]), LOSSLESS, 2))
+    @example(height=(make_validators(["honest", "silent"], latency=0), LOSSLESS, 2))
     def test_sharing_at_any_roster_size_matches_reference_node(self, height):
-        # With the cut-off at 1, every lossless height shares, down to one
-        # validator, and a two-validator equivocator's half is a full entry.
+        # With the cut-off at 1, every clean height shares, down to one
+        # validator: there every vote entry goes to share, and elsewhere none.
+        validators, model, max_rounds = height
+        clean = (not model.draws and not model.partition_schedule
+                 and all(v.behavior is not Behavior.EQUIVOCATING for v in validators))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(consensus, "SHARED_TALLY_MIN_VALIDATORS", 1)
             assert_matches_reference_node(height)
+            with recorded(consensus._HonestNode, "share") as shared, \
+                    recorded(GossipNetwork, "step") as steps:
+                run_height(validators, ["a", "b"], model, max_rounds)
+        votes = [message for _, _, delivered in steps for message, _ in delivered
+                 if message.kind != "proposal"]
+        assert [message for _, (message, *_), _ in shared] == (votes if clean else [])
 
     @settings(max_examples=300, deadline=None)
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
@@ -849,44 +880,48 @@ class TestTallyShortcuts:
 
 
 def sharing_context(validators):
-    """A height context over ``validators`` that shares tallies, as ``run_height`` sets one up."""
-    ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
-                                   1, 0, EventTrace())
-    ctx.private_bounds = {}
-    return ctx
+    """A height context over ``validators`` on a lossless network, to share tallies in."""
+    return consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                    1, 0, EventTrace())
 
 
 class TestSharedTally:
-    """A lossless height of 9 or more validators tallies full entries once per key."""
+    """A clean height of 9 or more validators tallies each vote once per key."""
 
     @settings(max_examples=100, deadline=None)
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
                            min_size=2, max_size=12),
-           shared=st.lists(st.booleans(), min_size=11, max_size=11))
-    def test_split_tally_follows_fsum(self, stakes, shared):
-        # Each voter tallies its own units, then sends its vote to every
-        # node (shared) or to v0 alone (private): every node's quorums
-        # follow the fsum of the float stakes of its view.
+           delays=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    def test_split_tally_follows_fsum(self, stakes, delays):
+        # Voter i casts at step i, which tallies its own units privately,
+        # and its entry lands delays[i] steps later, in the shared tally.
+        # After each cast and landing, every node's quorums follow the fsum
+        # of the float stakes of its view, and its private tally holds its
+        # own vote alone, and only between its cast and its landing.
         validators = make_validators(["honest"] * len(stakes), stakes)
         ctx = sharing_context(validators)
         nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
         key = ("prevote", 0, "d")
-        views = {vid: [] for vid in nodes}
-        for v, is_shared in zip(validators[1:], shared):
-            nodes[v.id]._tally(key, v.id, ctx.units[v.id])
-            views[v.id].append(v.stake)
-            if is_shared:
+        cast, landed = set(), set()
+        steps = sorted([(i, False, v) for i, v in enumerate(validators)]
+                       + [(i + delays[i], True, v) for i, v in enumerate(validators)],
+                       key=lambda step: step[:2])
+        for _, lands, v in steps:
+            if lands:
                 consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, v.id, "d"),
                                              nodes, 0, [])
-                for vid in views.keys() - {v.id}:
-                    views[vid].append(v.stake)
+                landed.add(v.id)
             else:
-                nodes["v0"]._tally(key, v.id, ctx.units[v.id])
-                views["v0"].append(v.stake)
+                nodes[v.id]._tally(key, v.id, ctx.units[v.id])
+                cast.add(v.id)
             for vid, node in nodes.items():
+                private = {vid} & cast - landed
+                assert set(node.votes.get(key, {})) == private
+                view = [ctx.stakes[voter] for voter in landed | private]
                 assert ((key in node.quorums)
-                        == stake_quorum(math.fsum(views[vid]), ctx.total_stake)), vid
+                        == stake_quorum(math.fsum(view), ctx.total_stake)), vid
                 assert node.quorums == recomputed_quorums(node)
+                assert not node.sums.keys() & node.quorums
 
     def test_only_recipients_evaluate(self):
         # Every node's timer is due at tick 4, when v0's own prevote lands:
@@ -933,21 +968,24 @@ class TestSharedTally:
             assert not node.sums.keys() & node.quorums
 
     def test_wide_height_independent_of_the_hash_seed(self):
-        # The shipped configs are too small or lossy to share, so the CI
-        # hash-seed step never reaches this path.
+        # The shipped configs are too small or lossy to share. A clean
+        # 16-validator height whose first proposer, v0, is silent: it
+        # commits in round 1 with three rounds, not at all with one, and
+        # its votes all go through the shared tally.
         script = """
-from opsim import EventTrace, NetworkModel, PartitionSpec, ValidatorDescriptor, run_height
-behaviors = {3: "equivocating", 8: "equivocating", 10: "silent"}
-validators = [ValidatorDescriptor(f"v{i}", 40.0 - 1.5 * i, behaviors.get(i, "honest"), i % 3)
+from opsim import EventTrace, NetworkModel, ValidatorDescriptor, consensus, run_height
+shared, share = [], consensus._HonestNode.share
+consensus._HonestNode.share = staticmethod(lambda *args: shared.append(args) or share(*args))
+validators = [ValidatorDescriptor(f"v{i}", 40.0 - 1.5 * i, "silent" if i == 0 else "honest", i % 3)
               for i in range(16)]
-model = NetworkModel(rng_seed=1, partition_schedule=(
-    PartitionSpec(0, 6, frozenset({"v1", "v5", "v6", "v12"})),))
 for max_rounds in (1, 3):
     trace = EventTrace()
-    outcome = run_height(validators, ["a", "b"], model, max_rounds, trace=trace)
+    outcome = run_height(validators, ["a", "b"], NetworkModel(rng_seed=1), max_rounds,
+                         trace=trace)
     print("\\n".join(trace.to_lines()))
     if outcome.committed:
         print(sorted(outcome.signature.signer_set), repr(outcome.signature.signed_stake))
+print("shared entries:", len(shared))
 """
         src = str(Path(consensus.__file__).parents[1])
         outputs = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
@@ -955,6 +993,7 @@ for max_rounds in (1, 3):
                                                   "PYTHONPATH": src}).stdout
                    for seed in ("1", "2")]
         assert ",commit," in outputs[0]
+        assert int(outputs[0].rsplit(":", 1)[1]) > 0
         assert outputs[0] == outputs[1]
 
 
@@ -1025,6 +1064,7 @@ class TestRoster:
         scale = max(Fraction(stake).denominator for stake in stakes.values())
         assert {vid: Fraction(n, scale) for vid, n in roster.units.items()} == {
             vid: Fraction(stake) for vid, stake in stakes.items()}
+        assert roster.max_units == max(roster.units.values())
         assert roster.latency == {v.id: v.region_latency for v in validators}
         assert roster.max_latency == max(v.region_latency for v in validators)
         assert roster.others == {vid: tuple(i for i in ids if i != vid) for vid in ids}
