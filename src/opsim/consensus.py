@@ -17,12 +17,19 @@ delivery is due or a validator's timer fires, and skips the idle ticks in
 between, at which nothing could happen. Timers sit in a per-height heap, so
 at a tick the engine wakes only the validators whose timer is due. The
 network hands out each message with its whole recipient group, and one
-loop tallies it at every recipient in id order. A clean height has at
-least ``SHARED_TALLY_MIN_VALIDATORS`` validators, no equivocator, and a
-network that neither drops, jitters nor partitions. There every vote
-reaches every other validator in one entry, so it is instead tallied once
-per key for all of them, and the height costs tally work per vote, not per
-delivery.
+loop tallies it at every recipient in id order that still listens: a
+validator stops listening once it decides or runs out of rounds. A clean
+height has at least ``SHARED_TALLY_MIN_VALIDATORS`` validators, no
+equivocator, and a network that neither drops, jitters nor partitions.
+There every vote reaches every other validator in one entry, so it is
+instead tallied once per key for all of them, and the height costs tally
+work per vote, not per delivery.
+
+A tally is a count per (kind, round, digest) key, not a set of voters.
+The commit certificate is read from the network's record of the
+precommit entries it handed out: the first decider's own precommit plus
+those of its round and the batch digest that reached it, the drain after
+the last decision included.
 
 Tallies add stakes as exact integer counts of a unit, the finest last bit
 among the roster's stakes, and compare the count with the epoch's quorum
@@ -298,10 +305,10 @@ class GossipNetwork:
     order. The recipients one broadcast reaches at one tick share a queue
     entry that lists them in id order, and entries are numbered in
     deliver-tick order, so ``step`` hands out (message, recipients) entries
-    in (deliver tick, broadcast) order. A lossless, jitter-free network
-    delivers every recipient at the same tick, draws nothing and has no
-    generator. Identical seed and call sequence yield an identical delivery
-    trace.
+    in (deliver tick, broadcast) order, and keeps the precommit entries in
+    ``precommits``. A lossless, jitter-free network delivers every
+    recipient at the same tick, draws nothing and has no generator.
+    Identical seed and call sequence yield an identical delivery trace.
     """
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
@@ -314,6 +321,8 @@ class GossipNetwork:
         self._rng = random.Random(model.rng_seed) if self._draws else None
         # (deliver tick, seq, message, recipients in id order)
         self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
+        # Every precommit entry stepped out, in order; the certificate's source.
+        self.precommits: list[tuple[TraceEvent, Sequence[str]]] = []
         self._seq = 0
         self._pending = 0
         self._last_tick = -1
@@ -336,12 +345,12 @@ class GossipNetwork:
         if not self._draws:
             self._push(send_tick, message, targets)
             return
-        groups = self._draw(send_tick, targets)
-        for deliver_tick in sorted(groups):
-            self._push(deliver_tick, message, groups[deliver_tick])
+        for jitter, group in enumerate(self._draw(targets)):
+            if group:
+                self._push(send_tick + jitter, message, group)
 
-    def _draw(self, send_tick: int, targets: Sequence[str]) -> dict[int, list[str]]:
-        """Deliver tick -> recipients that survive their drop draw.
+    def _draw(self, targets: Sequence[str]) -> list[list[str]]:
+        """Per jitter value, the recipients that draw it and survive their drop draw.
 
         Each recipient draws its jitter, then its drop. The jitter draw is
         ``Random.randint(0, latency_jitter)`` written out as CPython's
@@ -352,13 +361,13 @@ class GossipNetwork:
         bits = bound.bit_length()
         drop = self._model.drop_probability
         getrandbits, uniform = self._rng.getrandbits, self._rng.random
-        groups: dict[int, list[str]] = {}
+        groups: list[list[str]] = [[] for _ in range(bound)]
         for recipient in targets:
             jitter = getrandbits(bits)
             while jitter >= bound:
                 jitter = getrandbits(bits)
             if uniform() >= drop:
-                groups.setdefault(send_tick + jitter, []).append(recipient)
+                groups[jitter].append(recipient)
         return groups
 
     def _push(self, deliver_tick: int, message: TraceEvent, group: Sequence[str]) -> None:
@@ -382,11 +391,13 @@ class GossipNetwork:
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
-        queue = self._queue
+        queue, precommits = self._queue, self.precommits
         delivered: list[tuple[TraceEvent, Sequence[str]]] = []
         while queue and queue[0][0] <= tick:
             _, _, message, group = heapq.heappop(queue)
             delivered.append((message, group))
+            if message.kind == "precommit":
+                precommits.append((message, group))
             self._pending -= len(group)
         return delivered
 
@@ -424,22 +435,21 @@ class _HeightContext:
         self.max_rounds = max_rounds
         self.height = height
         self.trace = trace
-        # (tick, round, private precommit voters) of the first commit
-        # decision. The voters are the decider's live dict, so precommits
-        # drained after the decision still count; _finish_height adds the
-        # shared tally of the key. Holding the node instead would make a
-        # node-context reference cycle that outlives the height.
-        self.first_decision: tuple[int, int, dict[str, int]] | None = None
+        # (tick, round, decider id, whether the decider precommitted the
+        # batch digest) of the first commit decision; _finish_height reads
+        # the certificate from the network's precommit entries. Holding the
+        # node instead would make a node-context reference cycle.
+        self.first_decision: tuple[int, int, str, bool] | None = None
         # Heap of (due tick, validator id), one entry per timer set; ids, not
         # nodes, for the same reason as first_decision.
         self.timers: list[tuple[int, str]] = []
         # Filled only on heights that share tallies (see run_height): per
-        # key, the voters whose entry has landed, and the sum of their units
-        # until they are a quorum.
-        self.shared: dict[Key, dict[str, int]] = {}
-        self.shared_sums: dict[Key, int] = {}
-        # Protocol-following validators not yet done.
-        self.unfinished = 0
+        # key, the unit sum of the votes whose entry has landed, None once
+        # that is a quorum.
+        self.shared_sums: dict[Key, int | None] = {}
+        # Protocol-following validators not yet done, by id in id order;
+        # only they are handed messages. Cleared when the height ends.
+        self.listening: dict[str, _HonestNode] = {}
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster.by_stake[round_ % len(self.roster)]
@@ -462,11 +472,9 @@ class _HonestNode:
         self.round = 0
         self.phase = "propose"
         self.done = False
-        ctx.unfinished += 1
+        ctx.listening[self.id] = self
         self._set_timer(phase_timeout(0))
         self.proposals: dict[int, str] = {}
-        # votes[(kind, round, digest)][voter] = the voter's stake in units.
-        self.votes: dict[Key, dict[str, int]] = {}
         self.quorums: set[Key] = set()
         # Unit sum of the private votes of each key not (yet) in quorums; on
         # a height that shares, the node's own vote until its entry lands.
@@ -482,10 +490,10 @@ class _HonestNode:
         """Hand ``message`` to each node of ``group`` in turn; ``_tally`` inlined, unshared.
 
         A node stores a proposal from the round's proposer or tallies a vote.
-        Then, unless it is done, it evaluates if its proposals or quorums
-        changed or its timer is due: after ``_evaluate`` the phase is a
-        fixed point of those three. Done nodes keep tallying, so the commit
-        certificate covers precommits still in flight at decision time.
+        Then it evaluates if its proposals or quorums changed or its timer
+        is due: after ``_evaluate`` the phase is a fixed point of those
+        three. ``run_height`` hands messages only to listening nodes, so no
+        done node tallies; the certificate comes from the network's record.
         The loop stays inlined because sending each delivery through ``_tally``
         was slower: over 6 alternating 5 s ``bench/run.py`` pairs at seed 0 on
         a 2-vCPU VM, ``run_s`` rose from 0.1491 to 0.1573 s (+5.5%) on
@@ -498,7 +506,7 @@ class _HonestNode:
                 changed = valid and round_ not in node.proposals
                 if changed:
                     node.proposals[round_] = message.digest
-                if not node.done and (changed or tick >= node.next_due):
+                if changed or tick >= node.next_due:
                     node._evaluate(tick)
             return
         voter = message.sender
@@ -506,24 +514,19 @@ class _HonestNode:
         units, quorum = ctx.units[voter], ctx.quorum_units
         for node in group:
             changed = False
-            voters = node.votes.get(key)
-            if voters is None:
-                voters = node.votes[key] = {}
-                node.sums[key] = 0
-            voters[voter] = units
             if key not in node.quorums:
-                running = node.sums[key] + units
+                running = node.sums.get(key, 0) + units
                 if running < quorum:
                     node.sums[key] = running
                 else:
-                    del node.sums[key]
+                    node.sums.pop(key, None)
                     node.quorums.add(key)
                     changed = True
-            if not node.done and (changed or tick >= node.next_due):
+            if changed or tick >= node.next_due:
                 node._evaluate(tick)
 
-    def _tally(self, key: Key, voter: str, units: int) -> bool:
-        """Count ``voter``'s vote in this node's tally of ``key``; True if the key joined quorums.
+    def _tally(self, key: Key, units: int) -> bool:
+        """Count a vote of ``units`` in this node's tally of ``key``; True if the key joined quorums.
 
         A key joins ``quorums`` when the vote brings the unit sum of the
         node's view of it, its private tally plus the shared one (see
@@ -538,10 +541,6 @@ class _HonestNode:
         round, an equivocator sends its two digests to disjoint halves of
         its peers, and the network delivers each queued copy once.
         """
-        voters = self.votes.get(key)
-        if voters is None:
-            voters = self.votes[key] = {}
-        voters[voter] = units
         if key in self.quorums:
             return False
         ctx = self.ctx
@@ -564,34 +563,27 @@ class _HonestNode:
         lands here. The vote joins the shared tally of its key and leaves
         the sender's private tally, so every node's view gains the vote but
         the sender's stays as it was. If the shared tally becomes a quorum,
-        the key joins every node's ``quorums``. Until then only a node whose
-        own vote of the key is still private can cross, so the nodes are
-        scanned only once the shared sum plus the roster's ``max_units``
-        reaches ``quorum_units``. Then, in id order, each recipient that is
-        not done evaluates if its quorums changed or its timer is due, as
-        in ``receive``; one node's evaluation never touches another's
-        state, so tallying first changes nothing.
+        the key joins every listening node's ``quorums``. Until then only a
+        node whose own vote of the key is still private can cross, so the
+        nodes are scanned only once the shared sum plus the roster's
+        ``max_units`` reaches ``quorum_units``. Then, in id order, each
+        recipient that is not done evaluates if its quorums changed or its
+        timer is due, as in ``receive``; one node's evaluation never touches
+        another's state, so tallying first changes nothing.
         """
         key = (message.kind, message.round, message.digest)
         voter = message.sender
         units = ctx.units[voter]
-        voters = ctx.shared.get(key)
-        if voters is None:
-            voters = ctx.shared[key] = {}
-            ctx.shared_sums[key] = 0
-        voters[voter] = units
         sender = nodes.get(voter)
         if sender is not None:
-            del sender.votes[key][voter]
-            if key in sender.sums:
-                sender.sums[key] -= units
+            sender.sums.pop(key, None)
         changed: list[_HonestNode] = []
-        running = ctx.shared_sums.get(key)
+        running = ctx.shared_sums.get(key, 0)
         quorum = ctx.quorum_units
         if running is not None:
             running += units
             if running >= quorum:
-                del ctx.shared_sums[key]
+                ctx.shared_sums[key] = None
                 changed = [node for node in nodes.values() if key not in node.quorums]
             else:
                 ctx.shared_sums[key] = running
@@ -621,9 +613,10 @@ class _HonestNode:
         heapq.heappush(self.ctx.timers, (due, self.id))
 
     def _finish(self) -> None:
+        """Stop: the node casts nothing more and leaves ``listening``."""
         self.phase = "done"
         self.done = True
-        self.ctx.unfinished -= 1
+        del self.ctx.listening[self.id]
 
     def _maybe_propose(self, tick: int) -> None:
         if self.ctx.proposer(self.round).id != self.id:
@@ -671,16 +664,16 @@ class _HonestNode:
 
     def _cast(self, kind: str, digest: str | None, tick: int) -> None:
         """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
-        self.phase = kind
+        self.phase, self.vote = kind, digest
         self._set_timer(tick + phase_timeout(self.round))
         self.ctx.send(tick, kind, self.round, self.id, digest)
-        self._tally((kind, self.round, digest), self.id, self.units)
+        self._tally((kind, self.round, digest), self.units)
 
     def _decide(self, tick: int) -> None:
         self._finish()
         if self.ctx.first_decision is None:
-            self.ctx.first_decision = (tick, self.round,
-                                       self.votes[("precommit", self.round, self.ctx.digest)])
+            # A node decides in its precommit phase: its last vote is that precommit.
+            self.ctx.first_decision = (tick, self.round, self.id, self.vote == self.ctx.digest)
         self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
                               self.id, self.ctx.digest)
 
@@ -778,8 +771,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     horizon = (timeout_total(max_rounds)
                + (roster.max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
 
-    listening = {vid: node for vid, node in nodes.items() if isinstance(node, _HonestNode)}
-    timers = ctx.timers
+    listening, timers = ctx.listening, ctx.timers
 
     # On a clean height (see the module docstring) every vote reaches every
     # other validator in one entry, so it can be tallied once per key
@@ -796,8 +788,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         for message, recipients in net.step(tick):
             if sharing and message.kind != "proposal":
                 if due is None:
-                    due = ([node for node in listening.values()
-                            if node.next_due <= tick and not node.done]
+                    due = ([node for node in listening.values() if node.next_due <= tick]
                            if timers and timers[0][0] <= tick else [])
                 _HonestNode.share(ctx, message, listening, tick, due)
             else:
@@ -809,7 +800,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         node = nodes[vid]
         return node.done or node.next_due != due
 
-    for node in listening.values():
+    for node in list(listening.values()):
         node.start(0)
 
     # Next-event time advance: at a tick where no delivery is due and no
@@ -832,7 +823,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         for vid in sorted(woken):
             nodes[vid].on_tick(tick)
         last_tick = tick
-        if not ctx.unfinished:
+        if not listening:
             break
         while timers and stale(*timers[0]):
             heapq.heappop(timers)
@@ -841,7 +832,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             due = min(due, net.next_tick)
         tick = max(tick + 1, min(horizon, due))
 
-    # Drain in-flight messages so the decider's view covers every precommit
+    # Drain in-flight messages so the certificate covers every precommit
     # that was still traveling when quorum crossed.
     while net.pending > 0 and tick <= horizon:
         tick = min(max(tick + 1, net.next_tick), horizon + 1)
@@ -853,19 +844,26 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
     """Record silent validators and the height's end; return its outcome.
 
-    The commit certificate is the first decider's precommit voters for its
-    round and the batch digest, shared and private, read after the drain so
-    it covers precommits that were still in flight when quorum crossed.
+    The commit certificate is the first decider's own precommit, if it was
+    for the batch digest, plus the senders of every precommit entry of its
+    round and the batch digest that the network handed it. The entries are
+    read after the drain, so they cover precommits that were still in flight
+    when quorum crossed. Every node stops listening here.
     """
+    ctx.listening.clear()
     for v in ctx.roster.by_id:
         if v.behavior is Behavior.SILENT:
             ctx.trace.record(last_tick, "fault:non-participation", ctx.height, 0, v.id, None)
 
     if ctx.first_decision is not None:
-        decide_tick, decided_round, private = ctx.first_decision
-        voters = {**ctx.shared.get(("precommit", decided_round, ctx.digest), {}), **private}
-        signature = AggregatedSignature(ctx.digest, frozenset(voters),
-                                        math.fsum(map(ctx.stakes.get, voters)), ctx.total_stake)
+        decide_tick, decided_round, decider, own = ctx.first_decision
+        signers = {message.sender for message, group in ctx.network.precommits
+                   if message.round == decided_round and message.digest == ctx.digest
+                   and decider in group}
+        if own:
+            signers.add(decider)
+        signature = AggregatedSignature(ctx.digest, frozenset(signers),
+                                        math.fsum(map(ctx.stakes.get, signers)), ctx.total_stake)
         return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
                             rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
     ctx.trace.record(last_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)

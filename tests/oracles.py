@@ -277,10 +277,16 @@ class ReferenceNode(_HonestNode):
     """``_HonestNode`` with no evaluation gate, no integer tally and no group loop.
 
     It hears a message one node at a time, re-evaluates its phase after
-    every message, and re-sums a tally of float stakes with ``fsum`` on
-    every vote, its own included. Phase logic, sends and decisions are
-    ``_HonestNode``'s own.
+    every message, and keeps its own voter tally: ``votes[key][voter]`` is
+    the voter's float stake, re-summed with ``fsum`` on every vote, its own
+    included. It keeps hearing votes after it is done, so its ``votes`` of
+    the decided key hold every precommit that reached it. Phase logic,
+    sends and decisions are ``_HonestNode``'s own.
     """
+
+    def __init__(self, descriptor, ctx):
+        super().__init__(descriptor, ctx)
+        self.votes = {}
 
     @staticmethod
     def receive(ctx, message, group, tick):
@@ -289,13 +295,16 @@ class ReferenceNode(_HonestNode):
                 if message.sender == ctx.proposer(message.round).id:
                     node.proposals.setdefault(message.round, message.digest)
             else:
-                node._tally((message.kind, message.round, message.digest), message.sender)
+                node._hear((message.kind, message.round, message.digest), message.sender)
             if not node.done:
                 node._evaluate(tick)
 
-    def _tally(self, key, voter, units=None):
-        # The units ``_HonestNode._cast`` passes are ignored: this tally
-        # sums the roster's float stakes.
+    def _tally(self, key, units):
+        # ``_HonestNode._cast`` tallies the node's own vote; the units it
+        # passes are ignored, as this tally sums the roster's float stakes.
+        self._hear(key, self.d.id)
+
+    def _hear(self, key, voter):
         voters = self.votes.setdefault(key, {})
         voters[voter] = self.ctx.stakes[voter]
         if stake_quorum(math.fsum(voters.values()), self.ctx.total_stake):

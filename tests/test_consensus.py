@@ -502,17 +502,92 @@ def recorded(cls, method):
         setattr(cls, method, raw)
 
 
-def recomputed_quorums(node):
-    """(kind, round, digest) keys with quorum, re-summed from a node's whole view.
+class Tallies:
+    """What ``followed`` records of the ``_HonestNode``s of the heights run inside it.
 
-    A node's view of a key is its private tally plus the height's shared one.
+    Nodes keep unit sums, not voters, so the voters are rebuilt from what
+    each node is handed: ``views[node][key]`` holds every voter whose vote
+    of ``key`` the node cast itself or was handed by ``receive`` or
+    ``share``. ``finished[node]`` is a copy of the node's ``quorums`` at
+    its ``_finish``, and ``late`` lists every node handed a message after
+    it finished.
     """
-    shared = node.ctx.shared
-    views = {key: {**shared.get(key, {}), **node.votes.get(key, {})}
-             for key in node.votes.keys() | shared.keys()}
-    return {key for key, voters in views.items()
-            if stake_quorum(math.fsum(node.ctx.stakes[v] for v in voters),
-                            node.ctx.total_stake)}
+
+    def __init__(self):
+        self.views, self.finished, self.late = {}, {}, []
+
+    def hear(self, node, key, voter):
+        self.views.setdefault(node, {}).setdefault(key, set()).add(voter)
+
+    def quorums(self, node):
+        """``node``'s quorums as they stood when it finished, or now if it never did."""
+        return self.finished.get(node, node.quorums)
+
+    def recomputed_quorums(self, node):
+        """(kind, round, digest) keys with quorum, re-summed with ``fsum`` from ``node``'s voters."""
+        stakes, total = node.ctx.stakes, node.ctx.total_stake
+        return {key for key, voters in self.views.get(node, {}).items()
+                if stake_quorum(math.fsum(stakes[v] for v in voters), total)}
+
+
+@contextmanager
+def followed():
+    """Patch ``_HonestNode`` to fill a ``Tallies`` as heights run; yield it.
+
+    ``ReferenceNode`` has its own ``receive`` and ``_tally``, so only its
+    ``_finish`` is followed.
+    """
+    tallies, cls = Tallies(), consensus._HonestNode
+    receive, share, tally, finish = cls.receive, cls.share, cls._tally, cls._finish
+
+    def followed_receive(ctx, message, group, tick):
+        group = list(group)
+        tallies.late.extend(node for node in group if node.done)
+        if message.kind != "proposal":
+            for node in group:
+                tallies.hear(node, (message.kind, message.round, message.digest), message.sender)
+        receive(ctx, message, group, tick)
+
+    def followed_share(ctx, message, nodes, tick, due):
+        tallies.late.extend(node for node in nodes.values() if node.done)
+        for node in nodes.values():
+            tallies.hear(node, (message.kind, message.round, message.digest), message.sender)
+        share(ctx, message, nodes, tick, due)
+
+    def followed_tally(node, key, units):
+        tallies.hear(node, key, node.d.id)
+        return tally(node, key, units)
+
+    def followed_finish(node):
+        finish(node)
+        tallies.finished[node] = set(node.quorums)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, "receive", staticmethod(followed_receive))
+        patch.setattr(cls, "share", staticmethod(followed_share))
+        patch.setattr(cls, "_tally", followed_tally)
+        patch.setattr(cls, "_finish", followed_finish)
+        yield tallies
+
+
+def assert_tally_follows_voters(node, tallies):
+    """``node``'s quorums and private unit sums are those its voters give.
+
+    Its quorums are the keys whose voters' stakes pass with ``fsum``, and a
+    unit sum is kept only for a key not in them. On a height that shares
+    tallies, a private sum holds the node's own vote at most; on any other
+    height, it is the unit sum of the key's voters.
+    """
+    quorums = tallies.quorums(node)
+    assert quorums == tallies.recomputed_quorums(node)
+    assert not node.sums.keys() & quorums
+    if node.ctx.shared_sums:
+        assert set(node.sums.values()) <= {node.units}
+    else:
+        units = node.ctx.units
+        assert node.sums == {key: sum(units[v] for v in voters)
+                             for key, voters in tallies.views.get(node, {}).items()
+                             if key not in quorums}
 
 
 @st.composite
@@ -566,6 +641,23 @@ def late_quorum_roster():
     return validators[:3] + [v._replace(region_latency=4) for v in validators[3:]]
 
 
+def in_flight_roster(n):
+    """``n`` honest validators; the last is 20 ticks away, the rest 1.
+
+    Over one round every validator decides at tick 3, and the last one's
+    prevote and precommit reach the others at ticks 21 and 22, in the drain.
+    """
+    validators = make_validators(["honest"] * n)
+    return validators[:-1] + [validators[-1]._replace(region_latency=20)]
+
+
+def nil_first_decider_roster():
+    """Twelve validators whose first decider precommits nil on a 25%-drop network at seed 3990."""
+    validators = make_validators(["honest"] * 12, stakes=[1.0] * 10 + [3.0, 6.0], latency=0)
+    validators[10] = validators[10]._replace(region_latency=1)
+    return validators
+
+
 def shared_roster():
     """Twelve validators, two equivocating and one silent, with unequal stakes and latencies.
 
@@ -596,7 +688,7 @@ class TestEventAdvance:
     def test_matches_tick_by_tick_oracle(self, height):
         validators, model, max_rounds = height
         trace, expected_trace = EventTrace(), EventTrace()
-        with recorded(consensus._HonestNode, "start") as started:
+        with recorded(consensus._HonestNode, "start") as started, followed() as tallies:
             outcome = run_height(validators, ["a", "b"], model, max_rounds,
                                  height=7, trace=trace)
         expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
@@ -606,7 +698,7 @@ class TestEventAdvance:
         assert trace.faults == expected_trace.faults
         assert trace.decisions == expected_trace.decisions
         for node, _, _ in started:
-            assert node.quorums == recomputed_quorums(node)
+            assert_tally_follows_voters(node, tallies)
 
     @settings(max_examples=150, deadline=None)
     @given(height=heights())
@@ -705,8 +797,7 @@ class TestEventAdvance:
         # v3 decides at tick 3, but its prevote and precommit reach the
         # others only at ticks 21 and 22: the drain jumps to exactly those
         # ticks, and the signature covers v3.
-        validators = make_validators(["honest"] * 4)
-        validators[3] = validators[3]._replace(region_latency=20)
+        validators = in_flight_roster(4)
         with recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
@@ -744,14 +835,19 @@ def tally(node, voter):
 
     True if that vote brought the key into ``node.quorums``.
     """
-    return node._tally(("prevote", 0, "d"), voter, node.ctx.units[voter])
+    return node._tally(("prevote", 0, "d"), node.ctx.units[voter])
 
 
 def assert_matches_reference_node(height):
-    """``run_height`` gives the trace, outcome and quorums of ``ReferenceNode`` validators."""
+    """``run_height`` gives the trace, outcome and quorums of ``ReferenceNode`` validators.
+
+    Quorums are compared as they stood when each node finished. The
+    certificate is the first-deciding reference node's own voters of the
+    decided key: it keeps hearing votes after it decides.
+    """
     validators, model, max_rounds = height
     trace, expected_trace = EventTrace(), EventTrace()
-    with recorded(consensus._HonestNode, "start") as started:
+    with recorded(consensus._HonestNode, "start") as started, followed() as tallies:
         outcome = run_height(validators, ["a", "b"], model, max_rounds,
                              height=7, trace=trace)
         expected = run_height_ticked(validators, ["a", "b"], model, max_rounds,
@@ -761,13 +857,15 @@ def assert_matches_reference_node(height):
     assert trace.to_lines() == expected_trace.to_lines()
     assert trace.faults == expected_trace.faults
     assert trace.decisions == expected_trace.decisions
-    if outcome.committed:
-        assert outcome.signature.signer_set == expected.signature.signer_set
     nodes = [node for node, _, _ in started if not isinstance(node, ReferenceNode)]
     reference = {node.d.id: node for node, _, _ in started if isinstance(node, ReferenceNode)}
     assert len(nodes) == len(reference)
     for node in nodes:
-        assert node.quorums == reference[node.d.id].quorums
+        assert tallies.quorums(node) == tallies.quorums(reference[node.d.id])
+    if outcome.committed:
+        first = next(e for e in expected_trace.events if e.kind == "commit")
+        voters = reference[first.sender].votes[("precommit", first.round, first.digest)]
+        assert outcome.signature.signer_set == set(voters)
 
 
 class TestTallyShortcuts:
@@ -912,15 +1010,22 @@ class TestSharedTally:
                                              nodes, 0, [])
                 landed.add(v.id)
             else:
-                nodes[v.id]._tally(key, v.id, ctx.units[v.id])
+                nodes[v.id]._tally(key, ctx.units[v.id])
                 cast.add(v.id)
+            shared_quorum = stake_quorum(math.fsum(ctx.stakes[voter] for voter in landed),
+                                         ctx.total_stake)
+            assert ctx.shared_sums.get(key, 0) == (
+                None if shared_quorum else sum(ctx.units[voter] for voter in landed))
             for vid, node in nodes.items():
                 private = {vid} & cast - landed
-                assert set(node.votes.get(key, {})) == private
                 view = [ctx.stakes[voter] for voter in landed | private]
                 assert ((key in node.quorums)
                         == stake_quorum(math.fsum(view), ctx.total_stake)), vid
-                assert node.quorums == recomputed_quorums(node)
+                assert node.quorums <= {key}
+                # The private sum is the node's own vote, until its entry
+                # lands or the key joins quorums.
+                assert node.sums.get(key, 0) == (
+                    0 if key in node.quorums else sum(ctx.units[voter] for voter in private))
                 assert not node.sums.keys() & node.quorums
 
     def test_only_recipients_evaluate(self):
@@ -929,25 +1034,26 @@ class TestSharedTally:
         validators = make_validators(["honest"] * 3)
         ctx = sharing_context(validators)
         nodes = {v.id: consensus._HonestNode(v, ctx) for v in validators}
-        nodes["v0"]._tally(("prevote", 0, "d"), "v0", ctx.units["v0"])
+        nodes["v0"]._tally(("prevote", 0, "d"), ctx.units["v0"])
         consensus._HonestNode.share(ctx, TraceEvent(0, "prevote", 0, 0, "v0", "d"), nodes, 4,
                                      list(nodes.values()))
         assert [node.phase for node in nodes.values()] == ["propose", "prevote", "prevote"]
 
     def test_in_flight_precommit_drained_at_its_tick(self):
         # As the unshared test of that name, on a roster wide enough to
-        # share: v11's prevote and precommit land at ticks 21 and 22, in the
-        # shared tally, and the certificate still covers v11.
-        validators = make_validators(["honest"] * 12)
-        validators[11] = validators[11]._replace(region_latency=20)
+        # share: every node decides at tick 3, and v11's prevote and
+        # precommit land at ticks 21 and 22, in the shared tally, when no
+        # node listens. The certificate still covers v11.
+        validators = in_flight_roster(12)
         with recorded(GossipNetwork, "step") as steps, \
-                recorded(consensus._HonestNode, "start") as started:
+                recorded(consensus._HonestNode, "share") as shared:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
         assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
         assert outcome.signature.signer_set == {v.id for v in validators}
-        ctx = started[0][0].ctx
-        assert "v11" in ctx.shared["precommit", 0, batch_digest(["tx"])]
+        landed = [(message.kind, tick) for _, (message, _, tick, _), _ in shared
+                  if message.sender == "v11"]
+        assert landed == [("prevote", 21), ("precommit", 22)]
 
     def test_no_private_tally_holds_another_validators_vote(self):
         # Every vote of a lossless 64-validator height reaches every other
@@ -955,17 +1061,21 @@ class TestSharedTally:
         # tally; a node's own vote moves there when its entry lands.
         validators = [v._replace(region_latency=1 + i % 3) for i, v in enumerate(
             make_validators(["honest"] * 64, stakes=[80.0 + i % 41 for i in range(64)]))]
-        with recorded(consensus._HonestNode, "start") as started:
-            outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2)
+        trace = EventTrace()
+        with recorded(consensus._HonestNode, "start") as started, followed() as tallies:
+            outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=2, trace=trace)
         assert outcome.committed
+        # Every precommit of the batch digest lands, so all of them sign.
+        assert outcome.signature.signer_set == {
+            e.sender for e in trace.events if e.kind == "precommit" and e.digest is not None}
         nodes = [node for node, _, _ in started]
         assert len(nodes) == 64
         for node in nodes:
-            assert all(set(voters) <= {node.d.id} for voters in node.votes.values())
-            assert not any(node.votes.values())
-            assert node.quorums == recomputed_quorums(node)
-            # A unit sum is kept only while its key is not a quorum.
-            assert not node.sums.keys() & node.quorums
+            # A private sum holds the node's own vote alone: one whose entry
+            # landed after the node stopped listening.
+            cast = {(e.kind, e.round, e.digest) for e in trace.events if e.sender == node.d.id}
+            assert node.sums.keys() <= cast
+            assert_tally_follows_voters(node, tallies)
 
     def test_wide_height_independent_of_the_hash_seed(self):
         # The shipped configs are too small or lossy to share. A clean
@@ -1024,6 +1134,35 @@ class TestCommitCertificate:
         precommitted = {e.sender for e in trace.events if e.kind == "precommit"
                         and e.round == decided_round and e.digest == digest}
         assert signature.signer_set <= precommitted
+
+    @settings(max_examples=100, deadline=None)
+    @given(height=heights() | clean_heights())
+    # The last validator's precommit reaches the others only after every
+    # validator has decided, in the drain: unshared, and shared.
+    @example(height=(in_flight_roster(4), LOSSLESS, 1))
+    @example(height=(in_flight_roster(12), LOSSLESS, 1))
+    # The first decider, v4, precommitted nil: it is not in the certificate.
+    @example(height=(nil_first_decider_roster(),
+                     NetworkModel(drop_probability=0.25, rng_seed=3990), 1))
+    def test_finished_validators_hear_nothing(self, height):
+        # No receive or share hands a message to a validator that has
+        # finished, yet the certificate holds the first decider's own
+        # precommit of the batch digest and every one of its round handed
+        # to it, the drain included.
+        validators, model, max_rounds = height
+        trace = EventTrace()
+        with followed() as tallies, recorded(GossipNetwork, "step") as steps:
+            outcome = run_height(validators, ["a", "b"], model, max_rounds, trace=trace)
+        assert tallies.late == []
+        if not outcome.committed:
+            return
+        first = next(e for e in trace.events if e.kind == "commit")
+        own = {e.sender for e in trace.events if e.kind == "precommit" and e.sender == first.sender
+               and e.round == first.round and e.digest == first.digest}
+        handed = {message.sender for _, _, delivered in steps for message, group in delivered
+                  if (message.kind, message.round, message.digest)
+                  == ("precommit", first.round, first.digest) and first.sender in group}
+        assert outcome.signature.signer_set == own | handed
 
 
 class TestRoster:
