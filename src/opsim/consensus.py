@@ -28,8 +28,8 @@ work per vote, not per delivery.
 A tally is a count per (kind, round, digest) key, not a set of voters.
 The commit certificate is read from the network's record of the
 precommit entries it handed out: the first decider's own precommit plus
-those of its round and the batch digest that reached it, the drain after
-the last decision included.
+those of its round and the batch digest that reached it, those still in
+flight at the last decision included.
 
 Tallies add stakes as exact integer counts of a unit, the finest last bit
 among the roster's stakes, and compare the count with the epoch's quorum
@@ -140,9 +140,8 @@ class Roster(tuple):
         # stake, then id.
         roster.by_id = tuple(sorted(roster, key=lambda v: v.id))
         roster.by_stake = tuple(sorted(roster.by_id, key=lambda v: -v.stake))
-        # Id -> region latency, and the largest one.
+        # Id -> region latency.
         roster.latency = {v.id: v.region_latency for v in roster}
-        roster.max_latency = max(roster.latency.values())
         # Id -> every other id in id order: a broadcast's default recipients.
         ids = tuple(sorted(roster.stakes))
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
@@ -187,6 +186,10 @@ class AggregatedSignature(NamedTuple):
 
 
 class RoundOutcome(NamedTuple):
+    """A height's result. ``rounds_used`` is the decided round + 1, or else ``max_rounds``;
+    ``ticks_elapsed`` is the first decision's tick, or else the tick at which the
+    last protocol-following validator finished, 0 if there is none."""
+
     committed: bool
     batch_digest: str | None
     signature: AggregatedSignature | None
@@ -386,7 +389,8 @@ class GossipNetwork:
 
         Recipients are in id order and never empty. ``run_height`` steps only at
         event ticks, so one step may cover several ticks; a delivery due at a
-        tick already stepped comes out at the next step.
+        tick already stepped comes out at the next step. Once nobody listens,
+        ``run_height`` steps out the rest only to complete ``precommits``.
         """
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
@@ -416,11 +420,6 @@ def phase_timeout(round_: int) -> int:
     return BASE_PHASE_TIMEOUT << round_
 
 
-def timeout_total(max_rounds: int) -> int:
-    """Three phase timeouts in each of ``max_rounds`` rounds, a geometric sum."""
-    return 3 * BASE_PHASE_TIMEOUT * ((1 << max_rounds) - 1)
-
-
 class _HeightContext:
     """Shared state of one height: roster, digest, network, first decision."""
 
@@ -448,7 +447,7 @@ class _HeightContext:
         # that is a quorum.
         self.shared_sums: dict[Key, int | None] = {}
         # Protocol-following validators not yet done, by id in id order;
-        # only they are handed messages. Cleared when the height ends.
+        # only they are handed messages, and the height ends once it is empty.
         self.listening: dict[str, _HonestNode] = {}
 
     def proposer(self, round_: int) -> ValidatorDescriptor:
@@ -604,6 +603,7 @@ class _HonestNode:
                 node._evaluate(tick)
 
     def on_tick(self, tick: int) -> None:
+        # run_height wakes only due, unfinished nodes; this serves the tick-by-tick oracle.
         if not self.done:
             self._evaluate(tick)
 
@@ -711,6 +711,7 @@ class _EquivocatingNode:
     _set_timer = _HonestNode._set_timer
 
     def on_tick(self, tick: int) -> None:
+        # run_height wakes only due, unfinished nodes; this serves the tick-by-tick oracle.
         if self.done or tick < self.next_due:
             return
         if self.stage == "enter":
@@ -750,6 +751,12 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     The outcome reflects the first commit decision by any protocol-following
     validator; the simulation still runs until every such validator has
     decided or exhausted its rounds, so the trace captures all decisions.
+
+    The protocol ends the height: each round's three phases end by their timeouts,
+    so a protocol-following validator is done by tick 3 * sum(phase_timeout(r)
+    for r < max_rounds). An equivocator keeps its own timetable and a silent one
+    never acts, so a height without protocol-following validators ends at tick 0.
+    What is still in flight then lands within max latency plus latency_jitter.
     """
     roster = Roster(validators)
     if not batch:
@@ -768,9 +775,6 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
             nodes[v.id] = _EquivocatingNode(v, ctx)
         # Silent validators receive but never act.
 
-    horizon = (timeout_total(max_rounds)
-               + (roster.max_latency + network.latency_jitter + 2) * (3 * max_rounds + 2) + 8)
-
     listening, timers = ctx.listening, ctx.timers
 
     # On a clean height (see the module docstring) every vote reaches every
@@ -782,18 +786,6 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     # equivocator listens.
     sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
                and not network.draws and not network.partition_schedule)
-
-    def deliver(tick: int) -> None:
-        due = None
-        for message, recipients in net.step(tick):
-            if sharing and message.kind != "proposal":
-                if due is None:
-                    due = ([node for node in listening.values() if node.next_due <= tick]
-                           if timers and timers[0][0] <= tick else [])
-                _HonestNode.share(ctx, message, listening, tick, due)
-            else:
-                _HonestNode.receive(ctx, message,
-                                    filter(None, map(listening.get, recipients)), tick)
 
     def stale(due: int, vid: str) -> bool:
         """True for a timer entry whose node is done or has set another timer since."""
@@ -807,14 +799,23 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     # timer fires, every node would do nothing, so jump to the earliest tick
     # where one does, and there wake, in id order, only the nodes whose timer
     # entry is due and not stale. Deliveries come before timers within a
-    # tick, and a message sent while tick t is processed arrives at t + 1 at
-    # the earliest, so one node's wake cannot make another's entry stale. A
-    # timer set for the very tick it is set at (an equivocator's, as it
+    # tick, and a message sent while tick t is processed is stepped at t + 1
+    # at the earliest, so one node's wake cannot make another's entry stale.
+    # A timer set for the very tick it is set at (an equivocator's, as it
     # enters a round) is popped at the next tick. Stale heads are purged
-    # before the jump, or the loop would visit their idle ticks.
-    tick = last_tick = 0
-    while tick <= horizon:
-        deliver(tick)
+    # before the jump; a listening node always holds a live entry.
+    tick = 0
+    while True:
+        due_nodes = None
+        for message, recipients in net.step(tick):
+            if sharing and message.kind != "proposal":
+                if due_nodes is None:
+                    due_nodes = ([node for node in listening.values() if node.next_due <= tick]
+                                 if timers[0][0] <= tick else [])
+                _HonestNode.share(ctx, message, listening, tick, due_nodes)
+            else:
+                _HonestNode.receive(ctx, message,
+                                    filter(None, map(listening.get, recipients)), tick)
         woken = set()
         while timers and timers[0][0] <= tick:
             entry = heapq.heappop(timers)
@@ -822,38 +823,30 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
                 woken.add(entry[1])
         for vid in sorted(woken):
             nodes[vid].on_tick(tick)
-        last_tick = tick
         if not listening:
             break
-        while timers and stale(*timers[0]):
+        while stale(*timers[0]):
             heapq.heappop(timers)
-        due = timers[0][0] if timers else horizon
-        if net.next_tick is not None:
-            due = min(due, net.next_tick)
-        tick = max(tick + 1, min(horizon, due))
+        due = timers[0][0] if net.next_tick is None else min(timers[0][0], net.next_tick)
+        tick = max(tick + 1, due)
 
-    # Drain in-flight messages so the certificate covers every precommit
-    # that was still traveling when quorum crossed.
-    while net.pending > 0 and tick <= horizon:
-        tick = min(max(tick + 1, net.next_tick), horizon + 1)
-        deliver(tick)
+    # Nobody listens: step what is in flight only to complete the certificate.
+    while net.pending:
+        net.step(net.next_tick)
 
-    return _finish_height(ctx, last_tick)
+    return _finish_height(ctx, tick)
 
 
-def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
-    """Record silent validators and the height's end; return its outcome.
+def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:
+    """Record silent validators and the height's end at ``end_tick``; return its outcome.
 
-    The commit certificate is the first decider's own precommit, if it was
-    for the batch digest, plus the senders of every precommit entry of its
-    round and the batch digest that the network handed it. The entries are
-    read after the drain, so they cover precommits that were still in flight
-    when quorum crossed. Every node stops listening here.
+    Nobody listens and the network is empty here. The commit certificate is the
+    first decider's own precommit, if it was for the batch digest, plus the
+    senders of every precommit entry of its round and digest handed to it.
     """
-    ctx.listening.clear()
     for v in ctx.roster.by_id:
         if v.behavior is Behavior.SILENT:
-            ctx.trace.record(last_tick, "fault:non-participation", ctx.height, 0, v.id, None)
+            ctx.trace.record(end_tick, "fault:non-participation", ctx.height, 0, v.id, None)
 
     if ctx.first_decision is not None:
         decide_tick, decided_round, decider, own = ctx.first_decision
@@ -866,6 +859,6 @@ def _finish_height(ctx: _HeightContext, last_tick: int) -> RoundOutcome:
                                         math.fsum(map(ctx.stakes.get, signers)), ctx.total_stake)
         return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
                             rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
-    ctx.trace.record(last_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)
+    ctx.trace.record(end_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)
     return RoundOutcome(committed=False, batch_digest=None, signature=None,
-                        rounds_used=ctx.max_rounds, ticks_elapsed=last_tick)
+                        rounds_used=ctx.max_rounds, ticks_elapsed=end_tick)
