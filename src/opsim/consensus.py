@@ -27,8 +27,8 @@ work per vote, not per delivery.
 
 A tally is a count per (kind, round, digest) key, not a set of voters.
 The commit certificate is read from the network's record of the
-precommit entries it handed out: the first decider's own precommit plus
-those of its round and the batch digest that reached it, those still in
+precommit entries it queued: the first decider's own precommit plus
+those of its round and the batch digest queued to it, those still in
 flight at the last decision included.
 
 Tallies add stakes as exact integer counts of a unit, the finest last bit
@@ -269,8 +269,9 @@ class TraceEvent(CheckedRecord, _TraceFields):
 class EventTrace:
     """Accumulates protocol events; faults and commit decisions are events too.
 
-    A fault is recorded once, as a ``fault:<kind>`` event whose sender is the
-    faulty validator; a decision is a ``commit`` event.
+    A fault is a ``fault:<kind>`` event whose sender is the faulty validator,
+    once per height, but an invalid proposer's at each of its proposals. A
+    decision is a ``commit`` event.
     """
 
     def __init__(self) -> None:
@@ -308,8 +309,8 @@ class GossipNetwork:
     order. The recipients one broadcast reaches at one tick share a queue
     entry that lists them in id order, and entries are numbered in
     deliver-tick order, so ``step`` hands out (message, recipients) entries
-    in (deliver tick, broadcast) order, and keeps the precommit entries in
-    ``precommits``. A lossless, jitter-free network delivers every
+    in (deliver tick, broadcast) order. ``precommits`` records each precommit
+    entry as it is queued. A lossless, jitter-free network delivers every
     recipient at the same tick, draws nothing and has no generator.
     Identical seed and call sequence yield an identical delivery trace.
     """
@@ -324,7 +325,7 @@ class GossipNetwork:
         self._rng = random.Random(model.rng_seed) if self._draws else None
         # (deliver tick, seq, message, recipients in id order)
         self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
-        # Every precommit entry stepped out, in order; the certificate's source.
+        # Every precommit entry queued, in queue order; the certificate's source.
         self.precommits: list[tuple[TraceEvent, Sequence[str]]] = []
         self._seq = 0
         self._pending = 0
@@ -357,7 +358,7 @@ class GossipNetwork:
 
         Each recipient draws its jitter, then its drop. The jitter draw is
         ``Random.randint(0, latency_jitter)`` written out as CPython's
-        ``_randbelow_with_getrandbits`` (3.10 to 3.12), so it consumes the
+        ``_randbelow_with_getrandbits`` (3.10 to 3.13), so it consumes the
         stream exactly as ``randint`` does.
         """
         bound = self._model.latency_jitter + 1
@@ -383,6 +384,8 @@ class GossipNetwork:
             heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
             self._seq += 1
             self._pending += len(group)
+            if message.kind == "precommit":
+                self.precommits.append((message, group))
 
     def step(self, tick: int) -> list[tuple[TraceEvent, Sequence[str]]]:
         """(message, recipients) entries due at or before ``tick``; ticks must not decrease.
@@ -390,18 +393,16 @@ class GossipNetwork:
         Recipients are in id order and never empty. ``run_height`` steps only at
         event ticks, so one step may cover several ticks; a delivery due at a
         tick already stepped comes out at the next step. Once nobody listens,
-        ``run_height`` steps out the rest only to complete ``precommits``.
+        ``run_height`` stops stepping; what is in flight then is never handed out.
         """
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
-        queue, precommits = self._queue, self.precommits
+        queue = self._queue
         delivered: list[tuple[TraceEvent, Sequence[str]]] = []
         while queue and queue[0][0] <= tick:
             _, _, message, group = heapq.heappop(queue)
             delivered.append((message, group))
-            if message.kind == "precommit":
-                precommits.append((message, group))
             self._pending -= len(group)
         return delivered
 
@@ -494,9 +495,9 @@ class _HonestNode:
         three. ``run_height`` hands messages only to listening nodes, so no
         done node tallies; the certificate comes from the network's record.
         The loop stays inlined because sending each delivery through ``_tally``
-        was slower: over 6 alternating 5 s ``bench/run.py`` pairs at seed 0 on
-        a 2-vCPU VM, ``run_s`` rose from 0.1491 to 0.1573 s (+5.5%) on
-        byzantine-lossy and from 0.01537 to 0.01596 s (+3.8%) on payment-econ.
+        is slower: medians of 5 alternating 3 s in-process runs at seed 0 (a
+        2-vCPU VM, CPython 3.11) rose from 42.45 to 43.18 ms (+1.7%) on
+        byzantine-lossy and from 4.28 to 4.30 ms (+0.4%) on payment-econ.
         """
         round_ = message.round
         if message.kind == "proposal":
@@ -693,7 +694,6 @@ class _EquivocatingNode:
     """Sends conflicting votes to disjoint peer halves on a fixed timetable."""
 
     def __init__(self, descriptor: ValidatorDescriptor, ctx: _HeightContext):
-        self.d = descriptor
         self.id = descriptor.id
         self.ctx = ctx
         self.round = 0
@@ -702,7 +702,6 @@ class _EquivocatingNode:
         others = ctx.roster.others[descriptor.id]
         split = (len(others) + 1) // 2
         self.first_half, self.second_half = others[:split], others[split:]
-        self.faulted = False
         self.done = False
         # A round's stages act at its entry tick, one phase timeout later and
         # three later.
@@ -715,10 +714,9 @@ class _EquivocatingNode:
         if self.done or tick < self.next_due:
             return
         if self.stage == "enter":
-            if not self.faulted:
+            if self.round == 0:
                 self.ctx.trace.record(tick, "fault:equivocation", self.ctx.height,
                                       self.round, self.id, None)
-                self.faulted = True
             if self.ctx.proposer(self.round).id == self.id:
                 self._split_send("proposal", tick)
             self._split_send("prevote", tick)
@@ -756,7 +754,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     so a protocol-following validator is done by tick 3 * sum(phase_timeout(r)
     for r < max_rounds). An equivocator keeps its own timetable and a silent one
     never acts, so a height without protocol-following validators ends at tick 0.
-    What is still in flight then lands within max latency plus latency_jitter.
+    Nothing is stepped after that: what is still in flight is never handed out.
     """
     roster = Roster(validators)
     if not batch:
@@ -779,11 +777,11 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     # On a clean height (see the module docstring) every vote reaches every
     # other validator in one entry, so it can be tallied once per key
-    # instead of once per node. A shared entry has a fixed cost: on
-    # lossless heights, sharing took 1.22x the unshared time at 3
-    # validators, 1.01x at 8, 0.97x at 9, 0.87x at 12 and 0.58x at 32 (a
-    # 2-vCPU VM, CPython 3.11), hence the cut-off. Every node but an
-    # equivocator listens.
+    # instead of once per node. A shared entry has a fixed cost: on lossless
+    # heights, sharing took 1.01x the unshared time at 8 validators, 0.97x at
+    # 9, 0.87x at 12 and 0.58x at 32, and sharing at 3 makes payment-econ 12%
+    # slower (4.28 to 4.78 ms in-process; a 2-vCPU VM, CPython 3.11), hence
+    # the cut-off. Every node but an equivocator listens.
     sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
                and not network.draws and not network.partition_schedule)
 
@@ -830,19 +828,15 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         due = timers[0][0] if net.next_tick is None else min(timers[0][0], net.next_tick)
         tick = max(tick + 1, due)
 
-    # Nobody listens: step what is in flight only to complete the certificate.
-    while net.pending:
-        net.step(net.next_tick)
-
     return _finish_height(ctx, tick)
 
 
 def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:
     """Record silent validators and the height's end at ``end_tick``; return its outcome.
 
-    Nobody listens and the network is empty here. The commit certificate is the
-    first decider's own precommit, if it was for the batch digest, plus the
-    senders of every precommit entry of its round and digest handed to it.
+    Nobody listens here. The commit certificate is the first decider's own
+    precommit, if it was for the batch digest, plus the senders of every
+    precommit entry of its round and digest queued to it, in flight or not.
     """
     for v in ctx.roster.by_id:
         if v.behavior is Behavior.SILENT:

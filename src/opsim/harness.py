@@ -112,7 +112,7 @@ _PARTITION = (
 )
 _NETWORK = (
     _Row("drop_probability", "drop_probability", "probability", 0.0),
-    _Row("latency_jitter", "latency_jitter", "integer", 0),
+    _Row("latency_jitter", "latency_jitter", "count", 0),
     _Row("partitions", "partition_schedule", "list", [], _PARTITION),
 )
 _SCHEDULE = (
@@ -181,7 +181,7 @@ _BEHAVIORS = [b.value for b in Behavior]
 # kind: (type of its JSON value, test of its range or None, what it asks for).
 # A float kind reads an integer as a float first.
 _KINDS = {
-    "number": (float, None, "a number"),
+    "number": (float, lambda v: v >= 0, "a number >= 0"),
     "amount": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "fraction": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
     "probability": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -356,6 +357,22 @@ class TestRunHeight:
         assert outcome.rounds_used == 2
         assert any(f.kind == "fault:invalid-proposal" for f in trace.faults)
 
+    def test_invalid_proposer_fault_recorded_at_each_proposal(self):
+        # With more rounds than validators, b proposes in rounds 2 and 5 and
+        # records a fault at each, while silent s is recorded once: a run
+        # slashes b twice for this height.
+        validators = [ValidatorDescriptor("a", 1.0),
+                      ValidatorDescriptor("b", 1.0, "invalid-proposer"),
+                      ValidatorDescriptor("s", 10.0, "silent")]
+        trace = EventTrace()
+        outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=6, trace=trace)
+        assert not outcome.committed
+        proposed = [e.round for e in trace.events if e.kind == "proposal" and e.sender == "b"]
+        assert proposed == [2, 5]
+        assert [(f.kind, f.round, f.sender) for f in trace.faults] == [
+            ("fault:invalid-proposal", 2, "b"), ("fault:invalid-proposal", 5, "b"),
+            ("fault:non-participation", 0, "s")]
+
     def test_single_validator_commits_alone(self):
         outcome = run_height(make_validators(["honest"]), ["tx"], LOSSLESS, 5)
         assert outcome.committed
@@ -645,7 +662,8 @@ def in_flight_roster(n):
     """``n`` honest validators; the last is 20 ticks away, the rest 1.
 
     Over one round every validator decides at tick 3, and the last one's
-    prevote and precommit reach the others at ticks 21 and 22, in the flush.
+    prevote and precommit, due at the others at ticks 21 and 22, are still
+    in flight then.
     """
     validators = make_validators(["honest"] * n)
     return validators[:-1] + [validators[-1]._replace(region_latency=20)]
@@ -722,7 +740,7 @@ class TestEventAdvance:
 
         def checked(on_tick):
             def wrapper(node, tick):
-                wakes.append((node.d.id, tick, node.done, node.next_due))
+                wakes.append((node.id, tick, node.done, node.next_due))
                 on_tick(node, tick)
             return wrapper
 
@@ -801,15 +819,16 @@ class TestEventAdvance:
         assert trace.to_lines()[-1] == f"{end},no-commit,0,{max_rounds - 1},-,-"
 
     def test_in_flight_precommit_drained_at_its_tick(self):
-        # v3 decides at tick 3, but its prevote and precommit reach the
-        # others only at ticks 21 and 22: the flush steps exactly those
-        # ticks, and the signature covers v3.
+        # v3 decides at tick 3, but its prevote and precommit would reach
+        # the others only at ticks 21 and 22, when nobody listens: nothing
+        # is stepped after tick 3, yet v3's precommit entry was queued, so
+        # the signature covers v3.
         validators = in_flight_roster(4)
         with recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
-        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
-        assert "v3" in outcome.signature.signer_set
+        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3]
+        assert outcome.signature.signer_set == {v.id for v in validators}
 
     @settings(max_examples=300, deadline=None)
     @given(height=heights() | clean_heights())
@@ -822,22 +841,23 @@ class TestEventAdvance:
                      NetworkModel(drop_probability=0.2, latency_jitter=2, rng_seed=7), 3))
     @example(height=(make_validators(["honest"] * 4, latency=0), LOSSLESS, 2))
     @example(height=(lone_last_delivery_roster(), NetworkModel(latency_jitter=1), 1))
+    # Every validator decides at tick 3, within the bound of 12, while v3's
+    # votes are due at ticks 21 and 22.
+    @example(height=(in_flight_roster(4), LOSSLESS, 1))
     def test_every_height_ends_by_its_timeouts(self, height):
         # run_height has no tick cap: the protocol ends the height. Every
-        # event comes by the summed timeouts of its rounds, every delivery
-        # by that plus the largest latency and the jitter, and the network
-        # is empty at the end. Without a commit, the height ends at its
-        # no-commit record; with no protocol-following validator, at tick 0.
+        # event and every network step comes by the summed timeouts of its
+        # rounds: nothing is stepped once nobody listens, so what is still
+        # in flight then is never delivered. Without a commit, the height
+        # ends at its no-commit record; with no protocol-following
+        # validator, at tick 0.
         validators, model, max_rounds = height
         end = summed_timeouts(max_rounds)
         trace = EventTrace()
         with recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["a", "b"], model, max_rounds, trace=trace)
         assert max(e.tick for e in trace.events) <= end
-        latest = end + max(v.region_latency for v in validators) + model.latency_jitter
-        assert max(tick for _, (tick,), _ in steps) <= latest
-        net = steps[0][0]
-        assert (net.pending, net.next_tick) == (0, None)
+        assert max(tick for _, (tick,), _ in steps) <= end
         if not outcome.committed:
             assert trace.events[-1][:2] == (outcome.ticks_elapsed, "no-commit")
         if all(v.behavior in (Behavior.SILENT, Behavior.EQUIVOCATING) for v in validators):
@@ -930,10 +950,8 @@ class TestTallyShortcuts:
     @example(height=(make_validators(["honest", "silent"], latency=0), LOSSLESS, 2))
     def test_sharing_at_any_roster_size_matches_reference_node(self, height):
         # With the cut-off at 1, every clean height shares, down to one
-        # validator: there every vote entry stepped out while someone
-        # listens goes to share, and elsewhere none. Those are the steps up
-        # to the first one at the height's end tick; later ones only
-        # complete the certificate.
+        # validator: there every vote entry stepped out goes to share, and
+        # elsewhere none. The last step is at the height's end tick.
         validators, model, max_rounds = height
         clean = (not model.draws and not model.partition_schedule
                  and all(v.behavior is not Behavior.EQUIVOCATING for v in validators))
@@ -945,8 +963,8 @@ class TestTallyShortcuts:
                     recorded(consensus, "_finish_height") as finished:
                 run_height(validators, ["a", "b"], model, max_rounds)
         [(_, (end,), _)] = finished
-        last = [tick for _, (tick,), _ in steps].index(end)
-        votes = [message for _, _, delivered in steps[:last + 1] for message, _ in delivered
+        assert steps[-1][1] == (end,)
+        votes = [message for _, _, delivered in steps for message, _ in delivered
                  if message.kind != "proposal"]
         assert [message for _, (message, *_), _ in shared] == (votes if clean else [])
 
@@ -1084,14 +1102,14 @@ class TestSharedTally:
     def test_in_flight_precommit_drained_at_its_tick(self):
         # As the unshared test of that name, on a roster wide enough to
         # share: every node decides at tick 3, and v11's prevote and
-        # precommit land at ticks 21 and 22, when no node listens, so they
+        # precommit, due at ticks 21 and 22, are never stepped, so they
         # reach no tally. The certificate still covers v11.
         validators = in_flight_roster(12)
         with recorded(GossipNetwork, "step") as steps, \
                 recorded(consensus._HonestNode, "share") as shared:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
-        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3, 21, 22]
+        assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3]
         assert outcome.signature.signer_set == {v.id for v in validators}
         assert [message for _, (message, *_), _ in shared if message.sender == "v11"] == []
 
@@ -1177,8 +1195,8 @@ class TestCommitCertificate:
 
     @settings(max_examples=100, deadline=None)
     @given(height=heights() | clean_heights())
-    # The last validator's precommit reaches the others only after every
-    # validator has decided, in the flush: unshared, and shared.
+    # The last validator's precommit is still in flight when every
+    # validator has decided: unshared, and shared.
     @example(height=(in_flight_roster(4), LOSSLESS, 1))
     @example(height=(in_flight_roster(12), LOSSLESS, 1))
     # The first decider, v4, precommitted nil: it is not in the certificate.
@@ -1187,21 +1205,29 @@ class TestCommitCertificate:
     def test_finished_validators_hear_nothing(self, height):
         # No receive or share hands a message to a validator that has
         # finished, yet the certificate holds the first decider's own
-        # precommit of the batch digest and every one of its round handed
-        # to it, the flush included.
+        # precommit of the batch digest and every one of its round queued
+        # to it, those never delivered included. The network's record of
+        # precommit entries is exactly what it stepped out plus what it
+        # still holds.
         validators, model, max_rounds = height
         trace = EventTrace()
         with followed() as tallies, recorded(GossipNetwork, "step") as steps:
             outcome = run_height(validators, ["a", "b"], model, max_rounds, trace=trace)
         assert tallies.late == []
+        net = steps[0][0]
+        queued = [entry for _, _, delivered in steps for entry in delivered]
+        queued += [(message, group) for _, _, message, group in net._queue]
+        assert (Counter((message, tuple(group)) for message, group in net.precommits)
+                == Counter((message, tuple(group)) for message, group in queued
+                           if message.kind == "precommit"))
         if not outcome.committed:
             return
         first = next(e for e in trace.events if e.kind == "commit")
         own = {e.sender for e in trace.events if e.kind == "precommit" and e.sender == first.sender
                and e.round == first.round and e.digest == first.digest}
-        handed = {message.sender for _, _, delivered in steps for message, group in delivered
-                  if (message.kind, message.round, message.digest)
-                  == ("precommit", first.round, first.digest) and first.sender in group}
+        handed = {message.sender for message, group in net.precommits
+                  if (message.round, message.digest) == (first.round, first.digest)
+                  and first.sender in group}
         assert outcome.signature.signer_set == own | handed
 
 

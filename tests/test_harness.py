@@ -131,6 +131,7 @@ BIG = 10 ** 400
 # "string" and "items" the inside case is FULL itself: its ids are one
 # character long and its task and stage lists hold one item each.
 BOUNDS = {
+    "number": ([0, math.inf], [-5e-324, math.nan, BIG]),
     "amount": ([0, sys.float_info.max], [-5e-324, math.inf, math.nan, BIG]),
     "fraction": ([0, 1], [-5e-324, 1.0000000000000002, math.nan]),
     "probability": ([0, 0.9999999999999999], [-5e-324, 1, math.nan]),
@@ -459,11 +460,11 @@ class TestLoadConfig:
             load_config(_full_with(path, value))
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("key", ["deadline", "validation_cost_cap"])
-    def test_nan_payment_bound_names_the_block(self, key):
+    @pytest.mark.parametrize("key", ["capacity", "deadline", "validation_cost_cap"])
+    def test_nan_payment_bound_names_the_field(self, key):
         with pytest.raises(ConfigError) as exc:
             load_config(_full_with(("operators", 0, "payment", key), float("nan")))
-        assert exc.value.field == "operators[0].payment"
+        assert exc.value.field == f"operators[0].payment.{key}"
         assert key in str(exc.value)
 
     def test_partition_before_tick_zero_is_rejected(self):
