@@ -1101,17 +1101,20 @@ class TestSharedTally:
 
     def test_in_flight_precommit_drained_at_its_tick(self):
         # As the unshared test of that name, on a roster wide enough to
-        # share: every node decides at tick 3, and v11's prevote and
+        # share: every node decides at tick 3, and v9's prevote and
         # precommit, due at ticks 21 and 22, are never stepped, so they
-        # reach no tally. The certificate still covers v11.
-        validators = in_flight_roster(12)
+        # reach no tally. The first decider is v3, so the certificate
+        # covers v9 only through its queued precommit entry. (With 12
+        # validators the far one, v11, would decide first and sign through
+        # its own vote.)
+        validators = in_flight_roster(10)
         with recorded(GossipNetwork, "step") as steps, \
                 recorded(consensus._HonestNode, "share") as shared:
             outcome = run_height(validators, ["tx"], LOSSLESS, max_rounds=1)
         assert outcome.ticks_elapsed == 3
         assert [tick for _, (tick,), _ in steps] == [0, 1, 2, 3]
         assert outcome.signature.signer_set == {v.id for v in validators}
-        assert [message for _, (message, *_), _ in shared if message.sender == "v11"] == []
+        assert [message for _, (message, *_), _ in shared if message.sender == "v9"] == []
 
     def test_no_private_tally_holds_another_validators_vote(self):
         # Every vote of a lossless 64-validator height reaches every other
@@ -1198,7 +1201,7 @@ class TestCommitCertificate:
     # The last validator's precommit is still in flight when every
     # validator has decided: unshared, and shared.
     @example(height=(in_flight_roster(4), LOSSLESS, 1))
-    @example(height=(in_flight_roster(12), LOSSLESS, 1))
+    @example(height=(in_flight_roster(10), LOSSLESS, 1))
     # The first decider, v4, precommitted nil: it is not in the certificate.
     @example(height=(nil_first_decider_roster(),
                      NetworkModel(drop_probability=0.25, rng_seed=3990), 1))
