@@ -35,6 +35,12 @@ Tallies add stakes as exact integer counts of a unit, the finest last bit
 among the roster's stakes, and compare the count with the epoch's quorum
 threshold in those units. A count reaches the threshold exactly when the
 correctly rounded sum of its stakes meets ``quorum_met``.
+
+On a network that draws nothing, a height is the same computation for
+every batch of a roster: the first height run on a ``Roster`` with a given
+network and ``max_rounds`` is simulated and kept on the roster, and every
+later one is that height relabelled with its own batch digest and height
+(see ``run_height``).
 """
 
 from __future__ import annotations
@@ -110,7 +116,9 @@ class Roster(tuple):
 
     Stakes change only at settlement, so a run builds one roster per epoch.
     ``Roster(roster)`` is ``roster``. The descriptors must not change while
-    the roster is in use.
+    the roster is in use. ``replays`` keeps, per (network, max_rounds), the
+    first draw-free height ``run_height`` simulated on the roster, which it
+    relabels for every later batch.
     """
 
     def __new__(cls, validators: Iterable[ValidatorDescriptor]) -> Roster:
@@ -145,6 +153,9 @@ class Roster(tuple):
         # Id -> every other id in id order: a broadcast's default recipients.
         ids = tuple(sorted(roster.stakes))
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
+        # (network, max_rounds) -> (batch digest, trace events, outcome) of
+        # the height run_height replays for them.
+        roster.replays = {}
         return roster
 
 
@@ -755,16 +766,41 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     for r < max_rounds). An equivocator keeps its own timetable and a silent one
     never acts, so a height without protocol-following validators ends at tick 0.
     Nothing is stepped after that: what is still in flight is never handed out.
+
+    On a network that draws nothing, the first height run on ``validators``
+    as a ``Roster`` with this ``(network, max_rounds)`` is simulated and
+    kept in ``roster.replays``; every later one replays it. Each kept event
+    keeps its tick, kind, round and sender and takes the new ``height``,
+    and each digest, which always starts with the kept batch digest (bare,
+    ``!invalid`` or ``#forged:...``), takes the new batch digest in place
+    of that prefix; the outcome takes it too. This is exact. With no
+    generator, the height's path reads the digest only through ``==`` and
+    as part of dict and set keys that nothing iterates, and the relabelling
+    keeps every equality: all digests share one prefix of fixed length.
+    Heap entries never compare messages, since each ``seq`` is unique, and
+    ``height`` is only a label. So the relabelled height is the one a fresh
+    simulation would give. A drawing network is always simulated.
     """
     roster = Roster(validators)
     if not batch:
         raise DomainError("batch must be non-empty")
-    if max_rounds < 1:
-        raise DomainError("max_rounds must be >= 1")
+    if not _is_tick_count(max_rounds) or max_rounds < 1:
+        raise DomainError("max_rounds must be an integer >= 1")
+    if height < 0:
+        raise DomainError("height must be >= 0")
 
     trace = trace if trace is not None else EventTrace()
+    digest = batch_digest(batch)
+    key = None if network.draws else (network, max_rounds)
+    try:
+        kept = roster.replays.get(key)
+    except TypeError:  # a partition schedule that is not hashable: simulate
+        key = kept = None
+    if kept is not None:
+        return _replay(kept, digest, height, trace)
+    start = len(trace.events)
     net = GossipNetwork(network, roster)
-    ctx = _HeightContext(roster, batch_digest(batch), net, max_rounds, height, trace)
+    ctx = _HeightContext(roster, digest, net, max_rounds, height, trace)
     nodes: dict[str, _HonestNode | _EquivocatingNode] = {}
     for v in roster.by_id:
         if v.behavior in (Behavior.HONEST, Behavior.INVALID_PROPOSER):
@@ -828,7 +864,23 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         due = timers[0][0] if net.next_tick is None else min(timers[0][0], net.next_tick)
         tick = max(tick + 1, due)
 
-    return _finish_height(ctx, tick)
+    outcome = _finish_height(ctx, tick)
+    if key is not None:
+        roster.replays[key] = (digest, trace.events[start:], outcome)
+    return outcome
+
+
+def _replay(kept: tuple, digest: str, height: int, trace: EventTrace) -> RoundOutcome:
+    """Append the kept height's events to ``trace`` relabelled; return its outcome relabelled."""
+    old, events, outcome = kept
+    relabel = {d: d and digest + d[len(old):] for d in {e.digest for e in events}}
+    new = tuple.__new__
+    trace.events += [new(TraceEvent, (tick, kind, height, round_, sender, relabel[d]))
+                     for tick, kind, _, round_, sender, d in events]
+    if not outcome.committed:
+        return outcome
+    return outcome._replace(batch_digest=digest,
+                            signature=outcome.signature._replace(batch_digest=digest))
 
 
 def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:

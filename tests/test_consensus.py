@@ -1349,3 +1349,127 @@ class TestRoster:
                 config.network._replace(rng_seed=0)}
         else:
             assert derived == [] and all(n is config.network for n in networks)
+
+
+@st.composite
+def draw_free_heights(draw):
+    """A height of ``heights()`` on a network that draws nothing; its partitions stay."""
+    validators, model, max_rounds = draw(heights())
+    return validators, model._replace(drop_probability=0.0, latency_jitter=0), max_rounds
+
+
+def equivocating_partitioned_roster():
+    """Six validators: one silent, one equivocating, one invalid proposer that proposes first."""
+    behaviors = ["invalid-proposer", "honest", "equivocating", "honest", "silent", "honest"]
+    return make_validators(behaviors, stakes=[20.0, 12.0, 11.0, 10.0, 9.0, 8.0])
+
+
+EQUIVOCATING_PARTITION = NetworkModel(rng_seed=3, partition_schedule=(
+    PartitionSpec(2, 9, frozenset({"v0", "v3"})),))
+
+
+class TestReplay:
+    """A draw-free height on a roster is simulated once and relabelled for every later batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=st.one_of(draw_free_heights(), clean_heights()),
+           heights_=st.tuples(st.integers(0, 50), st.integers(0, 50)))
+    @example(height=(equivocating_partitioned_roster(), EQUIVOCATING_PARTITION, 3),
+             heights_=(4, 5))
+    @example(height=(equivocating_partitioned_roster(), LOSSLESS, 1), heights_=(0, 0))
+    @example(height=(without_equivocators(shared_roster()), LOSSLESS, 2), heights_=(9, 3))
+    def test_replay_matches_fresh_simulation(self, height, heights_):
+        validators, model, max_rounds = height
+        batches = (["a", "b"], ["c"])
+        roster, trace, expected_trace = Roster(validators), EventTrace(), EventTrace()
+        # The trace already holds an event: a kept height starts where its call began.
+        for t in (trace, expected_trace):
+            t.record(0, "round-start", 0, 0, "earlier", None)
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            outcomes = [run_height(roster, batch, model, max_rounds, height=h, trace=trace)
+                        for batch, h in zip(batches, heights_)]
+        # Only the first height made a network; the second was replayed.
+        assert len(networks) == 1 and list(roster.replays) == [(model, max_rounds)]
+        expected = [run_height(Roster(validators), batch, model, max_rounds, height=h,
+                               trace=expected_trace)
+                    for batch, h in zip(batches, heights_)]
+        assert outcomes == expected
+        assert trace.events == expected_trace.events
+        assert all(type(event) is TraceEvent for event in trace.events)
+
+    def test_drawing_network_never_replays(self):
+        validators = equivocating_partitioned_roster()
+        model = NetworkModel(drop_probability=0.1, latency_jitter=1, rng_seed=5)
+        roster, trace, expected_trace = Roster(validators), EventTrace(), EventTrace()
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            outcomes = [run_height(roster, ["tx", str(h)], model, 3, height=h, trace=trace)
+                        for h in range(3)]
+        assert len(networks) == 3 and roster.replays == {}
+        assert outcomes == [run_height(validators, ["tx", str(h)], model, 3, height=h,
+                                       trace=expected_trace) for h in range(3)]
+        assert trace.to_lines() == expected_trace.to_lines()
+
+    def test_each_network_and_max_rounds_is_kept_apart(self):
+        roster = Roster(equivocating_partitioned_roster())
+        for model, max_rounds in ((LOSSLESS, 2), (LOSSLESS, 3), (EQUIVOCATING_PARTITION, 2),
+                                  (LOSSLESS, 2)):
+            expected = run_height(list(roster), ["x"], model, max_rounds, height=1)
+            assert run_height(roster, ["x"], model, max_rounds, height=1) == expected
+        assert list(roster.replays) == [(LOSSLESS, 2), (LOSSLESS, 3),
+                                        (EQUIVOCATING_PARTITION, 2)]
+
+    def test_unhashable_partition_schedule_is_simulated(self):
+        validators = equivocating_partitioned_roster()
+        spec = EQUIVOCATING_PARTITION.partition_schedule[0]
+        model = NetworkModel(partition_schedule=[spec._replace(members=set(spec.members))])
+        roster = Roster(validators)
+        for h in range(2):
+            expected_trace, trace = EventTrace(), EventTrace()
+            assert run_height(roster, ["x"], model, 3, height=h, trace=trace) == run_height(
+                validators, ["x"], EQUIVOCATING_PARTITION, 3, height=h, trace=expected_trace)
+            assert trace.events == expected_trace.events
+        assert roster.replays == {}
+
+    def test_negative_height_raises_on_both_paths(self):
+        roster = Roster(make_validators(["honest"] * 4))
+        trace = EventTrace()
+        # Simulated path: nothing is kept and nothing recorded.
+        with pytest.raises(DomainError, match="^height must be >= 0$"):
+            run_height(roster, ["tx"], LOSSLESS, 2, height=-1, trace=trace)
+        assert roster.replays == {} and trace.events == []
+        run_height(roster, ["tx"], LOSSLESS, 2, height=0)
+        assert list(roster.replays) == [(LOSSLESS, 2)]
+        # Replayed path.
+        with pytest.raises(DomainError, match="^height must be >= 0$"):
+            run_height(roster, ["tx"], LOSSLESS, 2, height=-1, trace=trace)
+        assert trace.events == []
+
+    @pytest.mark.parametrize("max_rounds", [0, -1, 2.0, True])
+    def test_max_rounds_must_be_a_positive_integer(self, max_rounds):
+        # A kept height is found by an equal max_rounds, and 2.0 == 2 would
+        # replay an int's rounds for a float's.
+        with pytest.raises(DomainError, match="^max_rounds must be an integer >= 1$"):
+            run_height(make_validators(["honest"] * 4), ["tx"], LOSSLESS, max_rounds)
+
+
+class TestClosedFormLatency:
+    """ROADMAP item 4: a lossless, all-honest roster of uniform latency L commits at tick 3L.
+
+    A proposal, the prevotes and the precommits each take L ticks, so the
+    first commit is in round 0 at tick 3L whenever 2L <= BASE_PHASE_TIMEOUT.
+    Both the simulated first height and a replayed second one are checked.
+    """
+
+    @pytest.mark.parametrize("n, latency", [
+        pytest.param(n, latency, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 8: the proposer takes its prevote timeout at "
+            "the first prevote delivered at tick 4, and the height commits in round 1 at "
+            "tick 14")) if (n, latency) == (3, 2) else (n, latency)
+        for n in (3, 4, 9, 16, 64) for latency in (1, 2)])
+    def test_first_commit_in_round_zero_at_three_latencies(self, n, latency):
+        roster = Roster(make_validators(["honest"] * n, latency=latency))
+        for h, batch in enumerate((["a"], ["b", "c"])):
+            outcome = run_height(roster, batch, LOSSLESS, max_rounds=4, height=h)
+            assert (outcome.committed, outcome.rounds_used, outcome.ticks_elapsed) == (
+                True, 1, 3 * latency), f"height {h}"
+        assert len(roster.replays) == 1
