@@ -1358,13 +1358,13 @@ def draw_free_heights(draw):
     return validators, model._replace(drop_probability=0.0, latency_jitter=0), max_rounds
 
 
-def equivocating_partitioned_roster():
+def mixed_behavior_roster():
     """Six validators: one silent, one equivocating, one invalid proposer that proposes first."""
     behaviors = ["invalid-proposer", "honest", "equivocating", "honest", "silent", "honest"]
     return make_validators(behaviors, stakes=[20.0, 12.0, 11.0, 10.0, 9.0, 8.0])
 
 
-EQUIVOCATING_PARTITION = NetworkModel(rng_seed=3, partition_schedule=(
+MIXED_PARTITION = NetworkModel(rng_seed=3, partition_schedule=(
     PartitionSpec(2, 9, frozenset({"v0", "v3"})),))
 
 
@@ -1374,9 +1374,9 @@ class TestReplay:
     @settings(max_examples=150, deadline=None)
     @given(height=st.one_of(draw_free_heights(), clean_heights()),
            heights_=st.tuples(st.integers(0, 50), st.integers(0, 50)))
-    @example(height=(equivocating_partitioned_roster(), EQUIVOCATING_PARTITION, 3),
+    @example(height=(mixed_behavior_roster(), MIXED_PARTITION, 3),
              heights_=(4, 5))
-    @example(height=(equivocating_partitioned_roster(), LOSSLESS, 1), heights_=(0, 0))
+    @example(height=(mixed_behavior_roster(), LOSSLESS, 1), heights_=(0, 0))
     @example(height=(without_equivocators(shared_roster()), LOSSLESS, 2), heights_=(9, 3))
     def test_replay_matches_fresh_simulation(self, height, heights_):
         validators, model, max_rounds = height
@@ -1398,7 +1398,7 @@ class TestReplay:
         assert all(type(event) is TraceEvent for event in trace.events)
 
     def test_drawing_network_never_replays(self):
-        validators = equivocating_partitioned_roster()
+        validators = mixed_behavior_roster()
         model = NetworkModel(drop_probability=0.1, latency_jitter=1, rng_seed=5)
         roster, trace, expected_trace = Roster(validators), EventTrace(), EventTrace()
         with recorded(consensus.GossipNetwork, "__init__") as networks:
@@ -1410,23 +1410,23 @@ class TestReplay:
         assert trace.to_lines() == expected_trace.to_lines()
 
     def test_each_network_and_max_rounds_is_kept_apart(self):
-        roster = Roster(equivocating_partitioned_roster())
-        for model, max_rounds in ((LOSSLESS, 2), (LOSSLESS, 3), (EQUIVOCATING_PARTITION, 2),
+        roster = Roster(mixed_behavior_roster())
+        for model, max_rounds in ((LOSSLESS, 2), (LOSSLESS, 3), (MIXED_PARTITION, 2),
                                   (LOSSLESS, 2)):
             expected = run_height(list(roster), ["x"], model, max_rounds, height=1)
             assert run_height(roster, ["x"], model, max_rounds, height=1) == expected
         assert list(roster.replays) == [(LOSSLESS, 2), (LOSSLESS, 3),
-                                        (EQUIVOCATING_PARTITION, 2)]
+                                        (MIXED_PARTITION, 2)]
 
     def test_unhashable_partition_schedule_is_simulated(self):
-        validators = equivocating_partitioned_roster()
-        spec = EQUIVOCATING_PARTITION.partition_schedule[0]
+        validators = mixed_behavior_roster()
+        spec = MIXED_PARTITION.partition_schedule[0]
         model = NetworkModel(partition_schedule=[spec._replace(members=set(spec.members))])
         roster = Roster(validators)
         for h in range(2):
             expected_trace, trace = EventTrace(), EventTrace()
             assert run_height(roster, ["x"], model, 3, height=h, trace=trace) == run_height(
-                validators, ["x"], EQUIVOCATING_PARTITION, 3, height=h, trace=expected_trace)
+                validators, ["x"], MIXED_PARTITION, 3, height=h, trace=expected_trace)
             assert trace.events == expected_trace.events
         assert roster.replays == {}
 
