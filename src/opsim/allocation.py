@@ -23,27 +23,23 @@ SPECTRUM_TOL = 1e-9
 
 
 class _ConvergenceFields(NamedTuple):
-    converged: bool
-    iterations: int
-    step_norm: float
     constraint_violation: float
     multipliers: dict[str, float]
 
 
 class ConvergenceReport(CheckedRecord, _ConvergenceFields):
-    """Outcome of one allocation solve.
+    """Outcome of one allocation solve: the largest cap overrun and each task's multiplier.
 
-    The water-filling solve is exact, so ``converged``, ``iterations`` and
-    ``step_norm`` are always True, 1 and 0.0; the report keeps them as
-    fields of its ``convergence`` section. ``multipliers`` left out starts
-    as a new empty dict.
+    ``multipliers`` left out starts as a new empty dict. ``iterations`` is
+    always 1, a class attribute and not a field, so reports leave it out;
+    the benchmark counts solves by it until ROADMAP item 1 renames that count.
     """
 
     __slots__ = ()
+    iterations = 1
 
-    def __new__(cls, converged, iterations, step_norm, constraint_violation,
-                multipliers=None):
-        return tuple.__new__(cls, (converged, iterations, step_norm, constraint_violation,
+    def __new__(cls, constraint_violation, multipliers=None):
+        return tuple.__new__(cls, (constraint_violation,
                                    {} if multipliers is None else multipliers))
 
 
@@ -101,8 +97,7 @@ def solve_allocation(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
     """Maximize total welfare subject to per-task caps and x >= 0, exactly.
 
     Each task is water-filled on its own. The report carries each task's
-    KKT multiplier max(0, level - cost_rate - corruption_rate); the solve
-    is direct, so it always reports one iteration and a zero step.
+    KKT multiplier max(0, level - cost_rate - corruption_rate).
     """
     if not agents:
         raise DomainError("solver requires at least one operator")
@@ -121,10 +116,7 @@ def solve_allocation(agents: Sequence[OperatorState], tasks: Sequence[TaskSpec],
         multipliers[task.id] = max(0.0, level - cost)
 
     violation = max(max(0.0, result.task_total(t.id) - t.resource_cap) for t in tasks)
-    report = ConvergenceReport(converged=True, iterations=1, step_norm=0.0,
-                               constraint_violation=violation,
-                               multipliers=multipliers)
-    return result, report
+    return result, ConvergenceReport(violation, multipliers)
 
 
 def _classify(low: float, high: float) -> StabilityReport:

@@ -73,9 +73,14 @@ SHARED_TALLY_MIN_VALIDATORS = 9
 Key = tuple[str, int, "str | None"]
 
 
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool; ticks and seeds are integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_tick_count(value: object) -> bool:
-    """True for an int >= 0; ticks are integers, and a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """True for an int >= 0; a bool is not a count."""
+    return _is_int(value) and value >= 0
 
 
 class Behavior(Enum):
@@ -224,6 +229,8 @@ class _NetworkFields(NamedTuple):
 
 
 class NetworkModel(CheckedRecord, _NetworkFields):
+    """Delivery rules of a height; hashable, so ``run_height`` keys its replays on it."""
+
     __slots__ = ()
 
     def __new__(cls, drop_probability=0.0, latency_jitter=0, rng_seed=0,
@@ -232,8 +239,17 @@ class NetworkModel(CheckedRecord, _NetworkFields):
             raise DomainError("drop_probability must lie in [0, 1)")
         if not _is_tick_count(latency_jitter):
             raise DomainError(f"latency_jitter must be an integer >= 0, got {latency_jitter!r}")
-        return tuple.__new__(cls, (drop_probability, latency_jitter, rng_seed,
-                                   partition_schedule))
+        if not _is_int(rng_seed):
+            raise DomainError(f"rng_seed must be an integer, got {rng_seed!r}")
+        try:
+            schedule = tuple(PartitionSpec(start, end, frozenset(members))
+                             for start, end, members in partition_schedule)
+            if not all(_is_int(tick) for spec in schedule for tick in spec[:2]):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise DomainError("partition_schedule must hold (start, end, members) triples "
+                              f"with integer ticks, got {partition_schedule!r}") from None
+        return tuple.__new__(cls, (drop_probability, latency_jitter, rng_seed, schedule))
 
     @property
     def draws(self) -> bool:
@@ -786,18 +802,14 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
         raise DomainError("batch must be non-empty")
     if not _is_tick_count(max_rounds) or max_rounds < 1:
         raise DomainError("max_rounds must be an integer >= 1")
-    if height < 0:
-        raise DomainError("height must be >= 0")
+    if not _is_tick_count(height):
+        raise DomainError("height must be an integer >= 0")
 
     trace = trace if trace is not None else EventTrace()
     digest = batch_digest(batch)
     key = None if network.draws else (network, max_rounds)
-    try:
-        kept = roster.replays.get(key)
-    except TypeError:  # a partition schedule that is not hashable: simulate
-        key = kept = None
-    if kept is not None:
-        return _replay(kept, digest, height, trace)
+    if key in roster.replays:
+        return _replay(roster.replays[key], digest, height, trace)
     start = len(trace.events)
     net = GossipNetwork(network, roster)
     ctx = _HeightContext(roster, digest, net, max_rounds, height, trace)

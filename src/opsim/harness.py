@@ -359,8 +359,7 @@ def load_config(source: str | Path) -> RunConfig:
                    "must name some operators but not all")
         _reject_if(part["end_tick"] <= max(part["start_tick"], 0),
                    f"network.partitions[{i}].end", "must be > max(start, 0)")
-        partitions[i] = PartitionSpec(**dict(part, members=frozenset(part["members"])))
-    doc["network"]["partition_schedule"] = tuple(partitions)
+        partitions[i] = PartitionSpec(**part)
 
     schedule = doc["schedule"]
     half_window = schedule["window_length"] // 2

@@ -88,21 +88,21 @@ class TestSolver:
     def test_interior_closed_form(self):
         agents, tasks, weights = instance([(1.0, 1.0)], (0.5, 0.0), 10.0)
         alloc, report = solve_allocation(agents, tasks, weights)
-        assert report.converged
+        assert report.constraint_violation <= CAP_SLACK
         assert alloc.get("op-0", "t") == pytest.approx(3.0, abs=1e-3)
         assert report.multipliers["t"] == pytest.approx(0.0, abs=1e-6)
 
     def test_symmetric_agents_split_cap(self):
         agents, tasks, weights = instance([(1.0, 1.0), (1.0, 1.0)], (0.0, 0.0), 2.0)
         alloc, report = solve_allocation(agents, tasks, weights)
-        assert report.converged
+        assert report.constraint_violation <= CAP_SLACK
         assert alloc.get("op-0", "t") == pytest.approx(1.0, abs=1e-3)
         assert alloc.get("op-1", "t") == pytest.approx(1.0, abs=1e-3)
 
     def test_asymmetric_kkt_point(self):
         agents, tasks, weights = instance([(2.0, 0.0), (1.0, 0.0)], (0.0, 0.0), 3.0)
         alloc, report = solve_allocation(agents, tasks, weights)
-        assert report.converged
+        assert report.constraint_violation <= CAP_SLACK
         assert alloc.get("op-0", "t") == pytest.approx(7.0 / 3.0, abs=1e-3)
         assert alloc.get("op-1", "t") == pytest.approx(2.0 / 3.0, abs=1e-3)
         # At a binding cap the multiplier equals the shared marginal value.
@@ -124,7 +124,7 @@ class TestSolver:
                      consensus_gain={"op-0": 1.0}, performance_gain={"op-0": 1.0}),
         ]
         alloc, report = solve_allocation(agents, tasks, ScenarioWeights(1.0, 1.0))
-        assert report.converged
+        assert report.constraint_violation <= CAP_SLACK
         assert alloc.get("op-0", "a") == pytest.approx(3.0, abs=1e-3)
         assert alloc.get("op-0", "b") == pytest.approx(1.0, abs=1e-3)
 
@@ -137,7 +137,7 @@ class TestSolver:
             cap = rng.uniform(1, 5)
             agents, tasks, weights = instance(gains, costs, cap)
             alloc, report = solve_allocation(agents, tasks, weights)
-            assert report.converged
+            assert report.constraint_violation <= CAP_SLACK
             values = [gains[i][0] + gains[i][1] for i in range(n)]
             _, oracle_welfare = grid_welfare(values, [costs[0]] * n, cap)
             achieved = welfare(agents, tasks, weights, alloc)
@@ -146,7 +146,7 @@ class TestSolver:
     def test_converged_solution_is_equilibrium_single_task(self):
         agents, tasks, weights = instance([(2.0, 1.0), (1.0, 0.5)], (0.1, 0.0), 4.0)
         alloc, report = solve_allocation(agents, tasks, weights)
-        assert report.converged
+        assert report.constraint_violation <= CAP_SLACK
         assert check_equilibrium(agents, tasks, weights, alloc).is_equilibrium
 
     def test_agent_permutation_permutes_solution(self):

@@ -88,6 +88,27 @@ class TestTypes:
             NetworkModel(drop_probability=1.0)
         with pytest.raises(DomainError):
             NetworkModel(latency_jitter=-1)
+        for seed in (1.5, True, "1", None):
+            with pytest.raises(DomainError, match="^rng_seed must be an integer"):
+                NetworkModel(rng_seed=seed)
+        # Each entry must be a (start, end, members) triple with integer,
+        # non-bool ticks and hashable members.
+        for schedule in ([(0, 5)], [(0, 5, {"v0"}, 1)], [5], 5, None, [(0.0, 5, {"v0"})],
+                         [(0, True, {"v0"})], [(0, "5", {"v0"})], [(0, 5, 1)],
+                         [(0, 5, [["v0"]])]):
+            with pytest.raises(DomainError, match="^partition_schedule must hold"):
+                NetworkModel(partition_schedule=schedule)
+
+    def test_network_model_makes_its_schedule_canonical(self):
+        model = NetworkModel(partition_schedule=[[3, 9, ["v1", "v0", "v1"]], (7, 2, set())])
+        # A window never in force is kept; it cuts nothing.
+        assert model.partition_schedule == (PartitionSpec(3, 9, frozenset({"v0", "v1"})),
+                                            PartitionSpec(7, 2, frozenset()))
+        assert all(type(spec) is PartitionSpec and type(spec.members) is frozenset
+                   for spec in model.partition_schedule)
+        assert model == NetworkModel(partition_schedule=model.partition_schedule)
+        assert model._replace(rng_seed=4).partition_schedule == model.partition_schedule
+        hash(model)
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
     def test_latency_jitter_must_be_an_integer(self, value):
@@ -1418,31 +1439,37 @@ class TestReplay:
         assert list(roster.replays) == [(LOSSLESS, 2), (LOSSLESS, 3),
                                         (MIXED_PARTITION, 2)]
 
-    def test_unhashable_partition_schedule_is_simulated(self):
+    def test_list_schedule_with_set_members_is_made_canonical_and_replayed(self):
         validators = mixed_behavior_roster()
         spec = MIXED_PARTITION.partition_schedule[0]
-        model = NetworkModel(partition_schedule=[spec._replace(members=set(spec.members))])
+        model = NetworkModel(rng_seed=3, partition_schedule=[[*spec[:2], set(spec.members)]])
+        assert model == MIXED_PARTITION
         roster = Roster(validators)
-        for h in range(2):
-            expected_trace, trace = EventTrace(), EventTrace()
-            assert run_height(roster, ["x"], model, 3, height=h, trace=trace) == run_height(
-                validators, ["x"], MIXED_PARTITION, 3, height=h, trace=expected_trace)
-            assert trace.events == expected_trace.events
-        assert roster.replays == {}
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            for h in range(2):
+                expected_trace, trace = EventTrace(), EventTrace()
+                assert run_height(roster, ["x"], model, 3, height=h, trace=trace) == run_height(
+                    validators, ["x"], MIXED_PARTITION, 3, height=h, trace=expected_trace)
+                assert trace.events == expected_trace.events
+        # The second height on the roster was replayed: only the first made a
+        # network there, beside one per fresh simulation.
+        assert len(networks) == 3 and list(roster.replays) == [(MIXED_PARTITION, 3)]
 
     def test_negative_height_raises_on_both_paths(self):
         roster = Roster(make_validators(["honest"] * 4))
         trace = EventTrace()
-        # Simulated path: nothing is kept and nothing recorded.
-        with pytest.raises(DomainError, match="^height must be >= 0$"):
-            run_height(roster, ["tx"], LOSSLESS, 2, height=-1, trace=trace)
-        assert roster.replays == {} and trace.events == []
         run_height(roster, ["tx"], LOSSLESS, 2, height=0)
-        assert list(roster.replays) == [(LOSSLESS, 2)]
-        # Replayed path.
-        with pytest.raises(DomainError, match="^height must be >= 0$"):
-            run_height(roster, ["tx"], LOSSLESS, 2, height=-1, trace=trace)
-        assert trace.events == []
+        for height in (-1, True, 1.5):
+            # Simulated path (a fresh roster): nothing is kept and nothing recorded.
+            fresh = Roster(list(roster))
+            with pytest.raises(DomainError, match="^height must be an integer >= 0$"):
+                run_height(fresh, ["tx"], LOSSLESS, 2, height=height, trace=trace)
+            assert fresh.replays == {} and trace.events == []
+            # Replayed path.
+            assert list(roster.replays) == [(LOSSLESS, 2)]
+            with pytest.raises(DomainError, match="^height must be an integer >= 0$"):
+                run_height(roster, ["tx"], LOSSLESS, 2, height=height, trace=trace)
+            assert trace.events == []
 
     @pytest.mark.parametrize("max_rounds", [0, -1, 2.0, True])
     def test_max_rounds_must_be_a_positive_integer(self, max_rounds):

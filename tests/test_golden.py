@@ -37,11 +37,11 @@ GOLDEN_SIGNERS = {
 # SHA-256 of the report file that write_report writes, per format.
 GOLDEN_REPORTS = {
     "sequencer.json": {
-        "json": "383749f36acc8e8d6bfeee0a6fbb0fd72cecd70d1e74da15f12712a87705981f",
+        "json": "dc8642a8e9bd8e99cb8e79e702e27e85ec1171013d2c3f6408007753cd822f57",
         "csv": "9b74276771be83a0a194a324f314666ac0e70697427efbea082e7dee7b850292",
     },
     "payment.json": {
-        "json": "3f62b451aec27bea3f3c1e595e94adf33dc03266db76478a99aff1554850e6d0",
+        "json": "d073e56259224c6d3990749c04402879263e1948c33f2dd40affac4f5d2ac351",
         "csv": "346e65bb441d61140cc00ed58d5957aa15324d115a0406a3587adaf8e3ed4271",
     },
 }

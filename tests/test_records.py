@@ -20,7 +20,7 @@ SIGNATURES = {
     TaskSpec: "id cost_rate=0.0 corruption_rate=0.0 resource_cap=0.0 consensus_gain=None "
               "performance_gain=None value=0.0",
     ScenarioWeights: "w1=1.0 w2=1.0",
-    ConvergenceReport: "converged iterations step_norm constraint_violation multipliers=None",
+    ConvergenceReport: "constraint_violation multipliers=None",
     StabilityReport: "eigen_extremes verdict",
     ValidatorDescriptor: "id stake behavior=<Behavior.HONEST: 'honest'> region_latency=1",
     AggregatedSignature: "batch_digest signer_set signed_stake total_stake",
@@ -81,7 +81,7 @@ def test_default_tables_are_not_shared():
     assert first.consensus_gain is not second.consensus_gain
     assert first.performance_gain is not second.performance_gain
     assert first.consensus_gain is not first.performance_gain
-    reports = [ConvergenceReport(True, 1, 0.0, 0.0) for _ in range(2)]
+    reports = [ConvergenceReport(0.0) for _ in range(2)]
     assert reports[0].multipliers == {} and reports[0].multipliers is not reports[1].multipliers
 
 

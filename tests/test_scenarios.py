@@ -1,14 +1,18 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from opsim import (ConstraintViolationError, DomainError, PaymentNodeParams,
-                   PaymentWindowLog, SequencerRunLog, failure_probability,
+                   PaymentWindowLog, SequencerRunLog, failure_probability, load_config,
                    optimize_throughput, payment_metrics, payment_utility,
                    StabilityVerdict, sequencer_metrics)
+from bench_inputs import WORKLOADS
 from oracles import scan_throughput, stability_report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_log(outputs, cs, ss, failures=0, costs=None, resources=10.0):
@@ -201,6 +205,34 @@ class TestOptimizeThroughput:
                                       params.capacity)
             assert abs(best - scanned) <= 1.0
             assert payment_utility(params, best) >= payment_utility(params, scanned) - 1e-9
+
+
+# Every payment operator of the shipped config and of payment-econ at seeds 0-2.
+SHIPPED_OPERATORS = [
+    pytest.param(op.payment, id=f"{name}-{op.id}")
+    for name, source in [("payment.json", ROOT / "configs" / "payment.json")]
+    + [(f"payment-econ-{seed}", WORKLOADS.config_text("payment-econ", seed)) for seed in range(3)]
+    for op in load_config(source).operators]
+
+
+@pytest.mark.parametrize("params", SHIPPED_OPERATORS)
+def test_shipped_operators_match_a_dense_scan(params):
+    # These operators set what the random draws above never do: validation
+    # times derived from stages (validator-2's deadline penalty is active)
+    # and a validation cost cap (validator-3's bounds the scan, though not
+    # its optimum).
+    points = 100_000
+    upper = params.capacity
+    if params.validation_cost_cap is not None:
+        upper = min(upper, math.sqrt(2.0 * params.validation_cost_cap
+                                     / params.validation_cost_coeff))
+    step = upper / points
+    utilities = [payment_utility(params, upper * (j / points)) for j in range(points + 1)]
+    best_u = max(utilities)
+    best_t = upper * (utilities.index(best_u) / points)
+    optimum = optimize_throughput(params)
+    assert abs(optimum - best_t) <= step
+    assert payment_utility(params, optimum) >= best_u - 1e-9
 
 
 def window(tx, cost, err, pen, profit):
