@@ -40,7 +40,8 @@ On a network that draws nothing, a height is the same computation for
 every batch of a roster: the first height run on a ``Roster`` with a given
 network and ``max_rounds`` is simulated and kept on the roster, and every
 later one is that height relabelled with its own batch digest and height
-(see ``run_height``).
+(see ``run_height``). The trace holds a relabelled height as a pending
+replay of the kept one (see ``opsim.trace``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CheckedRecord, DomainError
+from .trace import EventTrace, KeptHeight, TraceEvent
 
 # SHA-256 from CPython's built-in module where there is one: ``hashlib``
 # loads the OpenSSL backend, which costs a run about 4 MB of RSS and 4 ms of
@@ -122,8 +124,8 @@ class Roster(tuple):
     Stakes change only at settlement, so a run builds one roster per epoch.
     ``Roster(roster)`` is ``roster``. The descriptors must not change while
     the roster is in use. ``replays`` keeps, per (network, max_rounds), the
-    first draw-free height ``run_height`` simulated on the roster, which it
-    relabels for every later batch.
+    first draw-free height ``run_height`` simulated on the roster as a
+    ``KeptHeight``, which it replays for every later batch.
     """
 
     def __new__(cls, validators: Iterable[ValidatorDescriptor]) -> Roster:
@@ -158,8 +160,7 @@ class Roster(tuple):
         # Id -> every other id in id order: a broadcast's default recipients.
         ids = tuple(sorted(roster.stakes))
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
-        # (network, max_rounds) -> (batch digest, trace events, outcome) of
-        # the height run_height replays for them.
+        # (network, max_rounds) -> the KeptHeight run_height replays for them.
         roster.replays = {}
         return roster
 
@@ -264,66 +265,7 @@ def quorum_met(signed_stake: float, total_stake: float) -> bool:
 
 def batch_digest(batch: Sequence[str]) -> str:
     """Stable digest of a transaction batch."""
-    return sha256(b"".join(str(tx).encode() + b"\x00" for tx in batch)).hexdigest()[:16]
-
-
-class _TraceFields(NamedTuple):
-    tick: int
-    kind: str
-    height: int
-    round: int
-    sender: str
-    digest: str | None
-
-
-class TraceEvent(CheckedRecord, _TraceFields):
-    """One protocol event; a sent message is its own event.
-
-    Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
-    ``digest`` of None marks a nil vote.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tick, kind, height, round, sender, digest):
-        if height < 0 or round < 0:
-            raise DomainError("height and round must be >= 0")
-        if kind == "proposal" and digest is None:
-            raise DomainError("proposals must carry a digest")
-        return tuple.__new__(cls, (tick, kind, height, round, sender, digest))
-
-
-class EventTrace:
-    """Accumulates protocol events; faults and commit decisions are events too.
-
-    A fault is a ``fault:<kind>`` event whose sender is the faulty validator,
-    once per height, but an invalid proposer's at each of its proposals. A
-    decision is a ``commit`` event.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def record(self, tick: int, kind: str, height: int, round_: int,
-               sender: str, digest: str | None) -> TraceEvent:
-        event = TraceEvent(tick, kind, height, round_, sender, digest)
-        self.events.append(event)
-        return event
-
-    @property
-    def faults(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind.startswith("fault:")]
-
-    @property
-    def decisions(self) -> dict[str, str]:
-        """Validator id -> decided digest; a validator decides at most once."""
-        return {e.sender: e.digest for e in self.events if e.kind == "commit"}
-
-    def to_lines(self) -> list[str]:
-        return [
-            f"{e.tick},{e.kind},{e.height},{e.round},{e.sender},{e.digest or '-'}"
-            for e in self.events
-        ]
+    return sha256("".join(map("{}\x00".format, batch)).encode()).hexdigest()[:16]
 
 
 class GossipNetwork:
@@ -785,11 +727,13 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     On a network that draws nothing, the first height run on ``validators``
     as a ``Roster`` with this ``(network, max_rounds)`` is simulated and
-    kept in ``roster.replays``; every later one replays it. Each kept event
-    keeps its tick, kind, round and sender and takes the new ``height``,
-    and each digest, which always starts with the kept batch digest (bare,
-    ``!invalid`` or ``#forged:...``), takes the new batch digest in place
-    of that prefix; the outcome takes it too. This is exact. With no
+    kept in ``roster.replays`` as a ``KeptHeight``; every later one replays
+    it. Each kept event keeps its tick, kind, round and sender and takes
+    the new ``height``, and each digest, which always starts with the kept
+    batch digest (bare, ``!invalid`` or ``#forged:...``), takes the new
+    batch digest in place of that prefix; the outcome takes it too. The
+    replay joins ``trace`` as pending, and its events are built only when
+    they are read (see ``EventTrace``). This is exact. With no
     generator, the height's path reads the digest only through ``==`` and
     as part of dict and set keys that nothing iterates, and the relabelling
     keeps every equality: all digests share one prefix of fixed length.
@@ -878,17 +822,14 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     outcome = _finish_height(ctx, tick)
     if key is not None:
-        roster.replays[key] = (digest, trace.events[start:], outcome)
+        roster.replays[key] = KeptHeight(digest, trace.events[start:], outcome)
     return outcome
 
 
-def _replay(kept: tuple, digest: str, height: int, trace: EventTrace) -> RoundOutcome:
-    """Append the kept height's events to ``trace`` relabelled; return its outcome relabelled."""
-    old, events, outcome = kept
-    relabel = {d: d and digest + d[len(old):] for d in {e.digest for e in events}}
-    new = tuple.__new__
-    trace.events += [new(TraceEvent, (tick, kind, height, round_, sender, relabel[d]))
-                     for tick, kind, _, round_, sender, d in events]
+def _replay(kept: KeptHeight, digest: str, height: int, trace: EventTrace) -> RoundOutcome:
+    """Append the kept height to ``trace`` as a pending replay; return its outcome relabelled."""
+    trace.replay(kept, digest, height)
+    outcome = kept.outcome
     if not outcome.committed:
         return outcome
     return outcome._replace(batch_digest=digest,

@@ -353,6 +353,8 @@ def load_config(source: str | Path) -> RunConfig:
     for i, part in enumerate(partitions):
         # A partition must cut a link: split the roster, over some tick >= 0.
         members = f"network.partitions[{i}].members"
+        for j, member in enumerate(part["members"]):
+            _reject_if(not isinstance(member, str), f"{members}[{j}]", "must be a string")
         unknown = [member for member in part["members"] if member not in known]
         _reject_if(bool(unknown), members, f"references unknown operators {unknown}")
         _reject_if(not 0 < len(set(part["members"])) < len(op_ids), members,
@@ -541,9 +543,9 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
         outcome = run_height(validators, batch, net, config.max_rounds,
                              height=height, trace=height_trace)
         # One update per height: the bytes equal one emit per line.
-        lines = height_trace.to_lines()
-        if lines:
-            emit("\n".join(lines))
+        text = height_trace.text()
+        if text:
+            emit(text)
         height_records.append({
             "height": height,
             "window_index": index,

@@ -1,0 +1,142 @@
+"""The protocol event trace of consensus heights.
+
+An ``EventTrace`` collects ``TraceEvent``s in order, and reads them back as
+events, faults, decisions or the text lines that the run's trace digest
+covers. A height that ``run_height`` replays (see there) joins a trace as a
+pending replay of a ``KeptHeight``, the simulated height it repeats under a
+new height and batch digest. Its text is one fill of the kept height's
+template and its faults are the kept faults relabelled, so a trace whose
+events are never read never builds them.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple
+
+from .errors import CheckedRecord, DomainError
+
+if TYPE_CHECKING:
+    from .consensus import RoundOutcome
+
+
+class _TraceFields(NamedTuple):
+    tick: int
+    kind: str
+    height: int
+    round: int
+    sender: str
+    digest: str | None
+
+
+class TraceEvent(CheckedRecord, _TraceFields):
+    """One protocol event; a sent message is its own event.
+
+    Message kinds are ``"proposal"``, ``"prevote"`` and ``"precommit"``; a
+    ``digest`` of None marks a nil vote.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tick, kind, height, round, sender, digest):
+        if height < 0 or round < 0:
+            raise DomainError("height and round must be >= 0")
+        if kind == "proposal" and digest is None:
+            raise DomainError("proposals must carry a digest")
+        return tuple.__new__(cls, (tick, kind, height, round, sender, digest))
+
+
+class EventTrace:
+    """Accumulates protocol events; faults and commit decisions are events too.
+
+    A fault is a ``fault:<kind>`` event whose sender is the faulty validator,
+    once per height, but an invalid proposer's at each of its proposals. A
+    decision is a ``commit`` event. A pending replay is built into events,
+    in its place, when ``events`` is read (``decisions`` and ``to_lines``
+    read it) or when ``record`` adds an event after it; ``text`` and
+    ``faults`` leave it pending.
+    """
+
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
+        # (kept height, batch digest, height) per pending replay, in order;
+        # they all come after every event in _events.
+        self._replayed: list[tuple[KeptHeight, str, int]] = []
+
+    def record(self, tick: int, kind: str, height: int, round_: int,
+               sender: str, digest: str | None) -> TraceEvent:
+        if self._replayed:
+            self._build()
+        event = TraceEvent(tick, kind, height, round_, sender, digest)
+        self._events.append(event)
+        return event
+
+    def replay(self, kept: KeptHeight, digest: str, height: int) -> None:
+        """Append ``kept`` as a pending replay at ``height`` over batch digest ``digest``."""
+        self._replayed.append((kept, digest, height))
+
+    def _build(self) -> list[TraceEvent]:
+        for kept, digest, height in self._replayed:
+            self._events += kept.relabel(digest, height)
+        self._replayed = []
+        return self._events
+
+    events = property(_build)
+
+    @property
+    def faults(self) -> list[TraceEvent]:
+        faults = [e for e in self._events if e.kind.startswith("fault:")]
+        for kept, _, height in self._replayed:
+            faults += [e._replace(height=height) for e in kept.faults]
+        return faults
+
+    @property
+    def decisions(self) -> dict[str, str]:
+        """Validator id -> decided digest; a validator decides at most once."""
+        return {e.sender: e.digest for e in self.events if e.kind == "commit"}
+
+    def to_lines(self) -> list[str]:
+        return _lines(self.events)
+
+    def text(self) -> str:
+        """The lines joined by newlines: ``"\\n".join(self.to_lines())``."""
+        return "\n".join(_lines(self._events) + [
+            kept.template.format(height, digest) for kept, digest, height in self._replayed])
+
+
+def _lines(events: list[TraceEvent]) -> list[str]:
+    return [f"{tick},{kind},{height},{round_},{sender},{digest or '-'}"
+            for tick, kind, height, round_, sender, digest in events]
+
+
+def _escape(text: str) -> str:
+    """``text`` as literal text of a ``str.format`` template: each brace doubled."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+class KeptHeight:
+    """A simulated height that ``run_height`` replays, with its batch digest and outcome.
+
+    Every digest in ``events`` starts with ``digest``. ``template`` holds
+    their lines as a ``str.format`` template whose field 0 is the height
+    and field 1 the batch digest; ``faults`` are the fault events, which
+    carry no digest.
+    """
+
+    __slots__ = ("digest", "events", "outcome", "template", "faults")
+
+    def __init__(self, digest: str, events: list[TraceEvent], outcome: RoundOutcome):
+        self.digest, self.events, self.outcome = digest, events, outcome
+        # The line of each event as _lines writes it, with field 0 in place
+        # of the height and field 1 in place of the batch digest.
+        n = len(digest)
+        senders = {s: _escape(s) for s in {e.sender for e in events}}
+        digests = {d: "{1}" + _escape(d[n:]) if d else "-" for d in {e.digest for e in events}}
+        self.template = "\n".join([f"{tick},{kind},{{0}},{round_},{senders[sender]},{digests[d]}"
+                                   for tick, kind, _, round_, sender, d in events])
+        self.faults = [e for e in events if e.kind.startswith("fault:")]
+
+    def relabel(self, digest: str, height: int) -> list[TraceEvent]:
+        """The kept events with ``height``, and ``digest`` in place of the kept one."""
+        n, new = len(self.digest), tuple.__new__
+        return [new(TraceEvent, (tick, kind, height, round_, sender, d and digest + d[n:]))
+                for tick, kind, _, round_, sender, d in self.events]

@@ -20,6 +20,7 @@ from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, Gossi
                    NetworkModel, PartitionSpec, Roster, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
 from opsim import consensus, harness, load_config, run_simulation
+from opsim.trace import KeptHeight
 from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum,
                      summed_timeouts)
 
@@ -1389,6 +1390,16 @@ MIXED_PARTITION = NetworkModel(rng_seed=3, partition_schedule=(
     PartitionSpec(2, 9, frozenset({"v0", "v3"})),))
 
 
+def brace_roster():
+    """``mixed_behavior_roster`` with ids that hold braces and ``str.format`` fields.
+
+    The equivocator's forged digests hold its id, so braces reach both the
+    senders and the digests of the trace.
+    """
+    ids = ["{0}", "}{", "{1}", "{", "}", "{{1}}"]
+    return [v._replace(id=i) for v, i in zip(mixed_behavior_roster(), ids)]
+
+
 class TestReplay:
     """A draw-free height on a roster is simulated once and relabelled for every later batch."""
 
@@ -1399,9 +1410,10 @@ class TestReplay:
              heights_=(4, 5))
     @example(height=(mixed_behavior_roster(), LOSSLESS, 1), heights_=(0, 0))
     @example(height=(without_equivocators(shared_roster()), LOSSLESS, 2), heights_=(9, 3))
+    @example(height=(brace_roster(), LOSSLESS, 3), heights_=(2, 7))
     def test_replay_matches_fresh_simulation(self, height, heights_):
         validators, model, max_rounds = height
-        batches = (["a", "b"], ["c"])
+        batches = (["a", "{b}"], ["{0}{1}c"])
         roster, trace, expected_trace = Roster(validators), EventTrace(), EventTrace()
         # The trace already holds an event: a kept height starts where its call began.
         for t in (trace, expected_trace):
@@ -1415,8 +1427,43 @@ class TestReplay:
                                trace=expected_trace)
                     for batch, h in zip(batches, heights_)]
         assert outcomes == expected
-        assert trace.events == expected_trace.events
+        # The replayed height is pending: its text fills the kept template and
+        # its faults are the kept ones, and neither builds its events.
+        with recorded(KeptHeight, "relabel") as relabelled:
+            assert trace.text() == "\n".join(expected_trace.to_lines())
+            assert trace.faults == expected_trace.faults
+            assert relabelled == []
+            assert trace.events == expected_trace.events
+            assert len(relabelled) == 1
         assert all(type(event) is TraceEvent for event in trace.events)
+        assert trace.text() == expected_trace.text()
+
+    def test_pending_replays_keep_event_order_in_a_mixed_trace(self):
+        roster, other = Roster(brace_roster()), mixed_behavior_roster()
+        run_height(roster, ["kept"], LOSSLESS, 3)
+
+        def fill(trace, replay):
+            """Records, replays of ``roster`` and a height of ``other`` into ``trace``."""
+            kept = roster if replay else list(roster)
+            trace.record(0, "round-start", 0, 0, "first", None)
+            run_height(kept, ["x"], LOSSLESS, 3, height=1, trace=trace)
+            run_height(other, ["y"], MIXED_PARTITION, 3, height=2, trace=trace)
+            trace.record(5, "round-start", 3, 1, "{0}", None)
+            run_height(kept, ["z"], LOSSLESS, 3, height=4, trace=trace)
+            trace.record(6, "round-start", 5, 0, "}", None)
+            run_height(kept, ["w"], LOSSLESS, 3, height=6, trace=trace)
+            return trace
+
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            trace = fill(EventTrace(), replay=True)
+        # Only the height of the other roster was simulated.
+        assert len(networks) == 1
+        expected = fill(EventTrace(), replay=False)
+        assert trace.text() == "\n".join(expected.to_lines())
+        assert trace.faults == expected.faults
+        assert trace.events == expected.events
+        assert trace.to_lines() == expected.to_lines()
+        assert trace.text() == expected.text()
 
     def test_drawing_network_never_replays(self):
         validators = mixed_behavior_roster()

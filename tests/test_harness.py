@@ -437,6 +437,11 @@ class TestLoadConfig:
             (("network", "partitions", 0, "end"), 0),
             (("network", "partitions", 0, "members"), []),
             (("network", "partitions", 0, "members"), ["a", "b"]),
+            # A member that is not a string, hashable or not, is named by its index.
+            (("network", "partitions", 0, "members"), [["a"]], "network.partitions[0].members[0]"),
+            (("network", "partitions", 0, "members"), ["a", {"id": "b"}],
+             "network.partitions[0].members[1]"),
+            (("network", "partitions", 0, "members"), [1], "network.partitions[0].members[0]"),
             (("operators", 0, "stake"), BIG),
             (("operators", 0, "resources"), BIG),
             (("tasks", 0, "resource_cap"), BIG),
