@@ -1,6 +1,6 @@
 """Domain model of node operators, tasks, and per-task allocations.
 
-Operators hold stake, a trust score, and capacity/resource budgets. Tasks
+Operators hold stake and a resource budget. Tasks
 carry linear cost rates, a shared resource cap, and per-operator gain
 tables. An operator's utility on a task combines a consensus score and a
 performance score, both logarithmic in the allocated units, minus linear
@@ -26,26 +26,20 @@ CAP_SLACK = 1e-6
 class _OperatorFields(NamedTuple):
     id: str
     stake: float
-    trust: float
-    capacity: float
     resources: float
 
 
 class OperatorState(CheckedRecord, _OperatorFields):
-    """An agent: identity, stake, trust, and working budgets."""
+    """An agent: identity, stake and resource budget."""
 
     __slots__ = ()
 
-    def __new__(cls, id, stake, trust=0.5, capacity=0.0, resources=0.0):
+    def __new__(cls, id, stake, resources=0.0):
         if not math.isfinite(stake) or stake < 0:
             raise DomainError(f"operator {id}: stake must be finite and >= 0")
-        if not math.isfinite(trust) or not 0.0 <= trust <= 1.0:
-            raise DomainError(f"operator {id}: trust must lie in [0, 1]")
-        if not math.isfinite(capacity) or capacity < 0:
-            raise DomainError(f"operator {id}: capacity must be finite and >= 0")
         if not math.isfinite(resources) or resources < 0:
             raise DomainError(f"operator {id}: resources must be finite and >= 0")
-        return tuple.__new__(cls, (id, stake, trust, capacity, resources))
+        return tuple.__new__(cls, (id, stake, resources))
 
 
 class _TaskFields(NamedTuple):

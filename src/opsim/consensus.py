@@ -53,18 +53,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CheckedRecord, DomainError
-from .trace import EventTrace, KeptHeight, TraceEvent
-
-# SHA-256 from CPython's built-in module where there is one: ``hashlib``
-# loads the OpenSSL backend, which costs a run about 4 MB of RSS and 4 ms of
-# import for the one hash opsim uses. The digest is the same either way.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
+from .trace import EventTrace, KeptHeight, TraceEvent, sha256
 
 # Base per-phase timeout in ticks; doubles every round.
 BASE_PHASE_TIMEOUT = 4
@@ -731,9 +720,10 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     it. Each kept event keeps its tick, kind, round and sender and takes
     the new ``height``, and each digest, which always starts with the kept
     batch digest (bare, ``!invalid`` or ``#forged:...``), takes the new
-    batch digest in place of that prefix; the outcome takes it too. The
-    replay joins ``trace`` as pending, and its events are built only when
-    they are read (see ``EventTrace``). This is exact. With no
+    batch digest in place of that prefix; the outcome takes it too.
+    ``KeptHeight.replay`` holds these rules: the replay joins ``trace`` as
+    pending, and its events are built only when they are read (see
+    ``EventTrace``). This is exact. With no
     generator, the height's path reads the digest only through ``==`` and
     as part of dict and set keys that nothing iterates, and the relabelling
     keeps every equality: all digests share one prefix of fixed length.
@@ -753,7 +743,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     digest = batch_digest(batch)
     key = None if network.draws else (network, max_rounds)
     if key in roster.replays:
-        return _replay(roster.replays[key], digest, height, trace)
+        return roster.replays[key].replay(trace, digest, height)
     start = len(trace.events)
     net = GossipNetwork(network, roster)
     ctx = _HeightContext(roster, digest, net, max_rounds, height, trace)
@@ -824,16 +814,6 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     if key is not None:
         roster.replays[key] = KeptHeight(digest, trace.events[start:], outcome)
     return outcome
-
-
-def _replay(kept: KeptHeight, digest: str, height: int, trace: EventTrace) -> RoundOutcome:
-    """Append the kept height to ``trace`` as a pending replay; return its outcome relabelled."""
-    trace.replay(kept, digest, height)
-    outcome = kept.outcome
-    if not outcome.committed:
-        return outcome
-    return outcome._replace(batch_digest=digest,
-                            signature=outcome.signature._replace(batch_digest=digest))
 
 
 def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:

@@ -17,13 +17,13 @@ import random
 from collections import Counter, defaultdict
 from pathlib import Path
 from operator import attrgetter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .agents import (AllocationVector, OperatorState, ScenarioWeights, TaskSpec,
                      evaluate_scores)
 from .allocation import hessian_stability, solve_allocation
 from .consensus import (Behavior, EventTrace, NetworkModel, PartitionSpec,
-                        Roster, ValidatorDescriptor, run_height, sha256)
+                        Roster, ValidatorDescriptor, run_height)
 from .errors import ConfigError, DomainError
 from .incentives import (EntryKind, EventKind, ReputationParams, SettlementEvent,
                          feedback_iterate, make_aggregation_report, settle, update_trust)
@@ -31,6 +31,7 @@ from .scenarios import (FAILURE_RATE_CONSTANT, PaymentMetrics, PaymentNodeParams
                         SequencerMetrics, SequencerRunLog, _payment_sections,
                         failure_probability, sequencer_metrics)
 from .scheduling import Schedule, apply_fallback, assign_windows, on_window_miss
+from .trace import TraceDigest, sha256
 
 SCENARIOS = ("sequencer", "payment")
 
@@ -424,23 +425,13 @@ def run_simulation(config: RunConfig) -> RunReport:
     stakes = {op.id: op.stake for op in config.operators}
     task_values = {t.id: t.value for t in config.tasks}
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
-
-    # The trace digest covers every line emitted, joined by "\n".
-    trace_hash = sha256()
-    separator = b""
-
-    def emit(line: str) -> None:
-        nonlocal separator
-        trace_hash.update(separator + line.encode())
-        separator = b"\n"
-
+    trace_digest = TraceDigest()
     epoch_reports: list[dict[str, Any]] = []
     totals = dict.fromkeys(_TOTALS.values(), 0.0)
 
     for epoch in range(config.epochs):
         agents = [
-            OperatorState(id=op.id, stake=stakes[op.id], trust=trusts[op.id],
-                          capacity=op.capacity, resources=op.resources)
+            OperatorState(id=op.id, stake=stakes[op.id], resources=op.resources)
             for op in operators
         ]
         tasks = _scaled_tasks(config.tasks, trusts)
@@ -452,7 +443,7 @@ def run_simulation(config: RunConfig) -> RunReport:
         # Submissions and faults are recorded once, as settlement events.
         events: list[SettlementEvent] = []
         window_records, height_records = _submissions(
-            config, operators, stakes, trusts, schedule, epoch, failure_rng, emit, events)
+            config, operators, stakes, trusts, schedule, epoch, failure_rng, trace_digest, events)
         epoch_end_tick = (epoch + 1) * horizon
         work = _score(agents, tasks, allocation, epoch_end_tick, events)
 
@@ -503,13 +494,13 @@ def run_simulation(config: RunConfig) -> RunReport:
 
     return RunReport(config=config.to_dict(), epochs=tuple(epoch_reports),
                      ledger_totals=dict(sorted(totals.items())),
-                     trace_digest=trace_hash.hexdigest())
+                     trace_digest=trace_digest.hash.hexdigest())
 
 
 def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                  stakes: Mapping[str, float], trusts: Mapping[str, float],
                  schedule: Schedule, epoch: int, failure_rng: random.Random,
-                 emit: Callable[[str], None],
+                 trace_digest: TraceDigest,
                  events: list[SettlementEvent]) -> tuple[list[dict], list[dict]]:
     """Each window's consensus height and submission draws; their events join ``events``."""
     # Stakes change only at settlement, so one roster serves the epoch.
@@ -528,7 +519,7 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
             trusts[operator_id], config.failure_rate_constant)
         kind = EventKind.MISS if missed else EventKind.SUBMIT_SUCCESS
         events.append(SettlementEvent(kind, operator_id, tick))
-        emit(f"{tick},{kinds[missed]},{height},{index},{operator_id},-")
+        trace_digest.submission(tick, kinds[missed], height, index, operator_id)
         return not missed
 
     for window_slot in range(len(schedule.windows)):
@@ -542,10 +533,7 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
             net = net._replace(rng_seed=fork_seed(config.seed, f"net:{epoch}:{index}"))
         outcome = run_height(validators, batch, net, config.max_rounds,
                              height=height, trace=height_trace)
-        # One update per height: the bytes equal one emit per line.
-        text = height_trace.text()
-        if text:
-            emit(text)
+        trace_digest.add(height_trace.text())
         height_records.append({
             "height": height,
             "window_index": index,
@@ -577,8 +565,8 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                                   ("fallback-submit", "unrecoverable-miss"))
                 record["fallback"] = {"operator": fallback.operator_id, "submitted": rescued}
             elif not submitted:
-                emit(f"{window_tick},unrecoverable-miss,{height},{index},"
-                     f"{window.operator_id},-")
+                trace_digest.submission(window_tick, "unrecoverable-miss", height, index,
+                                        window.operator_id)
         window_records.append(record)
     return window_records, height_records
 

@@ -1,22 +1,37 @@
 """The protocol event trace of consensus heights.
 
 An ``EventTrace`` collects ``TraceEvent``s in order, and reads them back as
-events, faults, decisions or the text lines that the run's trace digest
-covers. A height that ``run_height`` replays (see there) joins a trace as a
-pending replay of a ``KeptHeight``, the simulated height it repeats under a
-new height and batch digest. Its text is one fill of the kept height's
-template and its faults are the kept faults relabelled, so a trace whose
-events are never read never builds them.
+events, faults, decisions or text lines; a ``TraceDigest`` hashes those and
+the submission lines into the run's trace digest. A height that
+``run_height`` replays (see there) joins a trace as a pending replay of a
+``KeptHeight``, the simulated height it repeats under a new height and batch
+digest. Its text is one fill of the kept height's template and its faults
+are the kept faults relabelled, so a trace whose events are never read
+never builds them.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CheckedRecord, DomainError
 
 if TYPE_CHECKING:
     from .consensus import RoundOutcome
+
+# SHA-256 from CPython's built-in module, picked by version so no import searches in vain:
+# ``hashlib`` loads OpenSSL, about 4 MB of RSS and 4 ms of import. The digest is the same.
+if sys.version_info >= (3, 12):
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
+else:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class _TraceFields(NamedTuple):
@@ -58,8 +73,8 @@ class EventTrace:
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        # (kept height, batch digest, height) per pending replay, in order;
-        # they all come after every event in _events.
+        # (kept height, batch digest, height) per pending replay, in order,
+        # as KeptHeight.replay appends them; all come after every event in _events.
         self._replayed: list[tuple[KeptHeight, str, int]] = []
 
     def record(self, tick: int, kind: str, height: int, round_: int,
@@ -69,10 +84,6 @@ class EventTrace:
         event = TraceEvent(tick, kind, height, round_, sender, digest)
         self._events.append(event)
         return event
-
-    def replay(self, kept: KeptHeight, digest: str, height: int) -> None:
-        """Append ``kept`` as a pending replay at ``height`` over batch digest ``digest``."""
-        self._replayed.append((kept, digest, height))
 
     def _build(self) -> list[TraceEvent]:
         for kept, digest, height in self._replayed:
@@ -103,9 +114,25 @@ class EventTrace:
             kept.template.format(height, digest) for kept, digest, height in self._replayed])
 
 
-def _lines(events: list[TraceEvent]) -> list[str]:
+def _lines(events: list[tuple]) -> list[str]:
     return [f"{tick},{kind},{height},{round_},{sender},{digest or '-'}"
             for tick, kind, height, round_, sender, digest in events]
+
+
+class TraceDigest:
+    """SHA-256 of every text added, joined by newlines; empty text adds nothing."""
+
+    def __init__(self) -> None:
+        self.hash, self.separator = sha256(), b""
+
+    def add(self, text: str) -> None:
+        if text:
+            self.hash.update(self.separator + text.encode())
+            self.separator = b"\n"
+
+    def submission(self, tick: int, kind: str, height: int, round_: int, sender: str) -> None:
+        """Add the line of a submission event, which carries no digest."""
+        self.add(_lines([(tick, kind, height, round_, sender, None)])[0])
 
 
 def _escape(text: str) -> str:
@@ -116,10 +143,10 @@ def _escape(text: str) -> str:
 class KeptHeight:
     """A simulated height that ``run_height`` replays, with its batch digest and outcome.
 
-    Every digest in ``events`` starts with ``digest``. ``template`` holds
-    their lines as a ``str.format`` template whose field 0 is the height
-    and field 1 the batch digest; ``faults`` are the fault events, which
-    carry no digest.
+    ``replay`` and ``relabel`` give a replay's outcome and events. Every
+    digest in ``events`` starts with ``digest``. ``template`` holds their
+    lines as a ``str.format`` template whose field 0 is the height and field
+    1 the batch digest; ``faults`` are the fault events, which carry no digest.
     """
 
     __slots__ = ("digest", "events", "outcome", "template", "faults")
@@ -134,6 +161,16 @@ class KeptHeight:
         self.template = "\n".join([f"{tick},{kind},{{0}},{round_},{senders[sender]},{digests[d]}"
                                    for tick, kind, _, round_, sender, d in events])
         self.faults = [e for e in events if e.kind.startswith("fault:")]
+
+    def replay(self, trace: EventTrace, digest: str, height: int) -> RoundOutcome:
+        """Append to ``trace`` a pending replay at ``height`` over batch digest
+        ``digest``; return the kept outcome relabelled the same way."""
+        trace._replayed.append((self, digest, height))
+        outcome = self.outcome
+        if not outcome.committed:
+            return outcome
+        return outcome._replace(batch_digest=digest,
+                                signature=outcome.signature._replace(batch_digest=digest))
 
     def relabel(self, digest: str, height: int) -> list[TraceEvent]:
         """The kept events with ``height``, and ``digest`` in place of the kept one."""

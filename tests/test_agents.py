@@ -21,10 +21,6 @@ class TestTypes:
     def test_operator_invariants(self):
         with pytest.raises(DomainError):
             OperatorState(id="x", stake=-1.0)
-        with pytest.raises(DomainError):
-            OperatorState(id="x", stake=1.0, trust=1.5)
-        with pytest.raises(DomainError):
-            OperatorState(id="x", stake=1.0, capacity=-2.0)
 
     def test_weights_invariants(self):
         with pytest.raises(DomainError):

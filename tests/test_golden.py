@@ -10,16 +10,20 @@ numbers re-pins them on purpose too.
 
 The benchmark's workloads are pinned too: ``bench/digests.json`` holds the
 trace digest of each of them at seeds 0 to 19, and every one is rerun here.
+A whole run is also checked to digest exactly its chunks: each height's
+trace text, replayed or not, and the submission lines.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from bench_inputs import PINS, WORKLOADS
-from opsim import load_config, run_simulation, write_report
+from opsim import harness, load_config, run_simulation, write_report
+from opsim.trace import KeptHeight, TraceDigest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,3 +87,51 @@ def test_every_workload_is_pinned_at_twenty_seeds():
 def test_benchmark_digest_is_pinned(workload, seed):
     report = run_simulation(load_config(WORKLOADS.config_text(workload, int(seed))))
     assert report.trace_digest == PINS[workload][seed]
+
+
+SUBMISSION_LINE = re.compile(
+    r"\d+,(submit|window-miss|fallback-submit|unrecoverable-miss),\d+,\d+,[^,\n]+,-")
+
+
+# sequencer.json draws from its network, so every height is simulated; the
+# others replay: payment.json 8 of its 12 heights, payment-econ 32 of 48 and
+# roster-wide 15 of 16.
+@pytest.mark.parametrize("source, replayed", [
+    pytest.param(str(CONFIGS / "sequencer.json"), 0, id="sequencer.json"),
+    pytest.param(str(CONFIGS / "payment.json"), 8, id="payment.json"),
+    pytest.param(WORKLOADS.config_text("payment-econ", 0), 32, id="payment-econ-0"),
+    pytest.param(WORKLOADS.config_text("roster-wide", 0), 15, id="roster-wide-0"),
+])
+def test_trace_digest_is_exactly_its_chunks(source, replayed, monkeypatch):
+    # Each height's chunk, a template fill where it was replayed, must be
+    # the lines of its events built in full, and the digest must be SHA-256
+    # of the chunks joined by newlines: nothing else goes into it.
+    chunks, heights, replays = [], [], []
+    run_height, add, replay = harness.run_height, TraceDigest.add, KeptHeight.replay
+
+    def keep_height(*args, trace, **kwargs):
+        outcome = run_height(*args, trace=trace, **kwargs)
+        heights.append((len(chunks), trace))  # its chunk is the next one added
+        return outcome
+
+    def keep_chunk(self, text):
+        chunks.append(text)
+        add(self, text)
+
+    def keep_replay(self, *args):
+        replays.append(args)
+        return replay(self, *args)
+
+    monkeypatch.setattr(harness, "run_height", keep_height)
+    monkeypatch.setattr(TraceDigest, "add", keep_chunk)
+    monkeypatch.setattr(KeptHeight, "replay", keep_replay)
+    report = run_simulation(load_config(source))
+    assert len(heights) == sum(len(epoch["heights"]) for epoch in report.epochs)
+    assert len(replays) == replayed
+    for index, trace in heights:
+        assert chunks[index] == "\n".join(trace.to_lines())
+    height_chunks = {index for index, _ in heights}
+    others = [chunk for i, chunk in enumerate(chunks) if i not in height_chunks]
+    assert others and all(SUBMISSION_LINE.fullmatch(chunk) for chunk in others)
+    joined = "\n".join(chunk for chunk in chunks if chunk)
+    assert hashlib.sha256(joined.encode()).hexdigest() == report.trace_digest

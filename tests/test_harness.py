@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import shutil
@@ -1065,6 +1066,31 @@ def test_run_path_never_loads_openssl():
     if builtin == "[]":
         pytest.skip("this Python has no built-in SHA-256 module")
     assert loaded == "False", f"_hashlib loaded although {builtin} can be imported"
+
+
+def test_import_never_searches_for_the_other_versions_sha256_module():
+    # opsim.trace picks its built-in SHA-256 module by version, _sha2 from
+    # 3.12 and _sha256 before, since a search for the missing one walks all
+    # of sys.path. A finder placed first records every module searched for.
+    script = ("import sys\n"
+              "searched = []\n"
+              "class Recorder:\n"
+              "    @staticmethod\n"
+              "    def find_spec(name, path=None, target=None):\n"
+              "        searched.append(name)\n"
+              "sys.meta_path.insert(0, Recorder)\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import opsim.trace\n"
+              "print(opsim.trace.sha256.__module__, *searched)\n")
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "src")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    module, *searched = result.stdout.split()
+    assert "opsim.trace" in searched
+    wanted, other = ("_sha2", "_sha256") if sys.version_info >= (3, 12) else ("_sha256", "_sha2")
+    assert other not in searched
+    # The hashlib fallback serves a Python without the built-in module.
+    assert module == wanted or importlib.util.find_spec(wanted) is None, module
 
 
 def test_run_path_never_loads_dataclasses_or_inspect():

@@ -16,7 +16,7 @@ from opsim.incentives import EntryKind
 
 # Each record's constructor parameters in order; "=value" gives the repr of a default.
 SIGNATURES = {
-    OperatorState: "id stake trust=0.5 capacity=0.0 resources=0.0",
+    OperatorState: "id stake resources=0.0",
     TaskSpec: "id cost_rate=0.0 corruption_rate=0.0 resource_cap=0.0 consensus_gain=None "
               "performance_gain=None value=0.0",
     ScenarioWeights: "w1=1.0 w2=1.0",
