@@ -1,4 +1,4 @@
-"""End-to-end orchestration: load a config, run epochs, emit reports.
+"""End-to-end orchestration: load a config, run epochs, write reports.
 
 Every epoch runs the full pipeline: solve the task allocation with
 trust-scaled gains, assign submission windows by reputation, run one
