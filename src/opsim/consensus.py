@@ -286,7 +286,6 @@ class GossipNetwork:
         # Every precommit entry queued, in queue order; the certificate's source.
         self.precommits: list[tuple[TraceEvent, Sequence[str]]] = []
         self._seq = 0
-        self._pending = 0
         self._last_tick = -1
 
     def broadcast(self, message: TraceEvent,
@@ -341,7 +340,6 @@ class GossipNetwork:
         if group:
             heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
             self._seq += 1
-            self._pending += len(group)
             if message.kind == "precommit":
                 self.precommits.append((message, group))
 
@@ -361,13 +359,12 @@ class GossipNetwork:
         while queue and queue[0][0] <= tick:
             _, _, message, group = heapq.heappop(queue)
             delivered.append((message, group))
-            self._pending -= len(group)
         return delivered
 
     @property
     def pending(self) -> int:
         """Deliveries queued and not yet stepped out."""
-        return self._pending
+        return sum(len(entry[3]) for entry in self._queue)
 
     @property
     def next_tick(self) -> int | None:
@@ -412,6 +409,11 @@ class _HeightContext:
     def proposer(self, round_: int) -> ValidatorDescriptor:
         return self.roster.by_stake[round_ % len(self.roster)]
 
+    def record(self, tick: int, kind: str, round_: int, sender: str,
+               digest: str | None = None) -> None:
+        """Record an event of this height that is not a message."""
+        self.trace.record(tick, kind, self.height, round_, sender, digest)
+
     def send(self, tick: int, kind: str, round_: int, sender: str, digest: str | None,
              recipients: Iterable[str] | None = None) -> None:
         """Record a message as a trace event and broadcast that event."""
@@ -453,9 +455,11 @@ class _HonestNode:
         three. ``run_height`` hands messages only to listening nodes, so no
         done node tallies; the certificate comes from the network's record.
         The loop stays inlined because sending each delivery through ``_tally``
-        is slower: medians of 5 alternating 3 s in-process runs at seed 0 (a
-        2-vCPU VM, CPython 3.11) rose from 42.45 to 43.18 ms (+1.7%) on
-        byzantine-lossy and from 4.28 to 4.30 ms (+0.4%) on payment-econ.
+        is slower on byzantine-lossy: 62.6 to 63.9 ms (+2.1%), slower in 203
+        of 300 pairs. Payment-econ read 5.53 to 5.55 ms, within its noise.
+        Each figure is the median over 10 processes of the median of
+        alternating in-process runs at seed 0 (30 pairs a process on
+        byzantine-lossy, 60 on payment-econ; a 2-vCPU VM, CPython 3.11).
         """
         round_ = message.round
         if message.kind == "proposal":
@@ -557,14 +561,7 @@ class _HonestNode:
         woken.update((node.id, node) for node in changed)
         woken.pop(voter, None)
         for vid in sorted(woken):
-            node = woken[vid]
-            if not node.done:
-                node._evaluate(tick)
-
-    def on_tick(self, tick: int) -> None:
-        # run_height wakes only due, unfinished nodes; this serves the tick-by-tick oracle.
-        if not self.done:
-            self._evaluate(tick)
+            woken[vid]._evaluate(tick)
 
     def _set_timer(self, due: int) -> None:
         """Fire the phase timer at tick ``due``; ``next_due`` is meaningless once done."""
@@ -583,43 +580,36 @@ class _HonestNode:
         digest = self.ctx.digest
         if self.d.behavior is Behavior.INVALID_PROPOSER:
             digest = f"{self.ctx.digest}!invalid"
-            self.ctx.trace.record(tick, "fault:invalid-proposal", self.ctx.height,
-                                  self.round, self.id, None)
+            self.ctx.record(tick, "fault:invalid-proposal", self.round, self.id)
         self.proposals.setdefault(self.round, digest)
         self.ctx.send(tick, "proposal", self.round, self.id, digest)
 
     def _evaluate(self, tick: int) -> None:
-        while True:
-            phase_before = (self.round, self.phase)
-            if self.phase == "propose":
-                self._evaluate_propose(tick)
-            elif self.phase == "prevote":
-                self._evaluate_prevote(tick)
-            elif self.phase == "precommit":
-                self._evaluate_precommit(tick)
-            if (self.round, self.phase) == phase_before or self.done:
+        """Take every step of Algorithm 1 that the state allows at ``tick``; a done node takes none."""
+        digest = self.ctx.digest
+        while not self.done:
+            phase, round_ = self.phase, self.round
+            proposal = self.proposals.get(round_)
+            due = tick >= self.next_due
+            if phase == "propose":
+                if proposal is None and not due:
+                    return
+                self._cast("prevote", digest if proposal == digest else None, tick)
+            elif proposal == digest and (phase, round_, digest) in self.quorums:
+                if phase == "prevote":
+                    self._cast("precommit", digest, tick)
+                else:
+                    self._decide(tick)
+            elif (phase, round_, None) in self.quorums or due:
+                if phase == "prevote":
+                    self._cast("precommit", None, tick)
+                else:
+                    self._advance(tick)
+            else:
                 return
 
-    def _evaluate_propose(self, tick: int) -> None:
-        digest = self.proposals.get(self.round)
-        if digest is not None:
-            self._cast("prevote", digest if digest == self.ctx.digest else None, tick)
-        elif tick >= self.next_due:
-            self._cast("prevote", None, tick)
-
-    def _evaluate_prevote(self, tick: int) -> None:
-        validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and ("prevote", self.round, self.ctx.digest) in self.quorums:
-            self._cast("precommit", self.ctx.digest, tick)
-        elif ("prevote", self.round, None) in self.quorums or tick >= self.next_due:
-            self._cast("precommit", None, tick)
-
-    def _evaluate_precommit(self, tick: int) -> None:
-        validated = self.proposals.get(self.round) == self.ctx.digest
-        if validated and ("precommit", self.round, self.ctx.digest) in self.quorums:
-            self._decide(tick)
-        elif ("precommit", self.round, None) in self.quorums or tick >= self.next_due:
-            self._advance(tick)
+    # run_height wakes only due, unfinished nodes; the tick-by-tick oracle wakes every node.
+    on_tick = _evaluate
 
     def _cast(self, kind: str, digest: str | None, tick: int) -> None:
         """Vote ``kind`` (also the phase it enters) for ``digest`` in this round."""
@@ -633,8 +623,7 @@ class _HonestNode:
         if self.ctx.first_decision is None:
             # A node decides in its precommit phase: its last vote is that precommit.
             self.ctx.first_decision = (tick, self.round, self.id, self.vote == self.ctx.digest)
-        self.ctx.trace.record(tick, "commit", self.ctx.height, self.round,
-                              self.id, self.ctx.digest)
+        self.ctx.record(tick, "commit", self.round, self.id, self.ctx.digest)
 
     def _advance(self, tick: int) -> None:
         self.round += 1
@@ -643,8 +632,7 @@ class _HonestNode:
             return
         self.phase = "propose"
         self._set_timer(tick + phase_timeout(self.round))
-        self.ctx.trace.record(tick, "round-start", self.ctx.height, self.round,
-                              self.id, None)
+        self.ctx.record(tick, "round-start", self.round, self.id)
         self._maybe_propose(tick)
 
 
@@ -673,8 +661,7 @@ class _EquivocatingNode:
             return
         if self.stage == "enter":
             if self.round == 0:
-                self.ctx.trace.record(tick, "fault:equivocation", self.ctx.height,
-                                      self.round, self.id, None)
+                self.ctx.record(tick, "fault:equivocation", self.round, self.id)
             if self.ctx.proposer(self.round).id == self.id:
                 self._split_send("proposal", tick)
             self._split_send("prevote", tick)
@@ -761,9 +748,11 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     # other validator in one entry, so it can be tallied once per key
     # instead of once per node. A shared entry has a fixed cost: on lossless
     # heights, sharing took 1.01x the unshared time at 8 validators, 0.97x at
-    # 9, 0.87x at 12 and 0.58x at 32, and sharing at 3 makes payment-econ 12%
-    # slower (4.28 to 4.78 ms in-process; a 2-vCPU VM, CPython 3.11), hence
-    # the cut-off. Every node but an equivocator listens.
+    # 9, 0.87x at 12 and 0.58x at 32, and sharing at 3 makes payment-econ 6.6%
+    # slower, hence the cut-off. That read 4.66 to 4.96 ms, slower in 482 of
+    # 600 pairs: the median over 10 processes of the median of 60 alternating
+    # in-process runs at seed 0 (a 2-vCPU VM, CPython 3.11). Every node but
+    # an equivocator listens.
     sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
                and not network.draws and not network.partition_schedule)
 
@@ -825,7 +814,7 @@ def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:
     """
     for v in ctx.roster.by_id:
         if v.behavior is Behavior.SILENT:
-            ctx.trace.record(end_tick, "fault:non-participation", ctx.height, 0, v.id, None)
+            ctx.record(end_tick, "fault:non-participation", 0, v.id)
 
     if ctx.first_decision is not None:
         decide_tick, decided_round, decider, own = ctx.first_decision
@@ -838,6 +827,6 @@ def _finish_height(ctx: _HeightContext, end_tick: int) -> RoundOutcome:
                                         math.fsum(map(ctx.stakes.get, signers)), ctx.total_stake)
         return RoundOutcome(committed=True, batch_digest=ctx.digest, signature=signature,
                             rounds_used=decided_round + 1, ticks_elapsed=decide_tick)
-    ctx.trace.record(end_tick, "no-commit", ctx.height, ctx.max_rounds - 1, "-", None)
+    ctx.record(end_tick, "no-commit", ctx.max_rounds - 1, "-")
     return RoundOutcome(committed=False, batch_digest=None, signature=None,
                         rounds_used=ctx.max_rounds, ticks_elapsed=end_tick)

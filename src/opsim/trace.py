@@ -156,10 +156,9 @@ class KeptHeight:
         # The line of each event as _lines writes it, with field 0 in place
         # of the height and field 1 in place of the batch digest.
         n = len(digest)
-        senders = {s: _escape(s) for s in {e.sender for e in events}}
-        digests = {d: "{1}" + _escape(d[n:]) if d else "-" for d in {e.digest for e in events}}
-        self.template = "\n".join([f"{tick},{kind},{{0}},{round_},{senders[sender]},{digests[d]}"
-                                   for tick, kind, _, round_, sender, d in events])
+        self.template = "\n".join(_lines([
+            (tick, kind, "{0}", round_, _escape(sender), d and "{1}" + _escape(d[n:]))
+            for tick, kind, _, round_, sender, d in events]))
         self.faults = [e for e in events if e.kind.startswith("fault:")]
 
     def replay(self, trace: EventTrace, digest: str, height: int) -> RoundOutcome:

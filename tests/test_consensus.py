@@ -520,6 +520,78 @@ class TestLiveness:
             assert outcome.rounds_used <= 10
 
 
+# The honest step of Algorithm 1 (Buchman, Kwon and Milosevic, arXiv:1807.04938)
+# at round 0, written out as rows of (phase, proposals, quorum keys, timer due,
+# events): a node in the phase whose round-0 proposal, keys in quorums and
+# timer match the row records the row's (kind, digest) events in one
+# evaluation; the first matching row wins. The batch digest is "d" and "x" is
+# another digest. A key set names the phase's keys present: in prevote and
+# precommit that phase's, in propose the prevote keys, which the node reads
+# once it has prevoted. A vote resets the timer, so a step after a vote needs
+# a quorum; so does one after advancing, as the node does not propose in round 1.
+PROPOSALS, KEY_SETS, DUE = (None, "d", "x"), ("batch", "nil", "both", "neither"), (True, False)
+STEP_TABLE = [
+    ("propose", {None}, KEY_SETS, {False}, []),
+    ("propose", {None, "x"}, {"nil", "both"}, DUE, [("prevote", None), ("precommit", None)]),
+    ("propose", {None, "x"}, {"batch", "neither"}, DUE, [("prevote", None)]),
+    ("propose", {"d"}, {"batch", "both"}, DUE, [("prevote", "d"), ("precommit", "d")]),
+    ("propose", {"d"}, {"nil"}, DUE, [("prevote", "d"), ("precommit", None)]),
+    ("propose", {"d"}, {"neither"}, DUE, [("prevote", "d")]),
+    ("prevote", {"d"}, {"batch", "both"}, DUE, [("precommit", "d")]),
+    ("prevote", PROPOSALS, {"nil", "both"}, DUE, [("precommit", None)]),
+    ("prevote", PROPOSALS, KEY_SETS, {True}, [("precommit", None)]),
+    ("prevote", PROPOSALS, KEY_SETS, {False}, []),
+    ("precommit", {"d"}, {"batch", "both"}, DUE, [("commit", "d")]),
+    ("precommit", PROPOSALS, {"nil", "both"}, DUE, [("round-start", None)]),
+    ("precommit", PROPOSALS, KEY_SETS, {True}, [("round-start", None)]),
+    ("precommit", PROPOSALS, KEY_SETS, {False}, []),
+]
+
+
+def step_node(phase, proposal, key_set, due, tick=10):
+    """v2 of 4 equal lossless validators, set to round 0 in ``phase``, and its trace.
+
+    v2 proposes in neither round 0 nor round 1.
+    """
+    validators = make_validators(["honest"] * 4)
+    trace = EventTrace()
+    ctx = consensus._HeightContext(validators, "d", GossipNetwork(LOSSLESS, validators),
+                                   2, 0, trace)
+    node = consensus._HonestNode(validators[2], ctx)
+    assert ctx.proposer(0).id != node.id != ctx.proposer(1).id
+    node.phase, node.vote = phase, None
+    if proposal is not None:
+        node.proposals[0] = proposal
+    kind = "prevote" if phase == "propose" else phase
+    digests = {"batch": ["d"], "nil": [None], "both": ["d", None], "neither": []}[key_set]
+    node.quorums = {(kind, 0, digest) for digest in digests}
+    node.next_due = tick if due else tick + 1
+    return node, trace
+
+
+class TestStep:
+    @pytest.mark.parametrize("phase, proposal, key_set, due", itertools.product(
+        ("propose", "prevote", "precommit"), PROPOSALS, KEY_SETS, DUE))
+    def test_one_evaluation_takes_the_tabled_steps(self, phase, proposal, key_set, due):
+        expected = next(events for row_phase, proposals, key_sets, dues, events in STEP_TABLE
+                        if row_phase == phase and proposal in proposals
+                        and key_set in key_sets and due in dues)
+        node, trace = step_node(phase, proposal, key_set, due)
+        node._evaluate(10)
+        assert [(e.kind, e.digest) for e in trace.events] == expected
+        assert node.done == (expected == [("commit", "d")])
+
+    @pytest.mark.parametrize("wake", ["_evaluate", "on_tick"])
+    def test_a_done_node_takes_no_step(self, wake):
+        # Every step would be open to it: a batch proposal, both quorums and a due timer.
+        for phase in ("propose", "prevote", "precommit"):
+            node, trace = step_node(phase, "d", "both", True)
+            node._finish()
+            getattr(node, wake)(10)
+            assert trace.events == []
+            assert (node.phase, node.round) == ("done", 0)
+
+
 @contextmanager
 def recorded(cls, method):
     """Patch ``cls.method`` to also record (self, args, result); yield the records.

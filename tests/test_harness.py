@@ -504,6 +504,36 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+def silent_minority_doc(stakes, latencies, share):
+    """A lossless honest roster with ``stakes`` and ``latencies``, and one silent operator.
+
+    The silent operator starts with ``share`` of the stake. It has gains of
+    0 and there is no submission fee, so it earns nothing. ``max_rounds`` 8
+    lets the doubled phase timeouts outgrow every latency, and no window is
+    missed.
+    """
+    operators = [{"id": f"op-{i}", "stake": stake, "region_latency": latency}
+                 for i, (stake, latency) in enumerate(zip(stakes, latencies))]
+    operators.append({"id": "op-silent", "behavior": "silent",
+                      "stake": share / (1.0 - share) * math.fsum(stakes)})
+    gains = {op["id"]: 0.0 if op["id"] == "op-silent" else 1.0 for op in operators}
+    return {"scenario": "sequencer", "epochs": 4, "max_rounds": 8,
+            "failure_rate_constant": 0.0, "schedule": {"windows_per_epoch": 4},
+            "incentives": {"submit_fee": 0.0}, "operators": operators,
+            "tasks": [{"id": "t", "resource_cap": 10.0, "consensus_gain": gains,
+                       "performance_gain": gains}]}
+
+
+@st.composite
+def silent_minority_docs(draw):
+    """``silent_minority_doc`` of 4-9 honest operators with latencies 0-2, the silent
+    share in [0.30, 0.40], around the third that stalls the 2/3 rule."""
+    n = draw(st.integers(4, 9))
+    return silent_minority_doc(draw(st.lists(st.floats(50.0, 150.0), min_size=n, max_size=n)),
+                               draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                               draw(st.floats(0.30, 0.40)))
+
+
 class TestRunSimulation:
     def test_identical_runs_byte_identical(self):
         config = load_config(BASIC)
@@ -563,6 +593,27 @@ class TestRunSimulation:
             == [0, 4, 4, 4, 4, 4]
         assert shares[0] == pytest.approx(160 / 460)
         assert all(later < earlier for earlier, later in zip(shares, shares[1:]))
+        assert all(later < earlier for earlier, later in zip(silent, silent[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=silent_minority_docs())
+    @example(doc=silent_minority_doc([100.0] * 4, [0, 1, 2, 1], 0.30))
+    @example(doc=silent_minority_doc([100.0] * 4, [0, 1, 2, 1], 0.40))
+    def test_each_epoch_commits_exactly_when_its_honest_stake_is_a_quorum(self, doc):
+        # The open part of the incentive-loop check, on drawn rosters: an
+        # epoch commits all its heights when the honest stake passes
+        # quorum_met against the total of its starting stakes, and none
+        # otherwise; settlement slashes the silent stake every epoch.
+        report = run_simulation(load_config(json.dumps(doc)))
+        stakes = {op["id"]: op["stake"] for op in doc["operators"]}
+        silent = []
+        for epoch in report.epochs:
+            honest = math.fsum(stake for op, stake in stakes.items() if op != "op-silent")
+            quorum = quorum_met(honest, math.fsum(stakes.values()))
+            assert [h["committed"] for h in epoch["heights"]] == [quorum] * 4
+            silent.append(stakes["op-silent"])
+            stakes = epoch["stakes"]
+        silent.append(stakes["op-silent"])
         assert all(later < earlier for earlier, later in zip(silent, silent[1:]))
 
     def test_all_success_monotone_stakes_and_trust(self):
