@@ -265,9 +265,10 @@ class GossipNetwork:
     with the model's probability, and cuts it when a partition separates
     sender and recipient at that tick. Draws go recipient by recipient in id
     order. The recipients one broadcast reaches at one tick share a queue
-    entry that lists them in id order, and entries are numbered in
-    deliver-tick order, so ``step`` hands out (message, recipients) entries
-    in (deliver tick, broadcast) order. ``precommits`` records each precommit
+    entry that lists them in id order. Entries wait in one bucket per
+    deliver tick, in push order, and a heap holds the distinct ticks that
+    have a bucket, so ``step`` hands out (message, recipients) entries in
+    (deliver tick, broadcast) order. ``precommits`` records each precommit
     entry as it is queued. A lossless, jitter-free network delivers every
     recipient at the same tick, draws nothing and has no generator.
     Identical seed and call sequence yield an identical delivery trace.
@@ -275,17 +276,22 @@ class GossipNetwork:
 
     def __init__(self, model: NetworkModel, validators: Sequence[ValidatorDescriptor]):
         roster = Roster(validators)
-        self._model = model
         self._latency = roster.latency
         self._others = roster.others
         self._draws = model.draws
         self._partitions = model.partition_schedule
-        self._rng = random.Random(model.rng_seed) if self._draws else None
-        # (deliver tick, seq, message, recipients in id order)
-        self._queue: list[tuple[int, int, TraceEvent, Sequence[str]]] = []
+        if self._draws:
+            rng = random.Random(model.rng_seed)
+            self._bound = model.latency_jitter + 1
+            self._bits = self._bound.bit_length()
+            self._drop = model.drop_probability
+            self._getrandbits, self._uniform = rng.getrandbits, rng.random
+        # Deliver tick -> its (message, recipients in id order) entries in push order.
+        self._buckets: dict[int, list[tuple[TraceEvent, Sequence[str]]]] = {}
+        # Heap of the distinct deliver ticks in _buckets.
+        self._ticks: list[int] = []
         # Every precommit entry queued, in queue order; the certificate's source.
         self.precommits: list[tuple[TraceEvent, Sequence[str]]] = []
-        self._seq = 0
         self._last_tick = -1
 
     def broadcast(self, message: TraceEvent,
@@ -306,22 +312,13 @@ class GossipNetwork:
         if not self._draws:
             self._push(send_tick, message, targets)
             return
-        for jitter, group in enumerate(self._draw(targets)):
-            if group:
-                self._push(send_tick + jitter, message, group)
-
-    def _draw(self, targets: Sequence[str]) -> list[list[str]]:
-        """Per jitter value, the recipients that draw it and survive their drop draw.
-
-        Each recipient draws its jitter, then its drop. The jitter draw is
-        ``Random.randint(0, latency_jitter)`` written out as CPython's
-        ``_randbelow_with_getrandbits`` (3.10 to 3.13), so it consumes the
-        stream exactly as ``randint`` does.
-        """
-        bound = self._model.latency_jitter + 1
-        bits = bound.bit_length()
-        drop = self._model.drop_probability
-        getrandbits, uniform = self._rng.getrandbits, self._rng.random
+        # Per jitter value, the recipients that draw it and survive their
+        # drop draw. Each recipient draws its jitter, then its drop. The
+        # jitter draw is ``Random.randint(0, latency_jitter)`` written out as
+        # CPython's ``_randbelow_with_getrandbits`` (3.10 to 3.13), so it
+        # consumes the stream exactly as ``randint`` does.
+        bound, bits, drop = self._bound, self._bits, self._drop
+        getrandbits, uniform = self._getrandbits, self._uniform
         groups: list[list[str]] = [[] for _ in range(bound)]
         for recipient in targets:
             jitter = getrandbits(bits)
@@ -329,7 +326,9 @@ class GossipNetwork:
                 jitter = getrandbits(bits)
             if uniform() >= drop:
                 groups[jitter].append(recipient)
-        return groups
+        for jitter, group in enumerate(groups):
+            if group:
+                self._push(send_tick + jitter, message, group)
 
     def _push(self, deliver_tick: int, message: TraceEvent, group: Sequence[str]) -> None:
         # Only recipients on the sender's side of every partition in force stay.
@@ -338,8 +337,12 @@ class GossipNetwork:
                 side = message.sender in members
                 group = [r for r in group if (r in members) == side]
         if group:
-            heapq.heappush(self._queue, (deliver_tick, self._seq, message, group))
-            self._seq += 1
+            bucket = self._buckets.get(deliver_tick)
+            if bucket is None:
+                self._buckets[deliver_tick] = [(message, group)]
+                heapq.heappush(self._ticks, deliver_tick)
+            else:
+                bucket.append((message, group))
             if message.kind == "precommit":
                 self.precommits.append((message, group))
 
@@ -347,29 +350,33 @@ class GossipNetwork:
         """(message, recipients) entries due at or before ``tick``; ticks must not decrease.
 
         Recipients are in id order and never empty. ``run_height`` steps only at
-        event ticks, so one step may cover several ticks; a delivery due at a
-        tick already stepped comes out at the next step. Once nobody listens,
-        ``run_height`` stops stepping; what is in flight then is never handed out.
+        event ticks, so one step may cover several ticks: it pops their buckets
+        in tick order. A delivery due at a tick already stepped opens a fresh
+        bucket there, which comes out at the next step, ahead of later ticks.
+        Once nobody listens, ``run_height`` stops stepping; what is in flight
+        then is never handed out.
         """
         if tick < self._last_tick:
             raise DomainError("gossip steps must use non-decreasing ticks")
         self._last_tick = tick
-        queue = self._queue
-        delivered: list[tuple[TraceEvent, Sequence[str]]] = []
-        while queue and queue[0][0] <= tick:
-            _, _, message, group = heapq.heappop(queue)
-            delivered.append((message, group))
+        ticks = self._ticks
+        if not ticks or ticks[0] > tick:
+            return []
+        buckets = self._buckets
+        delivered = buckets.pop(heapq.heappop(ticks))
+        while ticks and ticks[0] <= tick:
+            delivered += buckets.pop(heapq.heappop(ticks))
         return delivered
 
     @property
     def pending(self) -> int:
         """Deliveries queued and not yet stepped out."""
-        return sum(len(entry[3]) for entry in self._queue)
+        return sum(len(group) for bucket in self._buckets.values() for _, group in bucket)
 
     @property
     def next_tick(self) -> int | None:
-        """Deliver tick at the head of the queue, or None when it is empty."""
-        return self._queue[0][0] if self._queue else None
+        """Earliest deliver tick queued, or None when nothing is."""
+        return self._ticks[0] if self._ticks else None
 
 
 def phase_timeout(round_: int) -> int:
@@ -710,13 +717,14 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     batch digest in place of that prefix; the outcome takes it too.
     ``KeptHeight.replay`` holds these rules: the replay joins ``trace`` as
     pending, and its events are built only when they are read (see
-    ``EventTrace``). This is exact. With no
-    generator, the height's path reads the digest only through ``==`` and
-    as part of dict and set keys that nothing iterates, and the relabelling
-    keeps every equality: all digests share one prefix of fixed length.
-    Heap entries never compare messages, since each ``seq`` is unique, and
-    ``height`` is only a label. So the relabelled height is the one a fresh
-    simulation would give. A drawing network is always simulated.
+    ``EventTrace``). This is exact. With no generator, the height's path
+    reads the digest only through ``==`` and as part of dict and set keys
+    that nothing iterates, and the relabelling keeps every equality: all
+    digests share one prefix of fixed length. The gossip queue never
+    compares messages: it orders its buckets by deliver tick and keeps
+    each in push order. ``height`` is only a label. So the relabelled
+    height is the one a fresh simulation would give. A drawing network is
+    always simulated.
     """
     roster = Roster(validators)
     if not batch:
@@ -756,23 +764,21 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
                and not network.draws and not network.partition_schedule)
 
-    def stale(due: int, vid: str) -> bool:
-        """True for a timer entry whose node is done or has set another timer since."""
-        node = nodes[vid]
-        return node.done or node.next_due != due
-
     for node in list(listening.values()):
         node.start(0)
 
     # Next-event time advance: at a tick where no delivery is due and no
     # timer fires, every node would do nothing, so jump to the earliest tick
     # where one does, and there wake, in id order, only the nodes whose timer
-    # entry is due and not stale. Deliveries come before timers within a
-    # tick, and a message sent while tick t is processed is stepped at t + 1
-    # at the earliest, so one node's wake cannot make another's entry stale.
-    # A timer set for the very tick it is set at (an equivocator's, as it
+    # entry is due and not stale: a stale entry's node is done or has set
+    # another timer since. Deliveries come before timers within a tick, and
+    # a message sent while tick t is processed is stepped at t + 1 at the
+    # earliest, so one node's wake cannot make another's entry stale. A
+    # timer set for the very tick it is set at (an equivocator's, as it
     # enters a round) is popped at the next tick. Stale heads are purged
     # before the jump; a listening node always holds a live entry.
+    receive, share, listening_get = _HonestNode.receive, _HonestNode.share, listening.get
+    heappop = heapq.heappop
     tick = 0
     while True:
         due_nodes = None
@@ -781,23 +787,28 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
                 if due_nodes is None:
                     due_nodes = ([node for node in listening.values() if node.next_due <= tick]
                                  if timers[0][0] <= tick else [])
-                _HonestNode.share(ctx, message, listening, tick, due_nodes)
+                share(ctx, message, listening, tick, due_nodes)
             else:
-                _HonestNode.receive(ctx, message,
-                                    filter(None, map(listening.get, recipients)), tick)
-        woken = set()
-        while timers and timers[0][0] <= tick:
-            entry = heapq.heappop(timers)
-            if not stale(*entry):
-                woken.add(entry[1])
-        for vid in sorted(woken):
-            nodes[vid].on_tick(tick)
+                receive(ctx, message, filter(None, map(listening_get, recipients)), tick)
+        if timers and timers[0][0] <= tick:
+            woken = set()
+            while timers and timers[0][0] <= tick:
+                due, vid = heappop(timers)
+                node = nodes[vid]
+                if not (node.done or node.next_due != due):
+                    woken.add(vid)
+            for vid in sorted(woken):
+                nodes[vid].on_tick(tick)
         if not listening:
             break
-        while stale(*timers[0]):
-            heapq.heappop(timers)
-        due = timers[0][0] if net.next_tick is None else min(timers[0][0], net.next_tick)
-        tick = max(tick + 1, due)
+        due, vid = timers[0]
+        while nodes[vid].done or nodes[vid].next_due != due:
+            heappop(timers)
+            due, vid = timers[0]
+        next_tick = net.next_tick
+        if next_tick is not None and next_tick < due:
+            due = next_tick
+        tick = due if due > tick else tick + 1
 
     outcome = _finish_height(ctx, tick)
     if key is not None:

@@ -296,8 +296,7 @@ class ReferenceNode(_HonestNode):
                     node.proposals.setdefault(message.round, message.digest)
             else:
                 node._hear((message.kind, message.round, message.digest), message.sender)
-            if not node.done:
-                node._evaluate(tick)
+            node._evaluate(tick)
 
     def _tally(self, key, units):
         # ``_HonestNode._cast`` tallies the node's own vote; the units it

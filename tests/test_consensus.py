@@ -222,6 +222,55 @@ class TestGossip:
             assert net.next_tick == oracle.next_tick
         assert net.pending == 0
 
+    @staticmethod
+    def lossless_net(*latencies):
+        """A lossless network over v0, v1, ... with these region latencies."""
+        return GossipNetwork(LOSSLESS, [ValidatorDescriptor(f"v{i}", 10.0, region_latency=latency)
+                                        for i, latency in enumerate(latencies)])
+
+    @staticmethod
+    def listed(entries):
+        return [(message, list(group)) for message, group in entries]
+
+    def test_one_step_over_several_ticks_keeps_tick_then_push_order(self):
+        net = self.lossless_net(3, 1, 2)
+        sent = [TraceEvent(0, "prevote", 0, 0, sender, "d") for sender in ("v0", "v1", "v2")]
+        sent += [TraceEvent(0, "precommit", 0, 0, sender, "d") for sender in ("v1", "v0")]
+        for message in sent:
+            net.broadcast(message)
+        v0, v1, v2, v1_late, v0_late = sent
+        assert self.listed(net.step(3)) == [
+            (v1, ["v0", "v2"]), (v1_late, ["v0", "v2"]),  # due 1
+            (v2, ["v0", "v1"]),                            # due 2
+            (v0, ["v1", "v2"]), (v0_late, ["v1", "v2"])]   # due 3
+
+    def test_entry_due_at_a_stepped_tick_comes_out_next_ahead_of_later_ones(self):
+        net = self.lossless_net(0, 0, 2)
+        later = TraceEvent(3, "prevote", 0, 0, "v2", "d")  # due 5
+        net.broadcast(later)
+        assert net.step(4) == []
+        now = TraceEvent(4, "prevote", 0, 0, "v0", "d")  # due 4, already stepped
+        net.broadcast(now)
+        assert net.next_tick == 4
+        assert self.listed(net.step(4)) == [(now, ["v1", "v2"])]
+        net.broadcast(TraceEvent(4, "prevote", 0, 0, "v1", "d"))  # due 4 again
+        net.broadcast(TraceEvent(4, "precommit", 0, 0, "v2", "d"))  # due 6
+        assert [(m.sender, m.tick) for m, _ in net.step(5)] == [("v1", 4), ("v2", 3)]
+        assert net.next_tick == 6
+
+    def test_next_tick_and_pending_after_a_partial_step_and_once_empty(self):
+        net = self.lossless_net(3, 1, 2)
+        net.broadcast(TraceEvent(0, "prevote", 0, 0, "v0", "d"))  # 2 due at 3
+        net.broadcast(TraceEvent(0, "prevote", 0, 0, "v1", "d"), ["v2"])  # 1 due at 1
+        net.broadcast(TraceEvent(0, "prevote", 0, 0, "v2", "d"))  # 2 due at 2
+        assert (net.next_tick, net.pending) == (1, 5)
+        assert len(net.step(2)) == 2
+        assert (net.next_tick, net.pending) == (3, 2)
+        assert len(net.step(3)) == 1
+        assert (net.next_tick, net.pending) == (None, 0)
+        assert net.step(9) == []
+        assert (net.next_tick, net.pending) == (None, 0)
+
     def test_lossless_unit_latency_delivers_once(self):
         validators = make_validators(["honest"] * 3, latency=1)
         net = GossipNetwork(LOSSLESS, validators)
@@ -1313,7 +1362,11 @@ class TestCommitCertificate:
         assert tallies.late == []
         net = steps[0][0]
         queued = [entry for _, _, delivered in steps for entry in delivered]
-        queued += [(message, group) for _, _, message, group in net._queue]
+        # Every message was sent by the last tick stepped, so what is still
+        # in flight is due by then plus the largest latency and jitter.
+        last = steps[-1][1][0] + max(v.region_latency for v in validators) + model.latency_jitter
+        queued += net.step(last)
+        assert net.pending == 0
         assert (Counter((message, tuple(group)) for message, group in net.precommits)
                 == Counter((message, tuple(group)) for message, group in queued
                            if message.kind == "precommit"))
