@@ -40,8 +40,13 @@ On a network that draws nothing, a height is the same computation for
 every batch of a roster: the first height run on a ``Roster`` with a given
 network and ``max_rounds`` is simulated and kept on the roster, and every
 later one is that height relabelled with its own batch digest and height
-(see ``run_height``). The trace holds a relabelled height as a pending
-replay of the kept one (see ``opsim.trace``).
+(see ``run_height``). Rosters of fewer than ``SHARED_TALLY_MIN_VALIDATORS``
+that share a store of kept heights also share them between each other when
+their shapes are equal: the same validators, proposer order and quorum
+family (see ``Roster``). A run's epochs share one store, so a run whose
+settlement keeps its quorum family simulates one height in all. The trace
+holds a relabelled height as a pending replay of the kept one (see
+``opsim.trace``).
 """
 
 from __future__ import annotations
@@ -115,9 +120,20 @@ class Roster(tuple):
     the roster is in use. ``replays`` keeps, per (network, max_rounds), the
     first draw-free height ``run_height`` simulated on the roster as a
     ``KeptHeight``, which it replays for every later batch.
+
+    ``kept``, if given, maps roster shapes to ``replays`` dicts; a run
+    passes one such dict to each epoch's roster, so a height kept in one
+    epoch replays in a later one of equal shape. A roster smaller than
+    ``SHARED_TALLY_MIN_VALIDATORS`` has a shape: the (id, behavior,
+    region_latency) of each validator in id order, the proposer order of
+    ids, and its quorum family, which voter subsets reach ``quorum_units``.
+    On such a roster a height compares stakes only as a voter subset's unit
+    sum against ``quorum_units`` (see ``run_height``), so rosters of equal
+    shape run equal heights. A larger roster keeps its own ``replays``.
     """
 
-    def __new__(cls, validators: Iterable[ValidatorDescriptor]) -> Roster:
+    def __new__(cls, validators: Iterable[ValidatorDescriptor],
+                kept: dict | None = None) -> Roster:
         if isinstance(validators, Roster):
             return validators
         roster = super().__new__(cls, validators)
@@ -151,6 +167,16 @@ class Roster(tuple):
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
         # (network, max_rounds) -> the KeptHeight run_height replays for them.
         roster.replays = {}
+        if kept is not None and len(roster) < SHARED_TALLY_MIN_VALIDATORS:
+            # sums[mask] is the unit sum of the validators whose by_id
+            # positions are the set bits of mask.
+            sums = [0]
+            for v in roster.by_id:
+                sums += [s + roster.units[v.id] for s in sums]
+            shape = (tuple((v.id, v.behavior, v.region_latency) for v in roster.by_id),
+                     tuple(v.id for v in roster.by_stake),
+                     tuple(s >= roster.quorum_units for s in sums))
+            roster.replays = kept.setdefault(shape, roster.replays)
         return roster
 
 
@@ -710,19 +736,26 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     On a network that draws nothing, the first height run on ``validators``
     as a ``Roster`` with this ``(network, max_rounds)`` is simulated and
-    kept in ``roster.replays`` as a ``KeptHeight``; every later one replays
-    it. Each kept event keeps its tick, kind, round and sender and takes
-    the new ``height``, and each digest, which always starts with the kept
-    batch digest (bare, ``!invalid`` or ``#forged:...``), takes the new
-    batch digest in place of that prefix; the outcome takes it too.
-    ``KeptHeight.replay`` holds these rules: the replay joins ``trace`` as
-    pending, and its events are built only when they are read (see
-    ``EventTrace``). This is exact. With no generator, the height's path
-    reads the digest only through ``==`` and as part of dict and set keys
-    that nothing iterates, and the relabelling keeps every equality: all
-    digests share one prefix of fixed length. The gossip queue never
-    compares messages: it orders its buckets by deliver tick and keeps
-    each in push order. ``height`` is only a label. So the relabelled
+    kept in ``roster.replays`` as a ``KeptHeight``; every later one on that
+    roster, or on one of equal shape that shares its ``replays`` (see
+    ``Roster``), replays it. Each kept event keeps its tick, kind, round
+    and sender and takes the new ``height``, and each digest, which always
+    starts with the kept batch digest (bare, ``!invalid`` or
+    ``#forged:...``), takes the new batch digest in place of that prefix;
+    the outcome takes it too, and its signature takes the signers' stake
+    and the total stake of the roster it replays on. ``KeptHeight.replay``
+    holds these rules: the replay joins ``trace`` as pending, and its
+    events are built only when they are read (see ``EventTrace``). This is
+    exact. With no generator, the height's path reads the digest only
+    through ``==`` and as part of dict and set keys that nothing iterates,
+    and the relabelling keeps every equality: all digests share one prefix
+    of fixed length. The gossip queue never compares messages: it orders
+    its buckets by deliver tick and keeps each in push order. ``height`` is
+    only a label. A roster with a shape is too small to share tallies, so
+    a stake enters the path only as a voter's units in a node's tally of a
+    key, the unit sum of distinct voters, which is only compared with
+    ``quorum_units``: the quorum family answers every such comparison, and
+    only the signature reads the stakes themselves. So the relabelled
     height is the one a fresh simulation would give. A drawing network is
     always simulated.
     """
@@ -738,7 +771,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     digest = batch_digest(batch)
     key = None if network.draws else (network, max_rounds)
     if key in roster.replays:
-        return roster.replays[key].replay(trace, digest, height)
+        return roster.replays[key].replay(trace, digest, height, roster)
     start = len(trace.events)
     net = GossipNetwork(network, roster)
     ctx = _HeightContext(roster, digest, net, max_rounds, height, trace)

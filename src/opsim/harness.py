@@ -426,6 +426,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     task_values = {t.id: t.value for t in config.tasks}
     horizon = config.schedule.window_length * config.schedule.windows_per_epoch
     trace_digest = TraceDigest()
+    kept: dict = {}  # roster shape -> its kept draw-free heights, for this run only
     epoch_reports: list[dict[str, Any]] = []
     totals = dict.fromkeys(_TOTALS.values(), 0.0)
 
@@ -443,7 +444,8 @@ def run_simulation(config: RunConfig) -> RunReport:
         # Submissions and faults are recorded once, as settlement events.
         events: list[SettlementEvent] = []
         window_records, height_records = _submissions(
-            config, operators, stakes, trusts, schedule, epoch, failure_rng, trace_digest, events)
+            config, operators, stakes, trusts, schedule, epoch, failure_rng, trace_digest, events,
+            kept)
         epoch_end_tick = (epoch + 1) * horizon
         work = _score(agents, tasks, allocation, epoch_end_tick, events)
 
@@ -501,14 +503,15 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
                  stakes: Mapping[str, float], trusts: Mapping[str, float],
                  schedule: Schedule, epoch: int, failure_rng: random.Random,
                  trace_digest: TraceDigest,
-                 events: list[SettlementEvent]) -> tuple[list[dict], list[dict]]:
+                 events: list[SettlementEvent], kept: dict) -> tuple[list[dict], list[dict]]:
     """Each window's consensus height and submission draws; their events join ``events``."""
-    # Stakes change only at settlement, so one roster serves the epoch.
+    # Stakes change only at settlement, so one roster serves the epoch; it
+    # shares kept heights with earlier epochs' rosters of equal shape.
     validators = Roster(
-        ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
-                            behavior=Behavior(op.behavior),
-                            region_latency=op.region_latency)
-        for op in operators)
+        (ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
+                             behavior=Behavior(op.behavior),
+                             region_latency=op.region_latency)
+         for op in operators), kept)
     epoch_base_tick = epoch * schedule.horizon_ticks
     window_records: list[dict] = []
     height_records: list[dict] = []

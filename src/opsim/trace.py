@@ -5,20 +5,21 @@ events, faults, decisions or text lines; a ``TraceDigest`` hashes those and
 the submission lines into the run's trace digest. A height that
 ``run_height`` replays (see there) joins a trace as a pending replay of a
 ``KeptHeight``, the simulated height it repeats under a new height and batch
-digest. Its text is one fill of the kept height's template and its faults
-are the kept faults relabelled, so a trace whose events are never read
-never builds them.
+digest, on the kept height's roster or on one of equal shape. Its text is
+one fill of the kept height's template and its faults are the kept faults
+relabelled, so a trace whose events are never read never builds them.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CheckedRecord, DomainError
 
 if TYPE_CHECKING:
-    from .consensus import RoundOutcome
+    from .consensus import Roster, RoundOutcome
 
 # SHA-256 from CPython's built-in module, picked by version so no import searches in vain:
 # ``hashlib`` loads OpenSSL, about 4 MB of RSS and 4 ms of import. The digest is the same.
@@ -143,6 +144,9 @@ def _escape(text: str) -> str:
 class KeptHeight:
     """A simulated height that ``run_height`` replays, with its batch digest and outcome.
 
+    A replay runs on the kept height's roster or on one of equal shape (see
+    ``Roster``), which may hold other stakes.
+
     ``replay`` and ``relabel`` give a replay's outcome and events. Every
     digest in ``events`` starts with ``digest``. ``template`` holds their
     lines as a ``str.format`` template whose field 0 is the height and field
@@ -161,15 +165,22 @@ class KeptHeight:
             for tick, kind, _, round_, sender, d in events]))
         self.faults = [e for e in events if e.kind.startswith("fault:")]
 
-    def replay(self, trace: EventTrace, digest: str, height: int) -> RoundOutcome:
+    def replay(self, trace: EventTrace, digest: str, height: int, roster: Roster) -> RoundOutcome:
         """Append to ``trace`` a pending replay at ``height`` over batch digest
-        ``digest``; return the kept outcome relabelled the same way."""
+        ``digest``; return the kept outcome relabelled the same way.
+
+        ``roster`` is the one the replay runs on, the kept height's or one of
+        equal shape: the signature takes the exactly rounded sum of its
+        signers' stakes there, and its total stake.
+        """
         trace._replayed.append((self, digest, height))
         outcome = self.outcome
         if not outcome.committed:
             return outcome
-        return outcome._replace(batch_digest=digest,
-                                signature=outcome.signature._replace(batch_digest=digest))
+        signature = outcome.signature
+        return outcome._replace(batch_digest=digest, signature=signature._replace(
+            batch_digest=digest, total_stake=roster.total_stake,
+            signed_stake=math.fsum(map(roster.stakes.get, signature.signer_set))))
 
     def relabel(self, digest: str, height: int) -> list[TraceEvent]:
         """The kept events with ``height``, and ``digest`` in place of the kept one."""

@@ -16,15 +16,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bench_inputs import WORKLOADS
 from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, GossipNetwork,
                    NetworkModel, PartitionSpec, Roster, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
-from opsim import consensus, harness, load_config, run_simulation
+from opsim import consensus, harness, load_config, run_simulation, write_report
 from opsim.trace import KeptHeight
 from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum,
                      summed_timeouts)
 
 LOSSLESS = NetworkModel(drop_probability=0.0, latency_jitter=0, rng_seed=1)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def flat(entries):
@@ -1649,6 +1651,152 @@ class TestReplay:
         # replay an int's rounds for a float's.
         with pytest.raises(DomainError, match="^max_rounds must be an integer >= 1$"):
             run_height(make_validators(["honest"] * 4), ["tx"], LOSSLESS, max_rounds)
+
+
+def roster_shape(validators):
+    """What a roster's kept heights are shared by, derived from the float stakes; None from 9.
+
+    Each validator's (id, behavior, region latency) in id order, the
+    proposer order of ids, and per voter subset (bit i for the i-th id in
+    id order) whether the ``fsum`` of its stakes is a quorum of the total.
+    """
+    if len(validators) >= consensus.SHARED_TALLY_MIN_VALIDATORS:
+        return None
+    by_id = sorted(validators, key=lambda v: v.id)
+    total = math.fsum(v.stake for v in validators)
+    family = [stake_quorum(math.fsum(v.stake for i, v in enumerate(by_id) if mask >> i & 1),
+                           total)
+              for mask in range(2 ** len(by_id))]
+    return ([(v.id, v.behavior, v.region_latency) for v in by_id],
+            [v.id for v in sorted(by_id, key=lambda v: (-v.stake, v.id))], family)
+
+
+@st.composite
+def restaked_heights(draw):
+    """A draw-free height and the same validators with new stakes, as settlement would leave them.
+
+    Each stake is kept or multiplied by a drawn factor, and then all by a
+    common one; a power of two keeps every quorum, so equal shapes are common.
+    """
+    validators, model, max_rounds = draw(draw_free_heights())
+    scale = draw(st.sampled_from([1.0, 0.5, 2.0, 1.5]))
+    restaked = [v._replace(stake=v.stake * draw(st.just(1.0) | st.floats(0.2, 5.0)) * scale)
+                for v in validators]
+    return validators, restaked, model, max_rounds
+
+
+def honest_roster(stakes, first_id=0):
+    return [ValidatorDescriptor(f"v{first_id + i}", stake) for i, stake in enumerate(stakes)]
+
+
+class TestShapeReplay:
+    """Rosters that share a store of kept heights replay each other's when their shapes are equal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=restaked_heights())
+    # A slash of v1 makes {v2, v3} a quorum (and v1 the last proposer).
+    @example(height=(honest_roster([4.0, 3.0, 3.0], first_id=1),
+                     honest_roster([2.0, 3.0, 3.0], first_id=1), LOSSLESS, 3))
+    # The quorum family stays (three of four), but v1 becomes the first proposer.
+    @example(height=(honest_roster([4.0, 3.0, 3.0, 3.0]), honest_roster([3.0, 4.0, 3.0, 3.0]),
+                     LOSSLESS, 3))
+    # A single operator is always its own quorum.
+    @example(height=(honest_roster([10.0]), honest_roster([3.0]), LOSSLESS, 1))
+    # A silent operator slashed to the harness's stake floor of 1e-9.
+    @example(height=([*honest_roster([5.0, 4.0]), ValidatorDescriptor("v2", 1e-9, "silent")],
+                     [*honest_roster([5.5, 4.0]), ValidatorDescriptor("v2", 1e-9, "silent")],
+                     LOSSLESS, 2))
+    def test_equal_shape_replays_a_fresh_simulation(self, height):
+        validators, restaked, model, max_rounds = height
+        kept = {}
+        run_height(Roster(validators, kept), ["a"], model, max_rounds, height=1)
+        roster, trace, expected_trace = Roster(restaked, kept), EventTrace(), EventTrace()
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            outcome = run_height(roster, ["b", "{c}"], model, max_rounds, height=4, trace=trace)
+        shape = roster_shape(validators)
+        assert len(networks) == (0 if shape is not None and shape == roster_shape(restaked)
+                                 else 1)
+        expected = run_height(restaked, ["b", "{c}"], model, max_rounds, height=4,
+                              trace=expected_trace)
+        # A signature's stakes are those of the roster it ran on.
+        assert outcome == expected
+        if outcome.committed:
+            assert outcome.signature.valid is expected.signature.valid
+        assert trace.text() == expected_trace.text()
+        assert trace.faults == expected_trace.faults
+        assert trace.events == expected_trace.events
+
+    def test_pinned_examples_hit_both_sides(self):
+        # The examples above: the first two must simulate, the last two replay.
+        slashed = honest_roster([4.0, 3.0, 3.0], first_id=1), honest_roster([2.0, 3.0, 3.0],
+                                                                             first_id=1)
+        flipped = honest_roster([4.0, 3.0, 3.0, 3.0]), honest_roster([3.0, 4.0, 3.0, 3.0])
+        floor = [[*honest_roster(stakes), ValidatorDescriptor("v2", 1e-9, "silent")]
+                 for stakes in ([5.0, 4.0], [5.5, 4.0])]
+        a, b = map(roster_shape, slashed)
+        assert a[0] == b[0] and a[2] != b[2] and b[2][0b110]
+        a, b = map(roster_shape, flipped)
+        assert a[0] == b[0] and a[1] != b[1] and a[2] == b[2]
+        assert roster_shape(honest_roster([10.0])) == roster_shape(honest_roster([3.0]))
+        assert roster_shape(floor[0]) == roster_shape(floor[1])
+
+    @pytest.mark.parametrize("change", [
+        {"behavior": Behavior.HONEST}, {"region_latency": 3}, {"id": "v9"}])
+    def test_a_validator_changed_but_for_its_stake_is_another_shape(self, change):
+        # v2, the equivocator, changes; the stakes and the quorum family stay.
+        validators = mixed_behavior_roster()
+        changed = [v._replace(**change) if v.id == "v2" else v for v in validators]
+        kept = {}
+        run_height(Roster(validators, kept), ["a"], LOSSLESS, 3)
+        trace, expected_trace = EventTrace(), EventTrace()
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            outcome = run_height(Roster(changed, kept), ["b"], LOSSLESS, 3, trace=trace)
+        assert len(networks) == 1 and len(kept) == 2
+        assert outcome == run_height(changed, ["b"], LOSSLESS, 3, trace=expected_trace)
+        assert trace.events == expected_trace.events
+
+    def test_large_rosters_keep_their_own_replays(self):
+        kept = {}
+        big = [Roster(honest_roster([10.0 + i] * consensus.SHARED_TALLY_MIN_VALIDATORS), kept)
+               for i in range(2)]
+        assert kept == {} and big[0].replays is not big[1].replays
+        small = [Roster(honest_roster([10.0 + i] * 3), kept) for i in range(2)]
+        assert len(kept) == 1 and small[0].replays is small[1].replays
+
+    def test_no_kept_height_outlives_a_run(self):
+        # Every run simulates its own first height; payment-econ's other 47 replay it.
+        config = load_config(WORKLOADS.config_text("payment-econ", 0))
+        for _ in range(2):
+            with recorded(consensus.GossipNetwork, "__init__") as networks:
+                run_simulation(config)
+            assert len(networks) == 1
+
+    @pytest.mark.parametrize("source", [
+        *(pytest.param(str(CONFIGS / name), id=name) for name in ("sequencer.json", "payment.json")),
+        *(pytest.param(WORKLOADS.config_text(name, 0), id=f"{name}-0")
+          for name in sorted(WORKLOADS.WORKLOADS))])
+    def test_runs_that_replay_nothing_give_the_same_report(self, source, monkeypatch, tmp_path):
+        class Forgetful(dict):
+            """A replays store that keeps nothing, so every lookup misses."""
+
+            def __setitem__(self, key, value):
+                pass
+
+        def forgetful_roster(validators, kept):
+            roster = Roster(validators, kept)
+            roster.replays = Forgetful()
+            return roster
+
+        config = load_config(source)
+        reports = [run_simulation(config)]
+        monkeypatch.setattr(harness, "Roster", forgetful_roster)
+        with recorded(consensus.GossipNetwork, "__init__") as networks:
+            reports.append(run_simulation(config))
+        assert len(networks) == sum(len(epoch["heights"]) for epoch in reports[1].epochs)
+        assert reports[0].trace_digest == reports[1].trace_digest
+        for i, report in enumerate(reports):
+            write_report(report, "json", tmp_path / f"{i}.json")
+        assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
 
 
 class TestClosedFormLatency:

@@ -94,12 +94,15 @@ SUBMISSION_LINE = re.compile(
 
 
 # sequencer.json draws from its network, so every height is simulated; the
-# others replay: payment.json 8 of its 12 heights, payment-econ 32 of 48 and
-# roster-wide 15 of 16.
+# others replay all but their first height. payment.json (12 heights over 4
+# epochs) and payment-econ (48 over 16) keep one quorum family and proposer
+# order through settlement, so every epoch's roster has the first one's
+# shape and replays its kept height: 11 of 12 and 47 of 48. roster-wide is
+# one epoch of 64 validators, too large to have a shape: 15 of 16.
 @pytest.mark.parametrize("source, replayed", [
     pytest.param(str(CONFIGS / "sequencer.json"), 0, id="sequencer.json"),
-    pytest.param(str(CONFIGS / "payment.json"), 8, id="payment.json"),
-    pytest.param(WORKLOADS.config_text("payment-econ", 0), 32, id="payment-econ-0"),
+    pytest.param(str(CONFIGS / "payment.json"), 11, id="payment.json"),
+    pytest.param(WORKLOADS.config_text("payment-econ", 0), 47, id="payment-econ-0"),
     pytest.param(WORKLOADS.config_text("roster-wide", 0), 15, id="roster-wide-0"),
 ])
 def test_trace_digest_is_exactly_its_chunks(source, replayed, monkeypatch):
