@@ -1689,23 +1689,27 @@ def honest_roster(stakes, first_id=0):
     return [ValidatorDescriptor(f"v{first_id + i}", stake) for i, stake in enumerate(stakes)]
 
 
+# Pinned (roster, restaked roster) pairs for TestShapeReplay.
+# A slash of v1 makes {v2, v3} a quorum (and v1 the last proposer).
+SLASHED = honest_roster([4.0, 3.0, 3.0], first_id=1), honest_roster([2.0, 3.0, 3.0], first_id=1)
+# The quorum family stays (three of four), but v1 becomes the first proposer.
+FLIPPED = honest_roster([4.0, 3.0, 3.0, 3.0]), honest_roster([3.0, 4.0, 3.0, 3.0])
+# A single operator is always its own quorum.
+SINGLE = honest_roster([10.0]), honest_roster([3.0])
+# A silent operator slashed to the harness's stake floor of 1e-9.
+FLOOR = tuple([*honest_roster(stakes), ValidatorDescriptor("v2", 1e-9, "silent")]
+              for stakes in ([5.0, 4.0], [5.5, 4.0]))
+
+
 class TestShapeReplay:
     """Rosters that share a store of kept heights replay each other's when their shapes are equal."""
 
     @settings(max_examples=150, deadline=None)
     @given(height=restaked_heights())
-    # A slash of v1 makes {v2, v3} a quorum (and v1 the last proposer).
-    @example(height=(honest_roster([4.0, 3.0, 3.0], first_id=1),
-                     honest_roster([2.0, 3.0, 3.0], first_id=1), LOSSLESS, 3))
-    # The quorum family stays (three of four), but v1 becomes the first proposer.
-    @example(height=(honest_roster([4.0, 3.0, 3.0, 3.0]), honest_roster([3.0, 4.0, 3.0, 3.0]),
-                     LOSSLESS, 3))
-    # A single operator is always its own quorum.
-    @example(height=(honest_roster([10.0]), honest_roster([3.0]), LOSSLESS, 1))
-    # A silent operator slashed to the harness's stake floor of 1e-9.
-    @example(height=([*honest_roster([5.0, 4.0]), ValidatorDescriptor("v2", 1e-9, "silent")],
-                     [*honest_roster([5.5, 4.0]), ValidatorDescriptor("v2", 1e-9, "silent")],
-                     LOSSLESS, 2))
+    @example(height=(*SLASHED, LOSSLESS, 3))
+    @example(height=(*FLIPPED, LOSSLESS, 3))
+    @example(height=(*SINGLE, LOSSLESS, 1))
+    @example(height=(*FLOOR, LOSSLESS, 2))
     def test_equal_shape_replays_a_fresh_simulation(self, height):
         validators, restaked, model, max_rounds = height
         kept = {}
@@ -1728,17 +1732,12 @@ class TestShapeReplay:
 
     def test_pinned_examples_hit_both_sides(self):
         # The examples above: the first two must simulate, the last two replay.
-        slashed = honest_roster([4.0, 3.0, 3.0], first_id=1), honest_roster([2.0, 3.0, 3.0],
-                                                                             first_id=1)
-        flipped = honest_roster([4.0, 3.0, 3.0, 3.0]), honest_roster([3.0, 4.0, 3.0, 3.0])
-        floor = [[*honest_roster(stakes), ValidatorDescriptor("v2", 1e-9, "silent")]
-                 for stakes in ([5.0, 4.0], [5.5, 4.0])]
-        a, b = map(roster_shape, slashed)
+        a, b = map(roster_shape, SLASHED)
         assert a[0] == b[0] and a[2] != b[2] and b[2][0b110]
-        a, b = map(roster_shape, flipped)
+        a, b = map(roster_shape, FLIPPED)
         assert a[0] == b[0] and a[1] != b[1] and a[2] == b[2]
-        assert roster_shape(honest_roster([10.0])) == roster_shape(honest_roster([3.0]))
-        assert roster_shape(floor[0]) == roster_shape(floor[1])
+        for a, b in (SINGLE, FLOOR):
+            assert roster_shape(a) == roster_shape(b)
 
     @pytest.mark.parametrize("change", [
         {"behavior": Behavior.HONEST}, {"region_latency": 3}, {"id": "v9"}])
