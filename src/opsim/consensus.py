@@ -279,8 +279,9 @@ def quorum_met(signed_stake: float, total_stake: float) -> bool:
 
 
 def batch_digest(batch: Sequence[str]) -> str:
-    """Stable digest of a transaction batch."""
-    return sha256("".join(map("{}\x00".format, batch)).encode()).hexdigest()[:16]
+    """Stable digest of a transaction batch: each item's ``str`` followed by a NUL."""
+    text = "\x00".join(map(str, batch)) + "\x00" if batch else ""
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 class GossipNetwork:
@@ -845,7 +846,7 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     outcome = _finish_height(ctx, tick)
     if key is not None:
-        roster.replays[key] = KeptHeight(digest, trace.events[start:], outcome)
+        roster.replays[key] = KeptHeight(digest, trace.events[start:], outcome, roster.stakes)
     return outcome
 
 

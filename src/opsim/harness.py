@@ -507,12 +507,10 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
     """Each window's consensus height and submission draws; their events join ``events``."""
     # Stakes change only at settlement, so one roster serves the epoch; it
     # shares kept heights with earlier epochs' rosters of equal shape.
-    validators = Roster(
-        (ValidatorDescriptor(id=op.id, stake=max(stakes[op.id], 1e-9),
-                             behavior=Behavior(op.behavior),
-                             region_latency=op.region_latency)
-         for op in operators), kept)
+    validators = Roster((ValidatorDescriptor(op.id, max(stakes[op.id], 1e-9), op.behavior,
+                                             op.region_latency) for op in operators), kept)
     epoch_base_tick = epoch * schedule.horizon_ticks
+    numbers = [*map(str, range(len(operators)))]
     window_records: list[dict] = []
     height_records: list[dict] = []
 
@@ -529,7 +527,7 @@ def _submissions(config: RunConfig, operators: Sequence[OperatorConfig],
         window = schedule.windows[window_slot]
         index, window_tick = window.window_index, epoch_base_tick + window.start_tick
         height = epoch * config.schedule.windows_per_epoch + window_slot
-        batch = [f"tx:{epoch}:{index}:{j}" for j in range(len(config.operators))]
+        batch = [*map(f"tx:{epoch}:{index}:".__add__, numbers)]
         height_trace = EventTrace()
         net = config.network
         if net.draws:

@@ -6,14 +6,17 @@ the submission lines into the run's trace digest. A height that
 ``run_height`` replays (see there) joins a trace as a pending replay of a
 ``KeptHeight``, the simulated height it repeats under a new height and batch
 digest, on the kept height's roster or on one of equal shape. Its text is
-one fill of the kept height's template and its faults are the kept faults
-relabelled, so a trace whose events are never read never builds them.
+the kept height's template with two ``str.replace`` calls, one for the mark
+of the height and one for that of the batch digest, and its faults are the
+kept faults relabelled, so a trace whose events are never read never builds
+them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CheckedRecord, DomainError
@@ -110,9 +113,18 @@ class EventTrace:
         return _lines(self.events)
 
     def text(self) -> str:
-        """The lines joined by newlines: ``"\\n".join(self.to_lines())``."""
-        return "\n".join(_lines(self._events) + [
-            kept.template.format(height, digest) for kept, digest, height in self._replayed])
+        """The lines joined by newlines: ``"\\n".join(self.to_lines())``.
+
+        A pending replay's lines are its kept height's template with the
+        height in place of one mark and the batch digest in place of the
+        other (see ``KeptHeight``).
+        """
+        texts = _lines(self._events)
+        for kept, digest, height in self._replayed:
+            height_mark, digest_mark = kept.marks
+            texts.append(kept.template.replace(height_mark, str(height))
+                         .replace(digest_mark, digest))
+        return "\n".join(texts)
 
 
 def _lines(events: list[tuple]) -> list[str]:
@@ -136,32 +148,36 @@ class TraceDigest:
         self.add(_lines([(tick, kind, height, round_, sender, None)])[0])
 
 
-def _escape(text: str) -> str:
-    """``text`` as literal text of a ``str.format`` template: each brace doubled."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
 class KeptHeight:
     """A simulated height that ``run_height`` replays, with its batch digest and outcome.
 
     A replay runs on the kept height's roster or on one of equal shape (see
-    ``Roster``), which may hold other stakes.
+    ``Roster``), which may hold other stakes; ``stakes`` is the kept
+    roster's id -> stake dict, the roster's own, not a copy.
 
     ``replay`` and ``relabel`` give a replay's outcome and events. Every
     digest in ``events`` starts with ``digest``. ``template`` holds their
-    lines as a ``str.format`` template whose field 0 is the height and field
-    1 the batch digest; ``faults`` are the fault events, which carry no digest.
+    lines with a mark in place of each height and another in place of each
+    batch digest; ``marks`` is that (height mark, digest mark) pair, the
+    two lowest code points that are not digits and occur nowhere else in
+    the lines: in no kind, sender, digest suffix or separator. A height
+    fills in as digits only, so the two ``str.replace`` calls of a fill are
+    exact for any ids. ``faults`` are the fault events, which carry no
+    digest.
     """
 
-    __slots__ = ("digest", "events", "outcome", "template", "faults")
+    __slots__ = ("digest", "events", "outcome", "stakes", "template", "marks", "faults")
 
-    def __init__(self, digest: str, events: list[TraceEvent], outcome: RoundOutcome):
-        self.digest, self.events, self.outcome = digest, events, outcome
-        # The line of each event as _lines writes it, with field 0 in place
-        # of the height and field 1 in place of the batch digest.
+    def __init__(self, digest: str, events: list[TraceEvent], outcome: RoundOutcome,
+                 stakes: dict[str, float]):
+        self.digest, self.events, self.outcome, self.stakes = digest, events, outcome, stakes
         n = len(digest)
+        used = set("0123456789,-\n").union(*[
+            kind + sender + (d or "")[n:] for _, kind, _, _, sender, d in events])
+        free = (c for c in map(chr, count()) if c not in used)
+        self.marks = height_mark, digest_mark = next(free), next(free)
         self.template = "\n".join(_lines([
-            (tick, kind, "{0}", round_, _escape(sender), d and "{1}" + _escape(d[n:]))
+            (tick, kind, height_mark, round_, sender, d and digest_mark + d[n:])
             for tick, kind, _, round_, sender, d in events]))
         self.faults = [e for e in events if e.kind.startswith("fault:")]
 
@@ -171,16 +187,21 @@ class KeptHeight:
 
         ``roster`` is the one the replay runs on, the kept height's or one of
         equal shape: the signature takes the exactly rounded sum of its
-        signers' stakes there, and its total stake.
+        signers' stakes there, and its total stake. On the kept height's
+        roster those are the kept ones.
         """
         trace._replayed.append((self, digest, height))
         outcome = self.outcome
         if not outcome.committed:
             return outcome
         signature = outcome.signature
-        return outcome._replace(batch_digest=digest, signature=signature._replace(
-            batch_digest=digest, total_stake=roster.total_stake,
-            signed_stake=math.fsum(map(roster.stakes.get, signature.signer_set))))
+        if roster.stakes is self.stakes:
+            signature = signature._replace(batch_digest=digest)
+        else:
+            signature = signature._replace(
+                batch_digest=digest, total_stake=roster.total_stake,
+                signed_stake=math.fsum(map(roster.stakes.get, signature.signer_set)))
+        return outcome._replace(batch_digest=digest, signature=signature)
 
     def relabel(self, digest: str, height: int) -> list[TraceEvent]:
         """The kept events with ``height``, and ``digest`` in place of the kept one."""

@@ -21,6 +21,7 @@ from opsim import (AggregatedSignature, Behavior, DomainError, EventTrace, Gossi
                    NetworkModel, PartitionSpec, Roster, TraceEvent, ValidatorDescriptor,
                    batch_digest, quorum_met, run_height)
 from opsim import consensus, harness, load_config, run_simulation, write_report
+from opsim import trace as trace_module
 from opsim.trace import KeptHeight
 from oracles import (PerRecipientGossip, ReferenceNode, run_height_ticked, stake_quorum,
                      summed_timeouts)
@@ -185,7 +186,9 @@ class TestDigests:
         assert ours.hexdigest() == reference.hexdigest()
 
     @pytest.mark.parametrize("batch", [[], ["tx"], ["tx:0:0:0", "tx:0:0:1", ""],
-                                       [f"tx:{j}" for j in range(1000)], [7, "é"]])
+                                       [f"tx:{j}" for j in range(1000)], [7, "é"],
+                                       ["a\x00b", "\x00", "c"],
+                                       [f"tx:3:5:{j}" for j in range(64)]])
     def test_batch_digest_matches_hashlib_reference(self, batch):
         reference = hashlib.sha256()
         for tx in batch:
@@ -1527,6 +1530,17 @@ def brace_roster():
     return [v._replace(id=i) for v, i in zip(mixed_behavior_roster(), ids)]
 
 
+def mark_roster():
+    """``mixed_behavior_roster`` with ids that hold the lowest code points, digits and a field.
+
+    The ids take the code points the marks of a kept height's template
+    would otherwise be, so the marks must pass them; a digit, ASCII or not,
+    is never a mark.
+    """
+    ids = ["\x00", "\x01", "\x02", "\u0663", "7", "{0}"]
+    return [v._replace(id=i) for v, i in zip(mixed_behavior_roster(), ids)]
+
+
 class TestReplay:
     """A draw-free height on a roster is simulated once and relabelled for every later batch."""
 
@@ -1538,6 +1552,8 @@ class TestReplay:
     @example(height=(mixed_behavior_roster(), LOSSLESS, 1), heights_=(0, 0))
     @example(height=(without_equivocators(shared_roster()), LOSSLESS, 2), heights_=(9, 3))
     @example(height=(brace_roster(), LOSSLESS, 3), heights_=(2, 7))
+    @example(height=(mark_roster(), LOSSLESS, 3), heights_=(0, 123))
+    @example(height=(mark_roster(), MIXED_PARTITION, 2), heights_=(10, 9))
     def test_replay_matches_fresh_simulation(self, height, heights_):
         validators, model, max_rounds = height
         batches = (["a", "{b}"], ["{0}{1}c"])
@@ -1565,8 +1581,12 @@ class TestReplay:
         assert all(type(event) is TraceEvent for event in trace.events)
         assert trace.text() == expected_trace.text()
 
-    def test_pending_replays_keep_event_order_in_a_mixed_trace(self):
-        roster, other = Roster(brace_roster()), mixed_behavior_roster()
+    @settings(max_examples=5, deadline=None)
+    @given(validators=st.sampled_from([brace_roster(), mark_roster()]))
+    @example(validators=brace_roster())
+    @example(validators=mark_roster())
+    def test_pending_replays_keep_event_order_in_a_mixed_trace(self, validators):
+        roster, other = Roster(validators), mixed_behavior_roster()
         run_height(roster, ["kept"], LOSSLESS, 3)
 
         def fill(trace, replay):
@@ -1591,6 +1611,29 @@ class TestReplay:
         assert trace.events == expected.events
         assert trace.to_lines() == expected.to_lines()
         assert trace.text() == expected.text()
+
+    @pytest.mark.parametrize("ids, marks", [
+        (None, ("\x00", "\x01")),
+        ([v.id for v in mark_roster()], ("\x03", "\x04")),
+        # Between them the ids hold every code point below "0"; the marks
+        # pass the digits, and ":", which the fault kinds hold.
+        (["".join(map(chr, range(k, 48, 6))) for k in range(6)], (";", "<")),
+        # Between them the ids hold every code point below 256.
+        (["".join(map(chr, range(k, 256, 6))) for k in range(6)], ("\u0100", "\u0101")),
+    ], ids=["plain", "mark", "below-digits", "latin-1"])
+    def test_marks_are_the_lowest_code_points_free_in_the_lines(self, ids, marks):
+        validators = mixed_behavior_roster()
+        if ids is not None:
+            validators = [v._replace(id=i) for v, i in zip(validators, ids)]
+        roster, trace, expected = Roster(validators), EventTrace(), EventTrace()
+        # Heights of every width from one digit to three.
+        for h in (0, 9, 10, 123):
+            run_height(roster, [f"tx{h}"], LOSSLESS, 3, height=h, trace=trace)
+            run_height(validators, [f"tx{h}"], LOSSLESS, 3, height=h, trace=expected)
+        (kept,) = roster.replays.values()
+        assert kept.marks == marks
+        assert trace.text() == "\n".join(expected.to_lines())
+        assert trace.events == expected.events
 
     def test_drawing_network_never_replays(self):
         validators = mixed_behavior_roster()
@@ -1729,6 +1772,29 @@ class TestShapeReplay:
         assert trace.text() == expected_trace.text()
         assert trace.faults == expected_trace.faults
         assert trace.events == expected_trace.events
+
+    def test_only_a_replay_on_another_roster_restakes(self, monkeypatch):
+        # A kept height holds its roster's stakes dict, and not the roster,
+        # which holds it in turn. A replay on that roster keeps the kept
+        # signature's stakes; one on a roster of equal shape sums its own.
+        validators = mixed_behavior_roster()
+        kept = {}
+        roster = Roster(validators, kept)
+        run_height(roster, ["a"], LOSSLESS, 3)
+        (kept_height,) = roster.replays.values()
+        assert kept_height.stakes is roster.stakes
+        assert not any(r is roster for r in gc.get_referents(kept_height))
+        sums = []
+        monkeypatch.setattr(trace_module, "math", types.SimpleNamespace(
+            fsum=lambda stakes: sums.append(1) or math.fsum(stakes)))
+        outcome = run_height(roster, ["b"], LOSSLESS, 3, height=1)
+        assert outcome.committed and sums == []
+        assert outcome == run_height(validators, ["b"], LOSSLESS, 3, height=1)
+        # Doubled stakes keep the shape but not the stakes.
+        doubled = [v._replace(stake=2 * v.stake) for v in validators]
+        outcome = run_height(Roster(doubled, kept), ["c"], LOSSLESS, 3, height=2)
+        assert sums == [1] and outcome.signature.total_stake == 2 * roster.total_stake
+        assert outcome == run_height(doubled, ["c"], LOSSLESS, 3, height=2)
 
     def test_pinned_examples_hit_both_sides(self):
         # The examples above: the first two must simulate, the last two replay.
