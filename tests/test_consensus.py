@@ -1613,7 +1613,7 @@ class TestReplay:
         assert trace.text() == expected.text()
 
     @pytest.mark.parametrize("ids, marks", [
-        (None, ("\x00", "\x01")),
+        ([f"v{i}" for i in range(6)], ("\x00", "\x01")),
         ([v.id for v in mark_roster()], ("\x03", "\x04")),
         # Between them the ids hold every code point below "0"; the marks
         # pass the digits, and ":", which the fault kinds hold.
@@ -1622,9 +1622,7 @@ class TestReplay:
         (["".join(map(chr, range(k, 256, 6))) for k in range(6)], ("\u0100", "\u0101")),
     ], ids=["plain", "mark", "below-digits", "latin-1"])
     def test_marks_are_the_lowest_code_points_free_in_the_lines(self, ids, marks):
-        validators = mixed_behavior_roster()
-        if ids is not None:
-            validators = [v._replace(id=i) for v, i in zip(validators, ids)]
+        validators = [v._replace(id=i) for v, i in zip(mixed_behavior_roster(), ids)]
         roster, trace, expected = Roster(validators), EventTrace(), EventTrace()
         # Heights of every width from one digit to three.
         for h in (0, 9, 10, 123):
