@@ -19,11 +19,10 @@ at a tick the engine wakes only the validators whose timer is due. The
 network hands out each message with its whole recipient group, and one
 loop tallies it at every recipient in id order that still listens: a
 validator stops listening once it decides or runs out of rounds. A clean
-height has at least ``SHARED_TALLY_MIN_VALIDATORS`` validators, no
-equivocator, and a network that neither drops, jitters nor partitions.
-There every vote reaches every other validator in one entry, so it is
-instead tallied once per key for all of them, and the height costs tally
-work per vote, not per delivery.
+height has no equivocator and a network that neither drops, jitters nor
+partitions. There every vote reaches every other validator in one entry,
+so it is instead tallied once per key for all of them, and the height
+costs tally work per vote, not per delivery.
 
 A tally is a count per (kind, round, digest) key, not a set of voters.
 The commit certificate is read from the network's record of the
@@ -40,13 +39,13 @@ On a network that draws nothing, a height is the same computation for
 every batch of a roster: the first height run on a ``Roster`` with a given
 network and ``max_rounds`` is simulated and kept on the roster, and every
 later one is that height relabelled with its own batch digest and height
-(see ``run_height``). Rosters of fewer than ``SHARED_TALLY_MIN_VALIDATORS``
-that share a store of kept heights also share them between each other when
+(see ``run_height``). Rosters of at most ``SHAPE_MAX_VALIDATORS`` that
+share a store of kept heights also share them between each other when
 their shapes are equal: the same validators, proposer order and quorum
-family (see ``Roster``). A run's epochs share one store, so a run whose
-settlement keeps its quorum family simulates one height in all. The trace
-holds a relabelled height as a pending replay of the kept one (see
-``opsim.trace``).
+family (see ``Roster``; ``run_height`` says why that is exact). A run's
+epochs share one store, so a run whose settlement keeps its quorum family
+simulates one height in all. The trace holds a relabelled height as a
+pending replay of the kept one (see ``opsim.trace``).
 """
 
 from __future__ import annotations
@@ -62,8 +61,9 @@ from .trace import EventTrace, KeptHeight, TraceEvent, sha256
 
 # Base per-phase timeout in ticks; doubles every round.
 BASE_PHASE_TIMEOUT = 4
-# Fewest validators of a height that shares tallies; see run_height.
-SHARED_TALLY_MIN_VALIDATORS = 9
+# Most validators of a roster that has a shape (see Roster); its quorum
+# family lists all 2**n voter subsets.
+SHAPE_MAX_VALIDATORS = 8
 
 # A vote tally's key: (kind, round, digest), a nil vote's digest being None.
 Key = tuple[str, int, "str | None"]
@@ -123,13 +123,12 @@ class Roster(tuple):
 
     ``kept``, if given, maps roster shapes to ``replays`` dicts; a run
     passes one such dict to each epoch's roster, so a height kept in one
-    epoch replays in a later one of equal shape. A roster smaller than
-    ``SHARED_TALLY_MIN_VALIDATORS`` has a shape: the (id, behavior,
+    epoch replays in a later one of equal shape. A roster of at most
+    ``SHAPE_MAX_VALIDATORS`` validators has a shape: the (id, behavior,
     region_latency) of each validator in id order, the proposer order of
     ids, and its quorum family, which voter subsets reach ``quorum_units``.
-    On such a roster a height compares stakes only as a voter subset's unit
-    sum against ``quorum_units`` (see ``run_height``), so rosters of equal
-    shape run equal heights. A larger roster keeps its own ``replays``.
+    Rosters of equal shape run equal heights (see ``run_height``). A larger
+    roster keeps its own ``replays``.
     """
 
     def __new__(cls, validators: Iterable[ValidatorDescriptor],
@@ -167,7 +166,7 @@ class Roster(tuple):
         roster.others = {vid: ids[:i] + ids[i + 1:] for i, vid in enumerate(ids)}
         # (network, max_rounds) -> the KeptHeight run_height replays for them.
         roster.replays = {}
-        if kept is not None and len(roster) < SHARED_TALLY_MIN_VALIDATORS:
+        if kept is not None and len(roster) <= SHAPE_MAX_VALIDATORS:
             # sums[mask] is the unit sum of the validators whose by_id
             # positions are the set bits of mask.
             sums = [0]
@@ -752,13 +751,15 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
     and the relabelling keeps every equality: all digests share one prefix
     of fixed length. The gossip queue never compares messages: it orders
     its buckets by deliver tick and keeps each in push order. ``height`` is
-    only a label. A roster with a shape is too small to share tallies, so
-    a stake enters the path only as a voter's units in a node's tally of a
-    key, the unit sum of distinct voters, which is only compared with
-    ``quorum_units``: the quorum family answers every such comparison, and
-    only the signature reads the stakes themselves. So the relabelled
-    height is the one a fresh simulation would give. A drawing network is
-    always simulated.
+    only a label. A stake enters the path only through the tallies, which
+    compare a unit sum of distinct voters with ``quorum_units``: in
+    ``receive`` and ``_tally``, a node's tally of a key; on a clean height
+    (see the module docstring), in ``share`` and ``_tally``, the shared sum
+    plus the node's own private vote, while ``Roster.max_units`` only skips
+    a scan that could find nothing. So the quorum family decides every
+    comparison, and only the signature reads the stakes themselves: the
+    relabelled height is the one a fresh simulation would give. A drawing
+    network is always simulated.
     """
     roster = Roster(validators)
     if not batch:
@@ -786,17 +787,11 @@ def run_height(validators: Sequence[ValidatorDescriptor], batch: Sequence[str],
 
     listening, timers = ctx.listening, ctx.timers
 
-    # On a clean height (see the module docstring) every vote reaches every
-    # other validator in one entry, so it can be tallied once per key
-    # instead of once per node. A shared entry has a fixed cost: on lossless
-    # heights, sharing took 1.01x the unshared time at 8 validators, 0.97x at
-    # 9, 0.87x at 12 and 0.58x at 32, and sharing at 3 makes payment-econ 6.6%
-    # slower, hence the cut-off. That read 4.66 to 4.96 ms, slower in 482 of
-    # 600 pairs: the median over 10 processes of the median of 60 alternating
-    # in-process runs at seed 0 (a 2-vCPU VM, CPython 3.11). Every node but
-    # an equivocator listens.
-    sharing = (len(roster) >= SHARED_TALLY_MIN_VALIDATORS and len(listening) == len(nodes)
-               and not network.draws and not network.partition_schedule)
+    # On a clean height (see the module docstring) share tallies each vote
+    # once for the height; elsewhere receive tallies it at each recipient.
+    # Every node but an equivocator listens.
+    sharing = (len(listening) == len(nodes) and not network.draws
+               and not network.partition_schedule)
 
     for node in list(listening.values()):
         node.start(0)

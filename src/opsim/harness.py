@@ -301,6 +301,27 @@ def _payment(params: dict[str, Any], context: str) -> PaymentNodeParams:
     return _build(PaymentNodeParams, context, params)
 
 
+def _read_json(what: str, source: str | Path) -> Any:
+    """Parse ``source``, inline JSON text if it is a str that starts with '{', else a path.
+
+    ``what`` names the document in errors. Whatever ``json.loads`` rejects
+    is a ConfigError: a syntax error with its line and column, and also an
+    integer past CPython's digit limit (a ValueError) or nesting past the
+    recursion limit (a RecursionError).
+    """
+    inline = isinstance(source, str) and source.lstrip().startswith("{")
+    try:
+        return json.loads(source if inline else Path(source).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+            line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} parse error: {exc}") from exc
+
+
 def load_config(source: str | Path) -> RunConfig:
     """Parse and validate a run configuration.
 
@@ -309,21 +330,7 @@ def load_config(source: str | Path) -> RunConfig:
     column; semantic errors name the offending field. Unknown fields are
     rejected everywhere. The returned config has every default filled in.
     """
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {source}: {exc}") from exc
-    else:
-        text = source
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno, column=exc.colno) from exc
-
-    doc = _parse(raw, _TOP, "")
+    doc = _parse(_read_json("config", source), _TOP, "")
     incentives = IncentiveParams(**dict(doc["incentives"], reputation=_build(
         ReputationParams, "incentives", doc["incentives"]["reputation"])))
 
@@ -340,6 +347,9 @@ def load_config(source: str | Path) -> RunConfig:
         missing = [op.id for op in operators if op.payment is None]
         _reject_if(bool(missing), "operators",
                    f"need payment params in the payment scenario: {missing}")
+    else:
+        _reject_if(not any(op.resources for op in operators), "operators",
+                   "need resources > 0 in the sequencer scenario")
 
     tasks: list[TaskSpec] = []
     for i, task in enumerate(doc["tasks"]):
@@ -642,13 +652,7 @@ def write_report(report: RunReport, fmt: str, destination: str | Path) -> None:
 
 def read_report(path: str | Path) -> dict[str, Any]:
     """Load a JSON report document: an object holding every top-level key."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read report file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report parse error at line {exc.lineno}: {exc.msg}",
-                          line=exc.lineno, column=exc.colno) from exc
+    doc = _read_json("report", Path(path))
     for key in ("config", "epochs", "ledger_totals", "trace_digest"):
         if not isinstance(doc, dict) or key not in doc:
             raise ConfigError(f"report {path} is not a JSON object holding '{key}'", field=key)

@@ -759,8 +759,8 @@ def assert_tally_follows_voters(node, tallies):
 def heights(draw):
     """A roster of 1 to 16, a network that is lossless about half the time, and max_rounds.
 
-    Clean heights of 9 or more validators share tallies (see run_height):
-    lossless, with no partition and no equivocator.
+    Clean heights share tallies (see run_height): lossless, with no
+    partition and no equivocator.
     """
     n = draw(st.integers(1, 16))
     behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=n, max_size=n))
@@ -1076,7 +1076,7 @@ class TestTallyShortcuts:
     """The evaluation gate and the integer tally change no trace and no quorum."""
 
     @settings(max_examples=150, deadline=None)
-    @given(height=heights())
+    @given(height=heights() | clean_heights())
     @example(height=(edge_roster(*NAIVE_BELOW), LOSSLESS, 2))
     @example(height=(edge_roster(*NAIVE_ABOVE), LOSSLESS, 2))
     @example(height=(make_validators(["honest", "equivocating", "honest", "invalid-proposer"]),
@@ -1087,34 +1087,32 @@ class TestTallyShortcuts:
     # a partition keeps the height from sharing, and v8 must not count them.
     @example(height=(make_validators(["honest"] * 9), NetworkModel(rng_seed=1, partition_schedule=(
         PartitionSpec(0, 30, frozenset({"v8"})),)), 2))
-    def test_matches_reference_node(self, height):
-        assert_matches_reference_node(height)
-
-    @settings(max_examples=40, deadline=None)
-    @given(height=heights() | clean_heights())
     # A two-validator equivocator's half reaches every other validator, but
     # a height with an equivocator is not clean, so it does not share.
     @example(height=(make_validators(["equivocating", "honest"]), LOSSLESS, 2))
     @example(height=(make_validators(["honest", "silent"], latency=0), LOSSLESS, 2))
-    def test_sharing_at_any_roster_size_matches_reference_node(self, height):
-        # With the cut-off at 1, every clean height shares, down to one
-        # validator: there every vote entry stepped out goes to share, and
-        # elsewhere none. The last step is at the height's end tick.
+    def test_matches_reference_node(self, height):
+        # Whether a height is clean alone picks the tally path, at any
+        # roster size: every vote entry stepped out of a clean height goes
+        # to share and its proposals to receive; every entry of any other
+        # height goes to receive. The last step is at the height's end tick.
+        assert_matches_reference_node(height)
         validators, model, max_rounds = height
         clean = (not model.draws and not model.partition_schedule
                  and all(v.behavior is not Behavior.EQUIVOCATING for v in validators))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(consensus, "SHARED_TALLY_MIN_VALIDATORS", 1)
-            assert_matches_reference_node(height)
-            with recorded(consensus._HonestNode, "share") as shared, \
-                    recorded(GossipNetwork, "step") as steps, \
-                    recorded(consensus, "_finish_height") as finished:
-                run_height(validators, ["a", "b"], model, max_rounds)
+        with recorded(consensus._HonestNode, "share") as shared, \
+                recorded(consensus._HonestNode, "receive") as received, \
+                recorded(GossipNetwork, "step") as steps, \
+                recorded(consensus, "_finish_height") as finished:
+            run_height(validators, ["a", "b"], model, max_rounds)
         [(_, (end,), _)] = finished
         assert steps[-1][1] == (end,)
-        votes = [message for _, _, delivered in steps for message, _ in delivered
-                 if message.kind != "proposal"]
-        assert [message for _, (message, *_), _ in shared] == (votes if clean else [])
+        entries = [message for _, _, delivered in steps for message, _ in delivered]
+        shared_kinds = {"prevote", "precommit"} if clean else set()
+        assert [message for _, (message, *_), _ in shared] == [
+            message for message in entries if message.kind in shared_kinds]
+        assert [message for _, (message, *_), _ in received] == [
+            message for message in entries if message.kind not in shared_kinds]
 
     @settings(max_examples=300, deadline=None)
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
@@ -1192,7 +1190,7 @@ def sharing_context(validators):
 
 
 class TestSharedTally:
-    """A clean height of 9 or more validators tallies each vote once per key."""
+    """A clean height tallies each vote once per key."""
 
     @settings(max_examples=100, deadline=None)
     @given(stakes=st.lists(st.floats(5e-324, 1e306) | st.sampled_from([1.0, 3.0, 2.0 ** 53]),
@@ -1248,13 +1246,12 @@ class TestSharedTally:
         assert [node.phase for node in nodes.values()] == ["propose", "prevote", "prevote"]
 
     def test_in_flight_precommit_drained_at_its_tick(self):
-        # As the unshared test of that name, on a roster wide enough to
-        # share: every node decides at tick 3, and v9's prevote and
-        # precommit, due at ticks 21 and 22, are never stepped, so they
-        # reach no tally. The first decider is v3, so the certificate
-        # covers v9 only through its queued precommit entry. (With 12
-        # validators the far one, v11, would decide first and sign through
-        # its own vote.)
+        # As the four-validator test of that name, with ten: every node
+        # decides at tick 3, and v9's prevote and precommit, due at ticks
+        # 21 and 22, are never stepped, so they never reach the shared
+        # tally. The first decider is v3, so the certificate covers v9 only
+        # through its queued precommit entry. (With 12 validators the far
+        # one, v11, would decide first and sign through its own vote.)
         validators = in_flight_roster(10)
         with recorded(GossipNetwork, "step") as steps, \
                 recorded(consensus._HonestNode, "share") as shared:
@@ -1286,11 +1283,29 @@ class TestSharedTally:
             assert node.sums.keys() <= cast
             assert_tally_follows_voters(node, tallies)
 
+    @pytest.mark.parametrize("source, shared, received", [
+        # One clean 3-validator height is simulated, and the rest replay
+        # it: its 6 votes go to share, its proposal to receive.
+        pytest.param(str(CONFIGS / "payment.json"), 6, 1, id="payment.json"),
+        pytest.param(WORKLOADS.config_text("payment-econ", 0), 6, 1, id="payment-econ-0"),
+        # One clean 64-validator height is simulated.
+        pytest.param(WORKLOADS.config_text("roster-wide", 0), 128, 1, id="roster-wide-0"),
+        # Their networks draw, so no height is clean.
+        pytest.param(str(CONFIGS / "sequencer.json"), 0, 608, id="sequencer.json"),
+        pytest.param(WORKLOADS.config_text("byzantine-lossy", 0), 0, 9783,
+                     id="byzantine-lossy-0")])
+    def test_shipped_runs_route_entries_by_cleanness(self, source, shared, received):
+        config = load_config(source)
+        with recorded(consensus._HonestNode, "share") as shares, \
+                recorded(consensus._HonestNode, "receive") as receives:
+            run_simulation(config)
+        assert (len(shares), len(receives)) == (shared, received)
+
     def test_wide_height_independent_of_the_hash_seed(self):
-        # The shipped configs are too small or lossy to share. A clean
-        # 16-validator height whose first proposer, v0, is silent: it
-        # commits in round 1 with three rounds, not at all with one, and
-        # its votes all go through the shared tally.
+        # Of the shipped configs only payment.json shares, on one
+        # 3-validator height. A clean 16-validator height whose first
+        # proposer, v0, is silent: it commits in round 1 with three rounds,
+        # not at all with one, and its votes all go through the shared tally.
         script = """
 from opsim import EventTrace, NetworkModel, ValidatorDescriptor, consensus, run_height
 shared, share = [], consensus._HonestNode.share
@@ -1347,8 +1362,10 @@ class TestCommitCertificate:
     @settings(max_examples=100, deadline=None)
     @given(height=heights() | clean_heights())
     # The last validator's precommit is still in flight when every
-    # validator has decided: unshared, and shared.
-    @example(height=(in_flight_roster(4), LOSSLESS, 1))
+    # validator has decided: unshared, as a partition long after the
+    # height's end keeps it from being clean, and shared.
+    @example(height=(in_flight_roster(4), NetworkModel(partition_schedule=(
+        PartitionSpec(100, 101, frozenset({"v0"})),)), 1))
     @example(height=(in_flight_roster(10), LOSSLESS, 1))
     # The first decider, v4, precommitted nil: it is not in the certificate.
     @example(height=(nil_first_decider_roster(),
@@ -1695,13 +1712,13 @@ class TestReplay:
 
 
 def roster_shape(validators):
-    """What a roster's kept heights are shared by, derived from the float stakes; None from 9.
+    """What a roster's kept heights are shared by, derived from the float stakes; None past 8.
 
     Each validator's (id, behavior, region latency) in id order, the
     proposer order of ids, and per voter subset (bit i for the i-th id in
     id order) whether the ``fsum`` of its stakes is a quorum of the total.
     """
-    if len(validators) >= consensus.SHARED_TALLY_MIN_VALIDATORS:
+    if len(validators) > 8:
         return None
     by_id = sorted(validators, key=lambda v: v.id)
     total = math.fsum(v.stake for v in validators)
@@ -1819,12 +1836,15 @@ class TestShapeReplay:
         assert trace.events == expected_trace.events
 
     def test_large_rosters_keep_their_own_replays(self):
+        # A roster of up to 8 validators has a shape, and one of 9 does not,
+        # whether or not its heights share tallies.
         kept = {}
-        big = [Roster(honest_roster([10.0 + i] * consensus.SHARED_TALLY_MIN_VALIDATORS), kept)
-               for i in range(2)]
+        big = [Roster(honest_roster([10.0 + i] * 9), kept) for i in range(2)]
         assert kept == {} and big[0].replays is not big[1].replays
-        small = [Roster(honest_roster([10.0 + i] * 3), kept) for i in range(2)]
-        assert len(kept) == 1 and small[0].replays is small[1].replays
+        for n in (3, 8):
+            small = [Roster(honest_roster([10.0 + i] * n), kept) for i in range(2)]
+            assert small[0].replays is small[1].replays
+        assert len(kept) == 2
 
     def test_no_kept_height_outlives_a_run(self):
         # Every run simulates its own first height; payment-econ's other 47 replay it.

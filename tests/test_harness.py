@@ -127,6 +127,10 @@ WRONG_KIND = {"number": "1.0", "amount": "1.0", "fraction": "0.5", "probability"
 
 # A JSON integer literal of 401 digits: too large for a float.
 BIG = 10 ** 400
+# From CPython 3.10.7 a str-to-int conversion has a digit limit (4,300 by
+# default), so json.loads rejects a longer integer literal.
+NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                           reason="no int digit limit")
 
 # Values just inside and just outside the bounds of each ranged kind. For
 # "string" and "items" the inside case is FULL itself: its ids are one
@@ -244,7 +248,9 @@ def config_docs(draw):
                                                 "invalid-proposer"]))
         maybe(op, "trust", st.floats(0.0, 1.0))
         maybe(op, "capacity", amount)
-        maybe(op, "resources", amount)
+        # A sequencer config needs some resources; the first operator holds them.
+        maybe(op, "resources", positive if scenario == "sequencer" and op_id == ids[0]
+              else amount)
         maybe(op, "region_latency", st.integers(0, 3))
         if scenario == "payment" or draw(st.booleans()):
             payment = {"fee": draw(amount), "validation_cost_coeff": draw(amount),
@@ -284,6 +290,22 @@ class TestLoadConfig:
             load_config('{"scenario": "sequencer",}')
         assert exc.value.line == 1
         assert exc.value.column is not None
+
+    def test_sequencer_needs_resources(self):
+        # sequencer_metrics divides by the roster's total resources.
+        doc = json.loads(BASIC)
+        for op in doc["operators"]:
+            op["resources"] = 0.0
+        with pytest.raises(ConfigError, match="resources > 0") as exc:
+            load_config(json.dumps(doc))
+        assert exc.value.field == "operators"
+        doc["operators"][3]["resources"] = 5e-324
+        load_config(json.dumps(doc))
+        # The payment scenario reads no resources.
+        doc = json.loads(PAYMENT)
+        for op in doc["operators"]:
+            op["resources"] = 0.0
+        load_config(json.dumps(doc))
 
     def test_zero_weights_named(self):
         bad = MINIMAL.replace('"tasks"',
@@ -794,6 +816,13 @@ class TestReports:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == metrics * len(report.epochs)
 
+    def test_report_parse_error_carries_position(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"config": {},\n  "epochs": ]}')
+        with pytest.raises(ConfigError, match="^report parse error at line 2, column 13: ") as exc:
+            read_report(path)
+        assert (exc.value.line, exc.value.column) == (2, 13)
+
     def test_non_utf8_report_is_config_error_naming_it(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_bytes(NOT_UTF8)
@@ -902,6 +931,25 @@ class TestCli:
         assert cli_main([command, flag, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "input.json" in err
+
+    @pytest.mark.parametrize("command, content", [
+        pytest.param("validate", MINIMAL.replace(
+            '"sequencer",', '"sequencer", "seed": 1' + "0" * 5000 + ",").encode(),
+            marks=NEEDS_INT_DIGIT_LIMIT, id="validate-5001-digit-seed"),
+        pytest.param("validate", b"[" * 100_000, id="validate-100000-deep"),
+        pytest.param("metrics", b'{"epochs": 1' + b"0" * 5000 + b"}",
+                     marks=NEEDS_INT_DIGIT_LIMIT, id="metrics-5001-digit-number"),
+        pytest.param("metrics", b"[" * 100_000, id="metrics-100000-deep")])
+    def test_json_that_json_loads_rejects_otherwise_is_a_config_error(
+            self, tmp_path, capsys, command, content):
+        # json.loads raises ValueError past the int digit limit, and
+        # RecursionError past the recursion limit; neither is a JSONDecodeError.
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        flag = "--config" if command == "validate" else "--report"
+        assert cli_main([command, flag, str(path)]) == 1
+        what = "config" if command == "validate" else "report"
+        assert capsys.readouterr().err.startswith(f"config error: {what} parse error: ")
 
     def test_missing_report_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
